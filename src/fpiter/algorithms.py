@@ -106,15 +106,15 @@ class RunConfig:
     inside tolerance records exactly one entry. ``anchor_scale`` and
     ``contraction_rho`` supply the defaults ``u = anchor_scale * x_0`` and
     ``f(x) = contraction_rho * x`` when no explicit anchor or contraction
-    is passed to :func:`run`. ``rng_seed`` is provenance only: nothing in a
-    run draws random numbers.
+    is passed to :func:`run`. Only the inertial engines (``inertial-mann``,
+    ``mimha``, ``mimva``) read the inertia rule of ``schedules``; the others
+    record ``delta_n = 0`` whatever it says.
     """
 
     error_metric: Callable[[np.ndarray], float]
     max_iterations: int = 1000
     tolerance: float = 1e-3
     schedules: Schedules = field(default_factory=Schedules)
-    rng_seed: int = 0
     anchor_scale: float = 0.9
     contraction_rho: float = 0.9
 
@@ -269,19 +269,13 @@ def run(
         contraction = lambda p: rho * p  # noqa: E731
 
     sched = config.schedules
-    if algorithm in ("mmha", "mmva"):
-        sched = sched.without_inertia()
 
     records = []
     reason = TerminalReason.MAX_ITERATIONS
     start = time.perf_counter()
     for n in range(config.max_iterations + 1):
         err = config.error_metric(x)
-        diff = space._norm(x - x_prev)
-        if algorithm in _INERTIAL or algorithm in ("mmha", "mmva"):
-            delta = sched.delta(n, diff)
-        else:
-            delta = 0.0
+        delta = sched.delta(n, space._norm(x - x_prev)) if algorithm in _INERTIAL else 0.0
         records.append(TraceRecord(n, float(err), delta, time.perf_counter() - start))
         if err < config.tolerance:
             reason = TerminalReason.TOLERANCE_MET

@@ -8,9 +8,12 @@ time_s, terminal_reason, seed). All numeric CSV fields are written with
 shortest round-trip float formatting, so they parse back bit-exact; the
 elapsed-time columns are the only nondeterministic content.
 
-Configuration is a flat YAML mapping (see ``KNOWN_KEYS``); command-line
-flags override file values. The default output directory comes from the
-``FPITER_OUT`` environment variable, falling back to ``./results``.
+Configuration is a flat YAML mapping whose keys are listed in ``KEYS``.
+Every key is also a ``--<key>`` flag (``--algo`` for ``algorithms``), and
+flags override file values. A key that only another experiment's builder
+takes (see ``BUILD_ARGS``) is rejected. The default output directory comes
+from the ``FPITER_OUT`` environment variable, falling back to
+``./results``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 import yaml
 
 from .algorithms import ALGORITHMS, IterationTrace, TerminalReason, run
-from .experiments import EXPERIMENTS, ExperimentSpec, build_cfp, build_sfp, build_weber
+from .experiments import EXPERIMENTS, ExperimentSpec, build_experiment
 from .operators import PROJECTION_MODES, AnchorSet
 from .schedules import DELTA_MODES, Schedules
 
@@ -43,28 +46,6 @@ DEFAULT_ALGORITHMS = {
     "cfp": ("cq", "inertial-mann", "mmva", "mimva"),
     "weber": ("mimha", "mimva"),
 }
-
-# key -> (parser, validator message); values arrive from YAML or CLI flags
-KNOWN_KEYS = (
-    "experiment",
-    "algorithms",
-    "seed",
-    "out",
-    "repeat",
-    "max-iter",
-    "tol",
-    "grid",
-    "eta",
-    "lambda",
-    "xi-coeff",
-    "psi-coeff",
-    "delta-mode",
-    "delta-value",
-    "sfp-projection",
-    "anchors-csv",
-    "dim",
-    "balls",
-)
 
 
 class ConfigError(ValueError):
@@ -99,118 +80,132 @@ def _fail(key: str, detail: str):
     raise ConfigError(f"config key {key!r}: {detail}")
 
 
-def _as_int(key, value, minimum=None):
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        _fail(key, f"expected an integer, got {value!r}")
-    if isinstance(value, float) and value != out:
-        _fail(key, f"expected an integer, got {value!r}")
-    if minimum is not None and out < minimum:
-        _fail(key, f"must be >= {minimum}, got {out}")
-    return out
+def _as_int(minimum):
+    def parse(key, value):
+        try:
+            out = int(value)
+        except (TypeError, ValueError, OverflowError):
+            _fail(key, f"expected an integer, got {value!r}")
+        if isinstance(value, float) and value != out:
+            _fail(key, f"expected an integer, got {value!r}")
+        if out < minimum:
+            _fail(key, f"must be >= {minimum}, got {out}")
+        return out
+
+    return parse
 
 
-def _as_float(key, value):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        _fail(key, f"expected a number, got {value!r}")
+def _as_float(accept, rule):
+    def parse(key, value):
+        try:
+            out = float(value)
+        except (TypeError, ValueError):
+            _fail(key, f"expected a number, got {value!r}")
+        if not accept(out):
+            _fail(key, f"{rule}, got {out}")
+        return out
+
+    return parse
 
 
-def _as_algorithms(value):
+def _as_choice(choices):
+    def parse(key, value):
+        out = str(value)
+        if out not in choices:
+            _fail(key, f"expected one of {choices}, got {out!r}")
+        return out
+
+    return parse
+
+
+def _as_path(key, value):
+    return Path(str(value))
+
+
+def _as_algorithms(key, value):
     if isinstance(value, str):
         names = [s.strip() for s in value.split(",") if s.strip()]
     elif isinstance(value, (list, tuple)):
         names = [str(s).strip() for s in value]
     else:
-        _fail("algorithms", f"expected a name list, got {value!r}")
+        _fail(key, f"expected a name list, got {value!r}")
     if not names:
-        _fail("algorithms", "list is empty")
+        _fail(key, "list is empty")
     for name in names:
         if name not in ALGORITHMS:
-            _fail("algorithms", f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+            _fail(key, f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     return tuple(names)
+
+
+# key -> (CliConfig field, parser, flag help); values arrive from YAML or
+# flags. The range checks repeat some library checks on purpose: they reject
+# outside input by its key name before anything is built.
+KEYS = {
+    "experiment": ("experiment", _as_choice(EXPERIMENTS), "experiment id"),
+    "algorithms": ("algorithms", _as_algorithms, "comma-separated algorithm names"),
+    "seed": ("seed", _as_int(0), "random seed (centers and initial points)"),
+    "out": ("output_dir", _as_path, f"output directory (default ${OUTPUT_DIR_ENV} or ./results)"),
+    "repeat": ("repeat", _as_int(1), "number of random initial points"),
+    "max-iter": ("max_iter", _as_int(1), "iteration cap"),
+    "tol": ("tol", _as_float(lambda v: v > 0, "must be positive"), "stopping tolerance"),
+    "grid": ("grid", _as_int(2), "grid nodes for the sfp experiment"),
+    "eta": ("eta", _as_float(lambda v: v >= 3, "must be >= 3"), "inertia cap shape parameter"),
+    "lambda": ("lam", _as_float(lambda v: 0 < v < 2, "must lie in (0, 2)"), "sfp step"),
+    "xi-coeff": ("xi_coeff", _as_float(lambda v: v > 0, "must be positive"), "c in xi_n = c/(n+1)^2"),
+    "psi-coeff": ("psi_coeff", _as_float(lambda v: 0 < v < 1, "must lie in (0, 1)"), "c in psi_n = c/(n+1)^2"),
+    "delta-mode": ("delta_mode", _as_choice(DELTA_MODES), "inertia rule"),
+    "delta-value": ("delta_value", _as_float(lambda v: v >= 0, "must be nonnegative"), "constant delta"),
+    "sfp-projection": ("sfp_projection", _as_choice(PROJECTION_MODES), "sfp half-space projection"),
+    "anchors-csv": ("anchors_csv", _as_path, "weber anchors CSV, weight in the last column"),
+    "dim": ("dim", _as_int(1), "cfp space dimension"),
+    "balls": ("balls", _as_int(2), "cfp inner ball count"),
+}
+
+def _unchanged(value):
+    return value
+
+
+# experiment -> {CliConfig field: (builder keyword, conversion)}
+BUILD_ARGS = {
+    "sfp": {
+        "grid": ("grid_points", _unchanged),
+        "lam": ("lam", _unchanged),
+        "sfp_projection": ("mode", _unchanged),
+    },
+    "cfp": {
+        "dim": ("dim", _unchanged),
+        "balls": ("num_balls", _unchanged),
+        "seed": ("seed", _unchanged),
+    },
+    "weber": {"anchors_csv": ("anchors", AnchorSet.from_csv)},
+}
+
+# seed also draws the initial points of every experiment, so it is the one
+# builder argument that no experiment rejects
+_SCOPED_FIELDS = {field for args in BUILD_ARGS.values() for field in args} - {"seed"}
 
 
 def _build_cli_config(raw: dict) -> CliConfig:
     for key in raw:
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    if "experiment" not in raw or raw["experiment"] is None:
+    if raw.get("experiment") is None:
         raise ConfigError("config key 'experiment' is required (sfp, cfp or weber)")
-    experiment = str(raw["experiment"])
-    if experiment not in EXPERIMENTS:
-        _fail("experiment", f"expected one of {EXPERIMENTS}, got {experiment!r}")
-
-    out = {"experiment": experiment}
-    if raw.get("algorithms") is not None:
-        out["algorithms"] = _as_algorithms(raw["algorithms"])
-    else:
-        out["algorithms"] = DEFAULT_ALGORITHMS[experiment]
-    if raw.get("seed") is not None:
-        out["seed"] = _as_int("seed", raw["seed"], minimum=0)
-    if raw.get("out") is not None:
-        out["output_dir"] = Path(str(raw["out"]))
-    else:
-        out["output_dir"] = Path(os.environ.get(OUTPUT_DIR_ENV, "results"))
-    if raw.get("repeat") is not None:
-        out["repeat"] = _as_int("repeat", raw["repeat"], minimum=1)
-    if raw.get("max-iter") is not None:
-        out["max_iter"] = _as_int("max-iter", raw["max-iter"], minimum=1)
-    if raw.get("tol") is not None:
-        tol = _as_float("tol", raw["tol"])
-        if not tol > 0:
-            _fail("tol", f"must be positive, got {tol}")
-        out["tol"] = tol
-    if raw.get("grid") is not None:
-        out["grid"] = _as_int("grid", raw["grid"], minimum=2)
-    if raw.get("eta") is not None:
-        eta = _as_float("eta", raw["eta"])
-        if not eta >= 3.0:
-            _fail("eta", f"must be >= 3, got {eta}")
-        out["eta"] = eta
-    if raw.get("lambda") is not None:
-        lam = _as_float("lambda", raw["lambda"])
-        if not 0.0 < lam < 2.0:
-            _fail("lambda", f"must lie in (0, 2), got {lam}")
-        out["lam"] = lam
-    if raw.get("xi-coeff") is not None:
-        xi = _as_float("xi-coeff", raw["xi-coeff"])
-        if not xi > 0:
-            _fail("xi-coeff", f"must be positive, got {xi}")
-        out["xi_coeff"] = xi
-    if raw.get("psi-coeff") is not None:
-        psi = _as_float("psi-coeff", raw["psi-coeff"])
-        if not 0.0 < psi < 1.0:
-            _fail("psi-coeff", f"must lie in (0, 1), got {psi}")
-        out["psi_coeff"] = psi
-    if raw.get("delta-mode") is not None:
-        mode = str(raw["delta-mode"])
-        if mode not in DELTA_MODES:
-            _fail("delta-mode", f"expected one of {DELTA_MODES}, got {mode!r}")
-        out["delta_mode"] = mode
-    if raw.get("delta-value") is not None:
-        value = _as_float("delta-value", raw["delta-value"])
-        if value < 0:
-            _fail("delta-value", f"must be nonnegative, got {value}")
-        out["delta_value"] = value
-    if raw.get("sfp-projection") is not None:
-        mode = str(raw["sfp-projection"])
-        if mode not in PROJECTION_MODES:
-            _fail("sfp-projection", f"expected one of {PROJECTION_MODES}, got {mode!r}")
-        out["sfp_projection"] = mode
-    if raw.get("anchors-csv") is not None:
-        out["anchors_csv"] = Path(str(raw["anchors-csv"]))
-    if raw.get("dim") is not None:
-        out["dim"] = _as_int("dim", raw["dim"], minimum=1)
-    if raw.get("balls") is not None:
-        out["balls"] = _as_int("balls", raw["balls"], minimum=2)
-    return CliConfig(**out)
+    values = {
+        field: parse(key, raw[key])
+        for key, (field, parse, _) in KEYS.items()
+        if raw.get(key) is not None
+    }
+    experiment = values["experiment"]
+    for key, (field, _, _) in KEYS.items():
+        if field in values and field in _SCOPED_FIELDS and field not in BUILD_ARGS[experiment]:
+            _fail(key, f"does not apply to experiment {experiment!r}")
+    values.setdefault("algorithms", DEFAULT_ALGORITHMS[experiment])
+    values.setdefault("output_dir", Path(os.environ.get(OUTPUT_DIR_ENV, "results")))
+    return CliConfig(**values)
 
 
-def parse_config(text: str) -> CliConfig:
-    """Parse and validate a flat YAML configuration document."""
+def _load_mapping(text: str) -> dict:
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -219,7 +214,12 @@ def parse_config(text: str) -> CliConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat key-value mapping")
-    return _build_cli_config(raw)
+    return raw
+
+
+def parse_config(text: str) -> CliConfig:
+    """Parse and validate a flat YAML configuration document."""
+    return _build_cli_config(_load_mapping(text))
 
 
 def _power_law(coeff: float):
@@ -229,58 +229,31 @@ def _power_law(coeff: float):
     return sequence
 
 
+def _given(**updates) -> dict:
+    """The updates that were set, for a filtered ``replace``."""
+    return {name: value for name, value in updates.items() if value is not None}
+
+
 def _apply_schedule_overrides(sched: Schedules, cfg: CliConfig) -> Schedules:
-    updates = {}
-    if cfg.eta is not None:
-        updates["eta"] = cfg.eta
-    if cfg.psi_coeff is not None:
-        updates["psi"] = _power_law(cfg.psi_coeff)
-    if cfg.xi_coeff is not None:
-        updates["xi"] = _power_law(cfg.xi_coeff)
-    if cfg.delta_mode is not None:
-        updates["delta_mode"] = cfg.delta_mode
-    if cfg.delta_value is not None:
-        updates["delta_value"] = cfg.delta_value
-    return replace(sched, **updates) if updates else sched
+    return replace(
+        sched,
+        **_given(
+            eta=cfg.eta,
+            psi=None if cfg.psi_coeff is None else _power_law(cfg.psi_coeff),
+            xi=None if cfg.xi_coeff is None else _power_law(cfg.xi_coeff),
+            delta_mode=cfg.delta_mode,
+            delta_value=cfg.delta_value,
+        ),
+    )
 
 
 def _build_spec(cfg: CliConfig) -> ExperimentSpec:
-    if cfg.experiment == "sfp":
-        kwargs = {}
-        if cfg.grid is not None:
-            kwargs["grid_points"] = cfg.grid
-        if cfg.tol is not None:
-            kwargs["tolerance"] = cfg.tol
-        if cfg.lam is not None:
-            kwargs["lam"] = cfg.lam
-        if cfg.sfp_projection is not None:
-            kwargs["mode"] = cfg.sfp_projection
-        if cfg.max_iter is not None:
-            kwargs["max_iterations"] = cfg.max_iter
-        if cfg.eta is not None:
-            kwargs["eta"] = cfg.eta
-        return build_sfp(seed=cfg.seed, **kwargs)
-    if cfg.experiment == "cfp":
-        kwargs = {}
-        if cfg.dim is not None:
-            kwargs["dim"] = cfg.dim
-        if cfg.balls is not None:
-            kwargs["num_balls"] = cfg.balls
-        if cfg.max_iter is not None:
-            kwargs["max_iterations"] = cfg.max_iter
-        if cfg.eta is not None:
-            kwargs["eta"] = cfg.eta
-        return build_cfp(seed=cfg.seed, **kwargs)
     kwargs = {}
-    if cfg.anchors_csv is not None:
-        kwargs["anchors"] = AnchorSet.from_csv(cfg.anchors_csv)
-    if cfg.max_iter is not None:
-        kwargs["max_iterations"] = cfg.max_iter
-    if cfg.tol is not None:
-        kwargs["tolerance"] = cfg.tol
-    if cfg.eta is not None:
-        kwargs["eta"] = cfg.eta
-    return build_weber(seed=cfg.seed, **kwargs)
+    for field, (keyword, convert) in BUILD_ARGS[cfg.experiment].items():
+        value = getattr(cfg, field)
+        if value is not None:
+            kwargs[keyword] = convert(value)
+    return build_experiment(cfg.experiment, **kwargs)
 
 
 def _run_with_retry(algorithm, operator, run_config, x0, perturb_rng, retries=3):
@@ -321,12 +294,7 @@ def run_suite(cfg: CliConfig) -> int:
     status to 1 without aborting the rest of the suite.
     """
     spec = _build_spec(cfg)
-    run_config = spec.defaults
-    if cfg.max_iter is not None:
-        run_config = replace(run_config, max_iterations=cfg.max_iter)
-    if cfg.tol is not None:
-        run_config = replace(run_config, tolerance=cfg.tol)
-    run_config = replace(run_config, rng_seed=cfg.seed)
+    run_config = replace(spec.defaults, **_given(max_iterations=cfg.max_iter, tolerance=cfg.tol))
 
     initials_rng = np.random.default_rng([cfg.seed, 1])
     initials = spec.make_initials(initials_rng, cfg.repeat)
@@ -383,45 +351,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fixed-point iteration benchmark suites (sfp, cfp, weber).",
     )
     parser.add_argument("--config", type=Path, help="flat YAML configuration file")
-    parser.add_argument("--experiment", choices=EXPERIMENTS, help="experiment id")
-    parser.add_argument("--algo", help="comma-separated algorithm names")
-    parser.add_argument("--seed", type=int, help="random seed (centers and initial points)")
-    parser.add_argument("--out", type=Path, help=f"output directory (default ${OUTPUT_DIR_ENV} or ./results)")
-    parser.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap")
-    parser.add_argument("--tol", type=float, help="stopping tolerance")
-    parser.add_argument("--grid", type=int, help="grid nodes for the sfp experiment")
-    parser.add_argument("--eta", type=float, help="inertia cap shape parameter (>= 3)")
-    parser.add_argument("--repeat", type=int, help="number of random initial points")
+    for key, (_, _, help_text) in KEYS.items():
+        flag = "--algo" if key == "algorithms" else f"--{key}"
+        parser.add_argument(flag, dest=key, help=help_text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = _build_parser().parse_args(argv)
-    raw = {}
+    args = vars(_build_parser().parse_args(argv))
+    config = args.pop("config")
     try:
-        if args.config is not None:
-            parsed = yaml.safe_load(args.config.read_text())
-            if parsed is None:
-                parsed = {}
-            if not isinstance(parsed, dict):
-                raise ConfigError("config must be a flat key-value mapping")
-            raw.update(parsed)
-        for key, value in (
-            ("experiment", args.experiment),
-            ("algorithms", args.algo),
-            ("seed", args.seed),
-            ("out", args.out),
-            ("max-iter", args.max_iter),
-            ("tol", args.tol),
-            ("grid", args.grid),
-            ("eta", args.eta),
-            ("repeat", args.repeat),
-        ):
-            if value is not None:
-                raw[key] = value
+        raw = {} if config is None else _load_mapping(config.read_text())
+        raw.update((key, value) for key, value in args.items() if value is not None)
         cfg = _build_cli_config(raw)
-    except (ConfigError, yaml.YAMLError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"fpiter: {exc}", file=sys.stderr)
         return 2
     try:

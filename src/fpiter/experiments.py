@@ -1,8 +1,8 @@
 """Preconfigured benchmark problems with their exact parameters.
 
 Three problem families, each wrapped in an :class:`ExperimentSpec` that
-bundles the space, the fixed-point operator, the error metric that the
-stopping rule tests, default run settings, and initial points:
+bundles the space, the fixed-point operator, default run settings (among
+them the error metric that the stopping rule tests), and initial points:
 
 sfp
     Feasibility in discretized L2 on [0, 2*pi]: find x with
@@ -104,19 +104,21 @@ def distance_metric(space: InnerProductSpace, target):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """A benchmark instance: space, operator, metric, defaults, initials.
+    """A benchmark instance: space, operator, run defaults, initials.
 
-    ``initial_cases`` holds the fixed named starting points (empty for the
-    randomly initialized problems, which provide ``sample_initial``
-    instead). ``algorithm_schedules`` carries per-algorithm schedule
-    overrides; anything not listed uses ``defaults.schedules``.
-    ``details`` records the constants the instance was built from.
+    The stopping metric is ``defaults.error_metric``; callers change a
+    run's cap, tolerance or schedules with ``dataclasses.replace`` on
+    ``defaults``. ``initial_cases``
+    holds the fixed named starting points (empty for the randomly
+    initialized problems, which provide ``sample_initial`` instead).
+    ``algorithm_schedules`` carries per-algorithm schedule overrides;
+    anything not listed uses ``defaults.schedules``. ``details`` records
+    the constants the instance was built from.
     """
 
     id: str
     space: InnerProductSpace
     operator: Operator
-    metric: Callable[[np.ndarray], float]
     defaults: RunConfig
     initial_cases: Tuple[Tuple[str, np.ndarray], ...] = ()
     sample_initial: Optional[Callable[[np.random.Generator], np.ndarray]] = None
@@ -140,18 +142,12 @@ class ExperimentSpec:
 
 
 def build_sfp(
-    grid_points: int = 1024,
-    tolerance: float = 1e-3,
-    lam: float = 0.25,
-    mode: str = "damped",
-    max_iterations: int = 10000,
-    eta: float = 4.0,
-    seed: int = 0,
+    grid_points: int = 1024, lam: float = 0.25, mode: str = "damped"
 ) -> ExperimentSpec:
     """Function-space feasibility benchmark on a uniform grid.
 
-    The stopping rule is the residual metric dropping below ``tolerance``;
-    ``max_iterations`` is only a safety cap, hence the generous default.
+    The stopping rule is the residual metric dropping below 1e-3; the
+    10000-iteration cap is only a safety net, hence its generous size.
     """
     space = PeriodicGridSpace(grid_points)
     operator = Operator(
@@ -165,10 +161,9 @@ def build_sfp(
     )
     defaults = RunConfig(
         error_metric=sfp_residual_metric(space, mode),
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        schedules=Schedules(eta=eta),
-        rng_seed=seed,
+        max_iterations=10000,
+        tolerance=1e-3,
+        schedules=Schedules(),
         anchor_scale=0.9,
         contraction_rho=0.9,
     )
@@ -176,7 +171,6 @@ def build_sfp(
         id="sfp",
         space=space,
         operator=operator,
-        metric=defaults.error_metric,
         defaults=defaults,
         initial_cases=cases,
         details=MappingProxyType(
@@ -189,8 +183,6 @@ def build_cfp(
     dim: int = 30,
     num_balls: int = 30,
     seed: int = 0,
-    max_iterations: int = 1000,
-    eta: float = 4.0,
 ) -> ExperimentSpec:
     """Random-balls feasibility benchmark in R^dim.
 
@@ -199,8 +191,8 @@ def build_cfp(
     the origin, making ``sup_norm`` a true error measure. The remaining
     centers are drawn from ``(-1/sqrt(dim), 1/sqrt(dim))^dim`` with the
     given seed. There is no tolerance-based stopping in this benchmark;
-    the default tolerance is an unreachable sentinel so runs go the full
-    budget.
+    the tolerance is an unreachable sentinel so runs go the full
+    1000-iteration budget.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -220,18 +212,17 @@ def build_cfp(
     )
     defaults = RunConfig(
         error_metric=sup_norm,
-        max_iterations=max_iterations,
+        max_iterations=1000,
         tolerance=1e-12,
-        schedules=Schedules(eta=eta),
-        rng_seed=seed,
+        schedules=Schedules(),
         anchor_scale=0.9,
         contraction_rho=0.1,
     )
     baselines = MappingProxyType(
         {
-            "cq": Schedules(psi=inverse_linear, eta=eta),
+            "cq": Schedules(psi=inverse_linear),
             "inertial-mann": Schedules(
-                psi=inverse_linear, eta=eta, delta_mode="constant", delta_value=0.5
+                psi=inverse_linear, delta_mode="constant", delta_value=0.5
             ),
         }
     )
@@ -239,7 +230,6 @@ def build_cfp(
         id="cfp",
         space=space,
         operator=operator,
-        metric=sup_norm,
         defaults=defaults,
         sample_initial=lambda gen: gen.uniform(0.0, 10.0, dim),
         algorithm_schedules=baselines,
@@ -283,14 +273,7 @@ def fermat_weber_point(
     return x
 
 
-def build_weber(
-    anchors: Optional[AnchorSet] = None,
-    target=None,
-    max_iterations: int = 1000,
-    tolerance: float = 1e-4,
-    eta: float = 4.0,
-    seed: int = 0,
-) -> ExperimentSpec:
+def build_weber(anchors: Optional[AnchorSet] = None, target=None) -> ExperimentSpec:
     """Facility-location benchmark driven by the Weiszfeld map.
 
     Defaults to the 8 unit-weight anchors at the corners of [0, 10]^3,
@@ -309,15 +292,13 @@ def build_weber(
     operator = Operator(
         space, lambda x: weiszfeld_map(space, anchors, x), name="weiszfeld"
     )
-    metric = distance_metric(space, target)
     lo = float(anchors.anchors.min())
     hi = float(anchors.anchors.max())
     defaults = RunConfig(
-        error_metric=metric,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        schedules=Schedules(eta=eta),
-        rng_seed=seed,
+        error_metric=distance_metric(space, target),
+        max_iterations=1000,
+        tolerance=1e-4,
+        schedules=Schedules(),
         anchor_scale=0.9,
         contraction_rho=0.9,
     )
@@ -325,7 +306,6 @@ def build_weber(
         id="weber",
         space=space,
         operator=operator,
-        metric=metric,
         defaults=defaults,
         sample_initial=lambda gen: gen.uniform(lo, hi, space.size),
         details=MappingProxyType({"anchors": anchors, "target": target}),

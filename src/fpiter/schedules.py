@@ -27,7 +27,7 @@ convergence guarantees rest on. Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
 __all__ = [
@@ -88,7 +88,7 @@ class Schedules:
             raise ValueError(f"eta must be >= 3, got {self.eta}")
         if self.delta_mode not in DELTA_MODES:
             raise ValueError(f"delta_mode must be one of {DELTA_MODES}, got {self.delta_mode!r}")
-        if self.delta_value < 0.0:
+        if not self.delta_value >= 0.0:
             raise ValueError(f"delta_value must be nonnegative, got {self.delta_value}")
         if self.index_offset < 0:
             raise ValueError(f"index_offset must be nonnegative, got {self.index_offset}")
@@ -132,10 +132,6 @@ class Schedules:
         if self.delta_mode == "constant":
             return self.delta_value
         return self.delta_bar(n, diff_norm)
-
-    def without_inertia(self) -> "Schedules":
-        """Copy of these schedules with inertia disabled."""
-        return replace(self, delta_mode="zero")
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ def report(number, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def sfp_results():
     """All 16 SFP runs (4 algorithms x 4 cases) plus their wall time."""
-    spec = build_sfp(grid_points=1024, tolerance=1e-3)
+    spec = build_sfp(grid_points=1024)
     traces = {}
     start = time.perf_counter()
     for algorithm in SFP_ALGORITHMS:

@@ -233,12 +233,17 @@ class TestRun:
 
     def test_non_inertial_algorithms_record_zero_delta(self):
         space = EuclideanSpace(2)
-        config = RunConfig(
-            error_metric=metric_to_zero(space), max_iterations=5, tolerance=1e-30
-        )
-        for algorithm in ("mann", "cq", "mmha", "mmva"):
-            trace = run(algorithm, contracting_operator(space), config, arr(2.0, 2.0))
-            assert all(r.delta == 0.0 for r in trace.records)
+        # the constant schedule would give every inertial engine delta 0.7
+        for schedules in (Schedules(), Schedules(delta_mode="constant", delta_value=0.7)):
+            config = RunConfig(
+                error_metric=metric_to_zero(space),
+                max_iterations=5,
+                tolerance=1e-30,
+                schedules=schedules,
+            )
+            for algorithm in ("mann", "cq", "mmha", "mmva"):
+                trace = run(algorithm, contracting_operator(space), config, arr(2.0, 2.0))
+                assert all(r.delta == 0.0 for r in trace.records)
 
     def test_zero_mode_reproduces_non_inertial_baselines_bitwise(self):
         space = EuclideanSpace(3)

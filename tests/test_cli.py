@@ -1,10 +1,13 @@
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fpiter.cli import CliConfig, ConfigError, main, parse_config, run_suite
+from fpiter.algorithms import run
+from fpiter.cli import KEYS, CliConfig, ConfigError, main, parse_config, run_suite
+from fpiter.experiments import build_experiment
 
 
 def read_csv(path):
@@ -74,6 +77,113 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sfp-projection"):
             parse_config("experiment: sfp\nsfp-projection: verbatim\n")
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("weber", "grid", "64"),
+            ("weber", "balls", "9"),
+            ("weber", "lambda", "1.5"),
+            ("cfp", "sfp-projection", "exact"),
+            ("cfp", "anchors-csv", "anchors.csv"),
+            ("sfp", "dim", "8"),
+        ],
+    )
+    def test_key_of_another_experiment_rejected(self, experiment, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'.*'{experiment}'"):
+            parse_config(f"experiment: {experiment}\n{key}: {value}\n")
+
+    @pytest.mark.parametrize("key", ["seed", "repeat", "max-iter", "grid", "dim", "balls"])
+    def test_infinite_integer_rejected(self, key):
+        experiment = {"grid": "sfp", "dim": "cfp", "balls": "cfp"}.get(key, "weber")
+        with pytest.raises(ConfigError, match=f"'{key}'.*integer"):
+            parse_config(f"experiment: {experiment}\n{key}: .inf\n")
+
+    def test_nan_delta_value_rejected(self):
+        with pytest.raises(ConfigError, match="delta-value"):
+            parse_config("experiment: weber\ndelta-mode: constant\ndelta-value: .nan\n")
+
+    def test_seed_applies_to_every_experiment(self):
+        for experiment in ("sfp", "cfp", "weber"):
+            assert parse_config(f"experiment: {experiment}\nseed: 4\n").seed == 4
+
+
+def power_law(coeff):
+    return lambda n: coeff / (n + 1) ** 2
+
+
+# suite id -> (CliConfig fields, build_experiment keywords, RunConfig updates,
+# Schedules updates): the direct run that each suite's traces must reproduce
+OVERRIDE_SUITES = {
+    "weber-max-iter": (
+        dict(experiment="weber", algorithms=("mimva",), seed=2, max_iter=30),
+        {},
+        dict(max_iterations=30),
+        {},
+    ),
+    "eta": (
+        dict(experiment="weber", algorithms=("mimva",), max_iter=40, eta=12.0),
+        {},
+        dict(max_iterations=40),
+        dict(eta=12.0),
+    ),
+    "tol": (
+        dict(experiment="weber", algorithms=("mimha", "mimva"), max_iter=200, tol=0.05),
+        {},
+        dict(max_iterations=200, tolerance=0.05),
+        {},
+    ),
+    "psi-coeff": (
+        dict(experiment="weber", algorithms=("mimva",), max_iter=40, psi_coeff=0.5),
+        {},
+        dict(max_iterations=40),
+        dict(psi=power_law(0.5)),
+    ),
+    "xi-coeff": (
+        dict(experiment="weber", algorithms=("mimva",), max_iter=40, xi_coeff=0.01),
+        {},
+        dict(max_iterations=40),
+        dict(xi=power_law(0.01)),
+    ),
+    "delta-mode-value": (
+        dict(
+            experiment="weber",
+            algorithms=("mimha", "mmha"),
+            max_iter=40,
+            delta_mode="constant",
+            delta_value=0.3,
+        ),
+        {},
+        dict(max_iterations=40),
+        dict(delta_mode="constant", delta_value=0.3),
+    ),
+    "sfp-lambda-projection": (
+        dict(
+            experiment="sfp",
+            algorithms=("mimha",),
+            max_iter=40,
+            grid=64,
+            lam=0.5,
+            sfp_projection="exact",
+        ),
+        dict(grid_points=64, lam=0.5, mode="exact"),
+        dict(max_iterations=40),
+        {},
+    ),
+    "cfp-dim-balls": (
+        dict(
+            experiment="cfp",
+            algorithms=("cq", "inertial-mann", "mimva"),
+            seed=9,
+            max_iter=40,
+            dim=8,
+            balls=6,
+        ),
+        dict(dim=8, num_balls=6, seed=9),
+        dict(max_iterations=40),
+        {},
+    ),
+}
+
 
 class TestRunSuite:
     def test_weber_single_algorithm_writes_two_files(self, tmp_path):
@@ -120,28 +230,28 @@ class TestRunSuite:
         trace_rows = read_csv(tmp_path / "weber_mimha_rand0.csv")
         assert int(summary["iterations"]) == len(trace_rows) - 1
 
-    def test_trace_columns_and_roundtrip(self, tmp_path):
-        cfg = CliConfig(
-            experiment="weber",
-            algorithms=("mimva",),
-            seed=2,
-            output_dir=tmp_path,
-            max_iter=30,
-        )
-        run_suite(cfg)
-        rows = read_csv(tmp_path / "weber_mimva_rand0.csv")
-        assert list(rows[0].keys()) == ["n", "E_n", "delta_n", "elapsed_s"]
-        from fpiter.algorithms import run as run_algorithm
-        from fpiter.experiments import build_weber
-
-        spec = build_weber(seed=2, max_iterations=30)
-        rng = np.random.default_rng([2, 1])
-        name, x0 = spec.make_initials(rng, 1)[0]
-        trace = run_algorithm("mimva", spec.operator, spec.defaults, x0)
-        # truncated to max_iter by the suite config
-        for row, rec in zip(rows, trace.records):
-            assert float(row["E_n"]) == rec.error
-            assert float(row["delta_n"]) == rec.delta
+    @pytest.mark.parametrize(
+        "fields, build_kwargs, run_updates, schedule_updates",
+        list(OVERRIDE_SUITES.values()),
+        ids=list(OVERRIDE_SUITES),
+    )
+    def test_trace_columns_and_roundtrip(
+        self, tmp_path, fields, build_kwargs, run_updates, schedule_updates
+    ):
+        cfg = CliConfig(output_dir=tmp_path, **fields)
+        assert run_suite(cfg) == 0
+        spec = build_experiment(cfg.experiment, **build_kwargs)
+        initials = spec.make_initials(np.random.default_rng([cfg.seed, 1]), cfg.repeat)
+        for algorithm in cfg.algorithms:
+            schedules = replace(spec.schedules_for(algorithm), **schedule_updates)
+            config = replace(spec.defaults, schedules=schedules, **run_updates)
+            for case, x0 in initials:
+                rows = read_csv(tmp_path / f"{cfg.experiment}_{algorithm}_{case}.csv")
+                assert list(rows[0].keys()) == ["n", "E_n", "delta_n", "elapsed_s"]
+                trace = run(algorithm, spec.operator, config, x0)
+                assert [(float(r["E_n"]), float(r["delta_n"])) for r in rows] == [
+                    (rec.error, rec.delta) for rec in trace.records
+                ]
 
     def test_determinism_modulo_elapsed(self, tmp_path):
         out_a = tmp_path / "a"
@@ -196,7 +306,55 @@ class TestRunSuite:
         assert (tmp_path / "out" / "weber_summary.csv").exists()
 
 
+# config key -> (experiment, value text); a key that one experiment's builder
+# takes is set for that experiment
+KEY_SAMPLES = {
+    "experiment": ("weber", "cfp"),
+    "algorithms": ("weber", "mimva,cq"),
+    "seed": ("weber", "5"),
+    "out": ("weber", "runs/a"),
+    "repeat": ("weber", "3"),
+    "max-iter": ("weber", "25"),
+    "tol": ("weber", "1e-5"),
+    "grid": ("sfp", "64"),
+    "eta": ("weber", "4.5"),
+    "lambda": ("sfp", "1.5"),
+    "xi-coeff": ("weber", "2.5"),
+    "psi-coeff": ("weber", "0.25"),
+    "delta-mode": ("weber", "constant"),
+    "delta-value": ("weber", "0.5"),
+    "sfp-projection": ("sfp", "exact"),
+    "anchors-csv": ("weber", "anchors.csv"),
+    "dim": ("cfp", "8"),
+    "balls": ("cfp", "6"),
+}
+
+
 class TestMain:
+    @pytest.mark.parametrize("key", list(KEYS))
+    def test_flag_and_yaml_key_give_equal_config(self, key, tmp_path, monkeypatch):
+        monkeypatch.delenv("FPITER_OUT", raising=False)
+        seen = []
+        monkeypatch.setattr("fpiter.cli.run_suite", lambda cfg: seen.append(cfg) or 0)
+        experiment, text = KEY_SAMPLES[key]
+        values = {"experiment": experiment, key: text}
+        argv = []
+        for name, value in values.items():
+            argv += ["--algo" if name == "algorithms" else f"--{name}", value]
+        config = tmp_path / "suite.yaml"
+        config.write_text("".join(f"{name}: {value}\n" for name, value in values.items()))
+        assert main(argv) == 0
+        assert main(["--config", str(config)]) == 0
+        from_flags, from_yaml = seen
+        assert from_flags == from_yaml
+        assert from_flags != parse_config(f"experiment: {experiment}\n")
+
+    def test_key_of_another_experiment_exits_2(self, tmp_path, capsys):
+        assert main(["--experiment", "weber", "--grid", "64", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'grid'" in err and "'weber'" in err
+        assert not any(tmp_path.iterdir())
+
     def test_flags_only(self, tmp_path):
         code = main(
             [

@@ -44,11 +44,11 @@ class TestSfpSpec:
         assert sfp.defaults.anchor_scale == 0.9
 
     def test_metric_zero_on_solution(self, sfp):
-        assert sfp.metric(sfp.space.zeros()) == 0.0
+        assert sfp.defaults.error_metric(sfp.space.zeros()) == 0.0
 
     def test_metric_positive_on_initial_cases(self, sfp):
         for name, x0 in sfp.initial_cases:
-            assert sfp.metric(x0) > 0.0, name
+            assert sfp.defaults.error_metric(x0) > 0.0, name
 
     def test_quadratic_case_violates_integral_constraint(self, sfp):
         x0 = dict(sfp.initial_cases)["t2"]
@@ -119,7 +119,7 @@ class TestCfpSpec:
     def test_metric_is_sup_norm(self, cfp):
         x = np.zeros(30)
         x[7] = -3.5
-        assert cfp.metric(x) == 3.5
+        assert cfp.defaults.error_metric(x) == 3.5
         assert sup_norm(x) == 3.5
 
     def test_run_to_budget_with_decreasing_error(self):
@@ -148,8 +148,8 @@ class TestWeberSpec:
         assert np.array_equal(weber.details["anchors"].weights, np.ones(8))
 
     def test_metric_at_known_points(self, weber):
-        assert weber.metric(np.array([5.0, 5.0, 5.0])) == 0.0
-        assert weber.metric(np.zeros(3)) == pytest.approx(math.sqrt(75))
+        assert weber.defaults.error_metric(np.array([5.0, 5.0, 5.0])) == 0.0
+        assert weber.defaults.error_metric(np.zeros(3)) == pytest.approx(math.sqrt(75))
 
     def test_reference_point_by_plain_iteration(self, weber):
         point = fermat_weber_point(weber.space, weber.details["anchors"])

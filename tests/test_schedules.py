@@ -91,10 +91,6 @@ class TestDeltaModes:
         sched = Schedules()
         assert sched.delta(9, 0.3) == sched.delta_bar(9, 0.3)
 
-    def test_without_inertia(self):
-        sched = Schedules(delta_mode="constant", delta_value=0.7)
-        assert sched.without_inertia().delta(10, 2.0) == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="eta"):
             Schedules(eta=2.0)
@@ -102,6 +98,8 @@ class TestDeltaModes:
             Schedules(delta_mode="bogus")
         with pytest.raises(ValueError, match="delta_value"):
             Schedules(delta_mode="constant", delta_value=-0.1)
+        with pytest.raises(ValueError, match="delta_value"):
+            Schedules(delta_mode="constant", delta_value=float("nan"))
 
 
 class TestIndexOffset:
