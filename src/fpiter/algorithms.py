@@ -36,8 +36,8 @@ import numpy as np
 from .operators import (
     Operator,
     SingularityError,
-    halfspace_from_cq_sets,
-    project_halfspace_pair,
+    _cq_halfspaces,
+    _project_halfspace_pair,
 )
 from .schedules import Schedules
 from .space import InnerProductSpace
@@ -145,7 +145,9 @@ def _extrapolate(x, x_prev, delta_n):
 
 # The private kernels below take arrays that are already validated and check
 # only what enters from outside: the operator's and the contraction's
-# outputs, where non-finite values first appear. The public step functions
+# outputs, where non-finite values first appear. CQ calls the half-space
+# kernels of ``operators``, which check only the normals and projected
+# points they create, where an overflow can appear. The public step functions
 # validate their array arguments once and call the same kernels, so a run
 # and a sequence of public steps produce the same bits.
 
@@ -164,8 +166,8 @@ def _blend(nu_n, v, y):
 
 def _cq(space, T, x, x0, psi_n):
     y = _averaged(space, T, x, psi_n)
-    c_set, q_set = halfspace_from_cq_sets(space, x, y, x0)
-    return project_halfspace_pair(space, c_set, q_set, x0)
+    c_set, q_set = _cq_halfspaces(space, x, y, x0)
+    return _project_halfspace_pair(space, c_set, q_set, x0)
 
 
 def mann_step(space: InnerProductSpace, T, x, psi_n: float) -> np.ndarray:

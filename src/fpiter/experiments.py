@@ -16,12 +16,12 @@ cfp
     Intersection of ``m + 1`` unit balls in R^N (default N = m = 30):
     outer ball at the origin, two fixed balls at +-e_1 whose intersection
     pins the solution to 0, the rest centered uniformly in
-    ``(-1/sqrt(N), 1/sqrt(N))^N``. Operator: project the average of the
-    inner projections by the outer one. Metric: sup norm of the iterate;
-    runs go the full iteration budget. The CQ and inertial Mann baselines
-    use ``psi_n = 1/(n+1)`` (inertia fixed at 0.5 for the latter), the
-    viscosity-style algorithms keep the default schedules with
-    ``f(x) = 0.1 x``.
+    ``(-1/sqrt(N), 1/sqrt(N))^N``, all held in one ``BallSet``.
+    Operator: project the average of the inner projections by the outer
+    one. Metric: sup norm of the iterate; runs go the full iteration
+    budget. The CQ and inertial Mann baselines use ``psi_n = 1/(n+1)``
+    (inertia fixed at 0.5 for the latter), the viscosity-style algorithms
+    keep the default schedules with ``f(x) = 0.1 x``.
 
 weber
     Weighted-distance minimization over the 8 corners of the cube
@@ -43,7 +43,7 @@ import numpy as np
 from .algorithms import RunConfig
 from .operators import (
     AnchorSet,
-    Ball,
+    BallSet,
     Operator,
     SingularityError,
     cfp_operator,
@@ -206,7 +206,7 @@ def build_cfp(
     if num_balls > 2:
         bound = 1.0 / np.sqrt(dim)
         centers[3:] = rng.uniform(-bound, bound, size=(num_balls - 2, dim))
-    balls = tuple(Ball(center=c, radius=1.0) for c in centers)
+    balls = BallSet(centers, np.ones(num_balls + 1))
     operator = Operator(
         space, lambda x: cfp_operator(space, balls, x), name="cfp-averaged-projections"
     )

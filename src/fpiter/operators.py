@@ -5,7 +5,16 @@ Closed convex sets come in three flavors here: half-spaces
 integral-constrained sets of the discretized function-space benchmark.
 Their metric projections are closed-form; the composite operators built
 from them (forward-projection sweep, averaged ball projections, Weiszfeld
-step) are the fixed-point maps the solvers iterate.
+step) are the fixed-point maps the solvers iterate. A :class:`BallSet`
+holds the balls of the averaged-projection operator as one ``(m, dim)``
+center array, so :func:`cfp_operator` projects onto all of them in one
+array pass.
+
+The half-space projections used by the CQ step come in two layers: the
+public functions validate their arguments and call private kernels that
+take validated arrays, use the unchecked ``space._inner``/``_norm`` and
+check only the arrays they create. ``algorithms`` calls the kernels
+directly, since a run has already validated its iterates.
 
 All functions are pure; the small dataclasses are frozen. A note on
 nonexpansiveness: every projection here, and the half-space/ball
@@ -29,6 +38,7 @@ from .space import InnerProductSpace, PeriodicGridSpace
 __all__ = [
     "HalfSpace",
     "Ball",
+    "BallSet",
     "AnchorSet",
     "Operator",
     "InfeasibleSetError",
@@ -84,6 +94,38 @@ class Ball:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"ball radius must be positive, got {self.radius}")
+
+
+@dataclass(frozen=True, eq=False)
+class BallSet:
+    """Closed balls ``{u : ||u - centers[i]|| <= radii[i]}``, one per row.
+
+    ``centers`` is an ``(m, dim)`` array with ``m >= 2`` and ``radii`` has
+    shape ``(m,)``; centers must be finite and radii finite and strictly
+    positive. Row 0 is the outer ball of :func:`cfp_operator`, the other
+    rows its inner balls. Both arrays are copied and made read-only.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def __post_init__(self):
+        centers = np.array(self.centers, dtype=np.float64)
+        if centers.ndim != 2 or centers.shape[0] < 2:
+            raise ValueError(
+                "need an outer ball plus at least one inner ball as an (m, dim) center array"
+            )
+        if not np.isfinite(centers).all():
+            raise ValueError("ball centers must be finite")
+        radii = np.array(self.radii, dtype=np.float64)
+        if radii.shape != (centers.shape[0],):
+            raise ValueError("need exactly one radius per center")
+        if not (np.isfinite(radii) & (radii > 0)).all():
+            raise ValueError("ball radii must be finite and strictly positive")
+        centers.setflags(write=False)
+        radii.setflags(write=False)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +192,17 @@ class Operator:
         return self.func(x)
 
 
+def _checked_halfspace(space, hs: HalfSpace) -> HalfSpace:
+    return HalfSpace(space.check(hs.normal), hs.offset)
+
+
 def _membership_slack(space, hs, u) -> float:
     # backward-error sized slack so borderline points count as feasible
-    return 1e-12 * (1.0 + abs(hs.offset) + space.norm(hs.normal) * space.norm(u))
+    return 1e-12 * (1.0 + abs(hs.offset) + space._norm(hs.normal) * space._norm(u))
+
+
+def _satisfied(space, hs, u) -> bool:
+    return space._inner(hs.normal, u) <= hs.offset + _membership_slack(space, hs, u)
 
 
 def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
@@ -163,16 +213,20 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
     normal with negative offset).
     """
     x = space.check(x)
-    a = space.check(hs.normal)
-    ax = space.inner(a, x)
+    return _project_halfspace(space, _checked_halfspace(space, hs), x)
+
+
+def _project_halfspace(space, hs, x):
+    a = hs.normal
+    ax = space._inner(a, x)
     if ax <= hs.offset:
         return x
-    sq = space.inner(a, a)
+    sq = space._inner(a, a)
     if sq == 0.0:
         raise InfeasibleSetError(
             "half-space with zero normal and negative offset is empty"
         )
-    return x - ((ax - hs.offset) / sq) * a
+    return space.check(x - ((ax - hs.offset) / sq) * a)
 
 
 def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
@@ -182,11 +236,16 @@ def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
     unchanged; outside points are pulled radially onto the sphere.
     """
     x = space.check(x)
-    c = space.check(ball.center)
-    dist = space.norm(x - c)
-    if dist <= ball.radius:
+    # the output check catches an x - center that overflows
+    return space.check(_project_ball(space, space.check(ball.center), ball.radius, x))
+
+
+def _project_ball(space, c, r, x):
+    d = x - c
+    dist = space._norm(d)
+    if dist <= r:
         return x
-    return c + (ball.radius / dist) * (x - c)
+    return c + (r / dist) * d
 
 
 def project_integral_halfspace(
@@ -245,36 +304,36 @@ def project_halfspace_pair(
     :class:`InfeasibleSetError` is raised.
     """
     x = space.check(x)
+    return _project_halfspace_pair(space, _checked_halfspace(space, h1), _checked_halfspace(space, h2), x)
 
-    def satisfied(hs, u):
-        return space.inner(hs.normal, u) <= hs.offset + _membership_slack(space, hs, u)
 
-    if satisfied(h1, x) and satisfied(h2, x):
+def _project_halfspace_pair(space, h1, h2, x):
+    if _satisfied(space, h1, x) and _satisfied(space, h2, x):
         return x
-    p1 = project_halfspace(space, h1, x)
-    if satisfied(h2, p1):
+    p1 = _project_halfspace(space, h1, x)
+    if _satisfied(space, h2, p1):
         return p1
-    p2 = project_halfspace(space, h2, x)
-    if satisfied(h1, p2):
+    p2 = _project_halfspace(space, h2, x)
+    if _satisfied(space, h1, p2):
         return p2
 
-    a1, a2 = space.check(h1.normal), space.check(h2.normal)
-    g11 = space.inner(a1, a1)
-    g12 = space.inner(a1, a2)
-    g22 = space.inner(a2, a2)
+    a1, a2 = h1.normal, h2.normal
+    g11 = space._inner(a1, a1)
+    g12 = space._inner(a1, a2)
+    g22 = space._inner(a2, a2)
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
         # parallel (or degenerate) normals that the single projections could
         # not reconcile: opposing half-spaces with no overlap
         raise InfeasibleSetError("half-space intersection is empty")
-    r1 = space.inner(a1, x) - h1.offset
-    r2 = space.inner(a2, x) - h2.offset
+    r1 = space._inner(a1, x) - h1.offset
+    r2 = space._inner(a2, x) - h2.offset
     mu1 = (g22 * r1 - g12 * r2) / det
     mu2 = (g11 * r2 - g12 * r1) / det
     tol = 1e-12 * (1.0 + abs(mu1) + abs(mu2))
     if mu1 < -tol or mu2 < -tol:
         raise InfeasibleSetError("half-space intersection is empty")
-    return x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2
+    return space.check(x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2)
 
 
 def halfspace_from_cq_sets(
@@ -287,14 +346,16 @@ def halfspace_from_cq_sets(
     ``{u : <x - u, x - x0> <= 0}`` rewrites as
     ``{u : <x0 - x, u> <= <x0 - x, x>}``. Degenerate inputs (``y = x`` or
     ``x0 = x``) give zero normals with offset 0, i.e. the whole space.
+    A normal that overflows to infinity raises ``ValueError``.
     """
-    x_n = space.check(x_n)
-    y_n = space.check(y_n)
-    x_0 = space.check(x_0)
-    c_normal = x_n - y_n
-    c_offset = 0.5 * (space.inner(x_n, x_n) - space.inner(y_n, y_n))
-    q_normal = x_0 - x_n
-    q_offset = space.inner(q_normal, x_n)
+    return _cq_halfspaces(space, space.check(x_n), space.check(y_n), space.check(x_0))
+
+
+def _cq_halfspaces(space, x_n, y_n, x_0):
+    c_normal = space.check(x_n - y_n)
+    c_offset = 0.5 * (space._inner(x_n, x_n) - space._inner(y_n, y_n))
+    q_normal = space.check(x_0 - x_n)
+    q_offset = space._inner(q_normal, x_n)
     return HalfSpace(c_normal, c_offset), HalfSpace(q_normal, q_offset)
 
 
@@ -316,22 +377,41 @@ def sfp_operator(
     return project_integral_halfspace(space, z, mode)
 
 
-def cfp_operator(space: InnerProductSpace, balls: Sequence[Ball], x) -> np.ndarray:
+def cfp_operator(
+    space: InnerProductSpace, balls: BallSet | Sequence[Ball], x
+) -> np.ndarray:
     """Averaged-projection sweep ``x -> P_0((1/m) sum_{i=1..m} P_i x)``.
 
-    ``balls[0]`` is the outer set applied last; the remaining balls are
+    Ball 0 is the outer set applied last; the remaining balls are
     projected independently and averaged. Composition of nonexpansive maps,
-    hence nonexpansive; fixes any common point of all the balls.
+    hence nonexpansive; fixes any common point of all the balls. ``balls``
+    is a :class:`BallSet` or a sequence of :class:`Ball` (turned into one
+    here). The inner projections are one pass over the ``(m, dim)``
+    difference array: a weighted row-norm per ball, ``x`` kept where a
+    ball contains it and the radial pull elsewhere. Each row-norm is the
+    same dot product as :func:`project_ball` computes, so the result
+    equals the per-ball loop bit for bit. Only ``x`` is validated here: a
+    point so large that ``x - center`` overflows gives a non-finite
+    result, which :func:`fpiter.algorithms.run` rejects.
     """
-    balls = list(balls)
-    if len(balls) < 2:
-        raise ValueError("need an outer ball plus at least one inner ball")
+    if not isinstance(balls, BallSet):
+        balls = list(balls)
+        balls = BallSet([b.center for b in balls], [b.radius for b in balls])
+    centers, radii = balls.centers[1:], balls.radii[1:]
+    if centers.shape[1] != space.size:
+        raise ValueError(
+            f"ball centers have {centers.shape[1]} coordinates, space has {space.size}"
+        )
     x = space.check(x)
-    total = np.zeros(space.size)
-    for ball in balls[1:]:
-        total = total + project_ball(space, ball, x)
-    avg = total / (len(balls) - 1)
-    return project_ball(space, balls[0], avg)
+    diffs = x - centers
+    # a stack of (1, dim) @ (dim, 1) products sums each row in the order that
+    # np.dot does in space._inner; (diffs * diffs) @ w and einsum do not
+    dists = np.sqrt(((space.weights * diffs)[:, None, :] @ diffs[:, :, None])[:, 0, 0])
+    # inside rows take x; np.maximum keeps their unused scale finite
+    scale = radii / np.maximum(dists, radii)
+    proj = np.where((dists <= radii)[:, None], x, centers + scale[:, None] * diffs)
+    avg = proj.sum(axis=0) / len(radii)
+    return _project_ball(space, balls.centers[0], balls.radii[0], avg)
 
 
 def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray:

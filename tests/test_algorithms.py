@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fpiter.algorithms import (
     mimva_step,
     run,
 )
+from fpiter.experiments import build_cfp, sup_norm
 from fpiter.operators import Ball, Operator, SingularityError, project_ball
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace
@@ -339,6 +342,42 @@ class TestRunValidatesWhereArraysEnter:
     def test_non_finite_start_raises(self):
         with pytest.raises(ValueError, match="finite"):
             run("mann", ZERO_MAP_2D, self.CONFIG, arr(1.0, np.nan))
+
+    def test_cq_overflow_raises(self):
+        # x - y overflows to inf in the CQ half-space normal
+        T = Operator(EuclideanSpace(3), lambda x: -x, name="negate")
+        config = RunConfig(error_metric=sup_norm, max_iterations=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                run("cq", T, config, np.full(3, 1.5e308))
+
+
+class TestValidationCount:
+    """Arrays are validated where they enter, not again inside the operator."""
+
+    @pytest.mark.parametrize(
+        "algorithm, limit",
+        [("cq", 7), ("inertial-mann", 3), ("mmva", 3), ("mimva", 3)],
+    )
+    def test_space_checks_per_cfp_iteration(self, algorithm, limit, monkeypatch):
+        spec = build_cfp(seed=0)
+        space = spec.space
+        calls = []
+        check = space.check
+
+        def counted(x):
+            calls.append(1)
+            return check(x)
+
+        monkeypatch.setattr(space, "check", counted)
+        config = replace(
+            spec.defaults, max_iterations=200, schedules=spec.schedules_for(algorithm)
+        )
+        start = spec.make_initials(np.random.default_rng(1))[0][1]
+        trace = run(algorithm, spec.operator, config, start)
+        assert trace.iterations == 200
+        # one more call checks the start point on entry
+        assert len(calls) <= limit * trace.iterations + 1
 
 
 class TestRunConfigValidation:

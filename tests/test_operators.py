@@ -6,6 +6,7 @@ import pytest
 from fpiter.operators import (
     AnchorSet,
     Ball,
+    BallSet,
     HalfSpace,
     InfeasibleSetError,
     Operator,
@@ -20,10 +21,24 @@ from fpiter.operators import (
     sfp_operator,
     weiszfeld_map,
 )
-from fpiter.space import TWO_PI, EuclideanSpace, PeriodicGridSpace
+from fpiter.operators import (
+    _cq_halfspaces,
+    _project_halfspace,
+    _project_halfspace_pair,
+)
+from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
 
 R2 = EuclideanSpace(2)
 GRID = PeriodicGridSpace(1024)
+R30 = EuclideanSpace(30)
+# non-uniform weights, so a row-norm that ignored them would show
+WEIGHTED30 = InnerProductSpace(30, np.random.default_rng(7).uniform(0.2, 3.0, 30))
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes (``-0.0`` and ``0.0`` differ here)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 CUBE_ANCHORS = AnchorSet(
     anchors=np.array(
@@ -260,6 +275,107 @@ class TestHalfspacePairProjection:
             assert np.linalg.norm(mine - oracle) <= 1e-8
 
 
+class TestCqKernelsMatchWrappers:
+    """The unchecked kernels that a run calls give the public functions' bits."""
+
+    SPACES = pytest.mark.parametrize(
+        "space", [R30, WEIGHTED30], ids=["euclidean", "weighted"]
+    )
+
+    @SPACES
+    def test_cq_halfspaces(self, space):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            x, y, x0 = (rng.normal(size=30) * 3 for _ in range(3))
+            for public, kernel in zip(
+                halfspace_from_cq_sets(space, x, y, x0), _cq_halfspaces(space, x, y, x0)
+            ):
+                assert same_bits(public.normal, kernel.normal)
+                assert same_bits(public.offset, kernel.offset)
+
+    @SPACES
+    def test_single_and_pair_projections(self, space):
+        rng = np.random.default_rng(22)
+        branches = set()
+        for _ in range(400):
+            a1, a2 = rng.normal(size=30), rng.normal(size=30)
+            z = rng.normal(size=30)
+            h1 = HalfSpace(a1, float(space.inner(a1, z)) + rng.uniform(-1.0, 3.0))
+            h2 = HalfSpace(a2, float(space.inner(a2, z)) + rng.uniform(-1.0, 3.0))
+            x = z + rng.normal(size=30) * rng.uniform(0.1, 3.0)
+            for hs in (h1, h2):
+                assert same_bits(
+                    project_halfspace(space, hs, x), _project_halfspace(space, hs, x)
+                )
+            out = project_halfspace_pair(space, h1, h2, x)
+            assert same_bits(out, _project_halfspace_pair(space, h1, h2, x))
+            branches.add(
+                "x" if out is x
+                else "p1" if same_bits(out, project_halfspace(space, h1, x))
+                else "p2" if same_bits(out, project_halfspace(space, h2, x))
+                else "both"
+            )
+        # every case of the active-set analysis was exercised
+        assert branches == {"x", "p1", "p2", "both"}
+
+    def test_cq_sets_of_a_cfp_step(self):
+        space = R30
+        rng = np.random.default_rng(23)
+        balls = TestCfpOperator().paper_balls()
+        x0 = rng.uniform(0.0, 10.0, 30)
+        x = x0
+        for n in range(20):
+            psi = 1.0 / (n + 2)
+            y = psi * x + (1.0 - psi) * cfp_operator(space, balls, x)
+            c, q = halfspace_from_cq_sets(space, x, y, x0)
+            out = project_halfspace_pair(space, c, q, x0)
+            c_k, q_k = _cq_halfspaces(space, x, y, x0)
+            assert same_bits(out, _project_halfspace_pair(space, c_k, q_k, x0))
+            x = out
+
+
+NAN2 = np.array([np.nan, 0.0])
+INF2 = np.array([0.0, np.inf])
+WRONG = np.zeros(3)
+BAD_ARRAYS = pytest.mark.parametrize("bad", [NAN2, INF2, WRONG], ids=["nan", "inf", "shape"])
+H = HalfSpace(np.array([1.0, 0.0]), 0.0)
+
+
+class TestCqWrappersValidate:
+    @BAD_ARRAYS
+    def test_project_halfspace(self, bad):
+        with pytest.raises(ValueError):
+            project_halfspace(R2, H, bad)
+        with pytest.raises(ValueError):
+            project_halfspace(R2, HalfSpace(bad, 0.0), np.ones(2))
+
+    @BAD_ARRAYS
+    def test_project_halfspace_pair(self, bad):
+        with pytest.raises(ValueError):
+            project_halfspace_pair(R2, H, H, bad)
+        with pytest.raises(ValueError):
+            project_halfspace_pair(R2, HalfSpace(bad, 0.0), H, np.ones(2))
+        with pytest.raises(ValueError):
+            project_halfspace_pair(R2, H, HalfSpace(bad, 0.0), np.ones(2))
+
+    @BAD_ARRAYS
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_halfspace_from_cq_sets(self, bad, position):
+        args = [np.ones(2), np.zeros(2), np.full(2, 2.0)]
+        args[position] = bad
+        with pytest.raises(ValueError):
+            halfspace_from_cq_sets(R2, *args)
+
+    def test_overflowing_normal_rejected(self):
+        x = np.full(2, 1.5e308)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            halfspace_from_cq_sets(R2, x, -x, x)
+
+    def test_list_normal_accepted(self):
+        out = project_halfspace(R2, HalfSpace([1.0, 0.0], 0.0), [2.0, 1.0])
+        assert np.array_equal(out, [0.0, 1.0])
+
+
 class TestSfpOperator:
     def test_zero_is_fixed_exactly(self):
         zero = GRID.zeros()
@@ -321,6 +437,116 @@ class TestCfpOperator:
             cfp_operator(space, [], np.zeros(2))
         with pytest.raises(ValueError):
             cfp_operator(space, [Ball(np.zeros(2), 1.0)], np.zeros(2))
+
+    def test_non_finite_ball_center_rejected_at_entry(self):
+        space = EuclideanSpace(2)
+        balls = [Ball(np.zeros(2), 1.0), Ball(np.array([np.nan, 0.0]), 1.0)]
+        with pytest.raises(ValueError, match="finite"):
+            cfp_operator(space, balls, np.zeros(2))
+
+    def test_center_dimension_must_match_space(self):
+        balls = BallSet(np.zeros((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="coordinates"):
+            cfp_operator(EuclideanSpace(3), balls, np.zeros(3))
+
+    def test_non_finite_point_rejected(self):
+        balls = BallSet(np.zeros((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="finite"):
+            cfp_operator(R2, balls, np.array([np.inf, 0.0]))
+
+
+def reference_cfp(space, balls, x):
+    """The per-ball loop: project onto each inner ball, sum in order, average,
+    then project onto the outer ball."""
+    total = np.zeros(space.size)
+    for ball in balls[1:]:
+        total = total + project_ball(space, ball, x)
+    return project_ball(space, balls[0], total / (len(balls) - 1))
+
+
+def cfp_case(space, kind, rng):
+    """Balls and a point that lies inside, on the boundary of or outside them."""
+    m = 30
+    centers = rng.uniform(-0.2, 0.2, size=(m + 1, space.size))
+    radii = rng.uniform(0.5, 2.0, size=m + 1)
+    if kind == "inside":
+        centers = rng.uniform(-0.02, 0.02, size=(m + 1, space.size))
+        x = rng.uniform(-0.01, 0.01, space.size)
+    elif kind == "outside":
+        x = rng.uniform(0.0, 10.0, space.size)
+    elif kind == "mixed":
+        x = rng.uniform(-0.1, 0.1, space.size)
+        radii = rng.uniform(0.3, 1.5, size=m + 1)
+    else:  # boundary: every other radius is the point's exact distance
+        x = rng.uniform(-1.0, 1.0, space.size)
+        for i in range(0, m + 1, 2):
+            radii[i] = space.norm(x - centers[i])
+    return [Ball(c, r) for c, r in zip(centers, radii)], x
+
+
+class TestCfpOperatorMatchesPerBallLoop:
+    @pytest.mark.parametrize("space", [R30, WEIGHTED30], ids=["euclidean", "weighted"])
+    @pytest.mark.parametrize("kind", ["inside", "boundary", "outside", "mixed"])
+    def test_bitwise_equal(self, space, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            balls, x = cfp_case(space, kind, rng)
+            expected = reference_cfp(space, balls, x)
+            ball_set = BallSet([b.center for b in balls], [b.radius for b in balls])
+            assert same_bits(cfp_operator(space, ball_set, x), expected)
+            assert same_bits(cfp_operator(space, balls, x), expected)
+
+    @pytest.mark.parametrize("space", [R30, WEIGHTED30], ids=["euclidean", "weighted"])
+    def test_paper_balls_along_a_run(self, space):
+        balls = TestCfpOperator().paper_balls()
+        x = np.random.default_rng(4).uniform(0.0, 10.0, 30)
+        for _ in range(50):
+            expected = reference_cfp(space, balls, x)
+            out = cfp_operator(space, balls, x)
+            assert same_bits(out, expected)
+            x = 0.5 * x + 0.5 * out
+
+
+class TestBallSet:
+    def test_arrays_are_read_only_copies(self):
+        centers = np.zeros((3, 2))
+        balls = BallSet(centers, np.ones(3))
+        assert centers.flags.writeable
+        with pytest.raises(ValueError):
+            balls.centers[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            balls.radii[0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, bad):
+        centers = np.zeros((3, 2))
+        centers[1, 1] = bad
+        with pytest.raises(ValueError, match="centers must be finite"):
+            BallSet(centers, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_radius_rejected(self, bad):
+        with pytest.raises(ValueError, match="radii"):
+            BallSet(np.zeros((3, 2)), np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "centers, radii",
+        [
+            (np.zeros((3, 2)), np.ones(2)),
+            (np.zeros((3, 2)), np.ones((3, 1))),
+            (np.zeros(3), np.ones(3)),
+            (np.zeros((3, 2, 1)), np.ones(3)),
+        ],
+        ids=["too-few-radii", "radii-2d", "centers-1d", "centers-3d"],
+    )
+    def test_mismatched_shapes_rejected(self, centers, radii):
+        with pytest.raises(ValueError):
+            BallSet(centers, radii)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_balls_rejected(self, count):
+        with pytest.raises(ValueError, match="outer ball"):
+            BallSet(np.zeros((count, 2)), np.ones(count))
 
 
 class TestWeiszfeldMap:
