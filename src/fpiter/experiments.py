@@ -8,9 +8,10 @@ sfp
     Feasibility in discretized L2 on [0, 2*pi]: find x with
     ``integral x <= 1`` and ``||x - sin|| <= 4``. Operator: the
     forward-projection sweep with ``lam = 0.25``. Metric:
-    ``0.5 ||P_C x - x||^2 + 0.5 ||P_Q x - x||^2``, tolerance 1e-3. Four
-    fixed starting functions: t2 = t^2/10, exp = e^(t/2)/3,
-    pow2 = 2^t/16, sin2 = 3 sin(2t).
+    ``0.5 ||P_C x - x||^2 + 0.5 ||P_Q x - x||^2``, tolerance 1e-3,
+    computed from two reductions (``integral x`` and ``||x - sin||^2``)
+    without forming either projection. Four fixed starting functions:
+    t2 = t^2/10, exp = e^(t/2)/3, pow2 = 2^t/16, sin2 = 3 sin(2t).
 
 cfp
     Intersection of ``m + 1`` unit balls in R^N (default N = m = 30):
@@ -34,6 +35,7 @@ Specs are immutable; independent cases may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
@@ -46,9 +48,11 @@ from .operators import (
     BallSet,
     Operator,
     SingularityError,
+    _check_grid,
+    _check_mode,
+    _check_sfp_args,
+    _integral_divisor,
     cfp_operator,
-    project_integral_halfspace,
-    project_l2_ball,
     sfp_operator,
     weiszfeld_map,
 )
@@ -76,13 +80,35 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
 
     ``E(x) = 0.5 ||P_C x - x||^2 + 0.5 ||P_Q x - x||^2``; zero exactly on
     the intersection. ``mode`` selects the integral-halfspace variant and
-    should match the operator being iterated.
+    should match the operator being iterated; a bad ``mode`` or a non-grid
+    space is rejected here, not at the first call.
+
+    Neither projection is formed. With ``a = integral x`` and
+    ``b = ||x - sin||^2``, ``P_C x - x`` is the constant ``k = (1 - a)/d``
+    (``d`` the mode's divisor) when ``a > 1``, so its squared norm is
+    ``k^2 sum(w)``; and ``P_Q x - x = (4/sqrt(b) - 1)(x - sin)`` when
+    ``b > 16``, with squared norm ``(4/sqrt(b) - 1)^2 b``. A term is 0 where
+    its constraint holds. The two forms agree to rounding, not bit for bit.
     """
+    _check_grid(space)
+    _check_mode(mode)
+    divisor = _integral_divisor(space, mode)
+    weight_sum = float(space.weights.sum())
+    center = space.sin_nodes
 
     def metric(x):
-        rc = project_integral_halfspace(space, x, mode) - x
-        rq = project_l2_ball(space, x) - x
-        return 0.5 * space.inner(rc, rc) + 0.5 * space.inner(rq, rq)
+        x = space.check(x)
+        a = space._integrate(x)
+        r = x - center
+        b = space._inner(r, r)
+        c_sq = q_sq = 0.0
+        if a > 1.0:
+            k = (1.0 - a) / divisor
+            c_sq = k * k * weight_sum
+        if b > 16.0:
+            s = 4.0 / math.sqrt(b) - 1.0
+            q_sq = s * s * b
+        return 0.5 * c_sq + 0.5 * q_sq
 
     return metric
 
@@ -148,8 +174,11 @@ def build_sfp(
 
     The stopping rule is the residual metric dropping below 1e-3; the
     10000-iteration cap is only a safety net, hence its generous size.
+    A ``lam`` outside ``(0, 2)`` or an unknown ``mode`` raises ``ValueError``
+    here, before any run.
     """
     space = PeriodicGridSpace(grid_points)
+    _check_sfp_args(space, lam, mode)
     operator = Operator(
         space, lambda x: sfp_operator(space, x, lam=lam, mode=mode), name="sfp-sweep"
     )

@@ -10,11 +10,14 @@ holds the balls of the averaged-projection operator as one ``(m, dim)``
 center array, so :func:`cfp_operator` projects onto all of them in one
 array pass.
 
-The half-space projections used by the CQ step come in two layers: the
-public functions validate their arguments and call private kernels that
-take validated arrays, use the unchecked ``space._inner``/``_norm`` and
-check only the arrays they create. ``algorithms`` calls the kernels
-directly, since a run has already validated its iterates.
+The half-space projections used by the CQ step and the two projections
+of the sfp sweep come in two layers: the public functions validate their
+arguments and call private kernels that take validated arrays, use the
+unchecked ``space._inner``/``_norm``/``_integrate`` and check at most the
+arrays they create (the CQ normals and projected points; the sfp kernels
+check nothing). ``algorithms`` calls the CQ kernels directly, since a run
+has already validated its iterates, and :func:`sfp_operator` checks its
+point once and then calls the sfp kernels.
 
 All functions are pure; the small dataclasses are frozen. A note on
 nonexpansiveness: every projection here, and the half-space/ball
@@ -27,6 +30,7 @@ anchor set (see :class:`SingularityError`).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -196,13 +200,10 @@ def _checked_halfspace(space, hs: HalfSpace) -> HalfSpace:
     return HalfSpace(space.check(hs.normal), hs.offset)
 
 
-def _membership_slack(space, hs, u) -> float:
+def _satisfied(space, hs, normal_norm, u) -> bool:
     # backward-error sized slack so borderline points count as feasible
-    return 1e-12 * (1.0 + abs(hs.offset) + space._norm(hs.normal) * space._norm(u))
-
-
-def _satisfied(space, hs, u) -> bool:
-    return space._inner(hs.normal, u) <= hs.offset + _membership_slack(space, hs, u)
+    slack = 1e-12 * (1.0 + abs(hs.offset) + normal_norm * space._norm(u))
+    return space._inner(hs.normal, u) <= hs.offset + slack
 
 
 def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
@@ -213,15 +214,16 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
     normal with negative offset).
     """
     x = space.check(x)
-    return _project_halfspace(space, _checked_halfspace(space, hs), x)
+    hs = _checked_halfspace(space, hs)
+    return _project_halfspace(space, hs, space._inner(hs.normal, hs.normal), x)
 
 
-def _project_halfspace(space, hs, x):
+def _project_halfspace(space, hs, sq, x):
+    # sq is <a, a>, which the pair projection has already computed
     a = hs.normal
     ax = space._inner(a, x)
     if ax <= hs.offset:
         return x
-    sq = space._inner(a, a)
     if sq == 0.0:
         raise InfeasibleSetError(
             "half-space with zero normal and negative offset is empty"
@@ -248,6 +250,22 @@ def _project_ball(space, c, r, x):
     return c + (r / dist) * d
 
 
+def _check_grid(space) -> None:
+    if not isinstance(space, PeriodicGridSpace):
+        raise TypeError("the integral and sin-ball projections need a grid space")
+
+
+def _check_mode(mode) -> None:
+    if mode not in PROJECTION_MODES:
+        raise ValueError(f"mode must be one of {PROJECTION_MODES}, got {mode!r}")
+
+
+def _integral_divisor(space, mode) -> float:
+    # the integral correction is (1 - a)/divisor
+    length = space.interval_end
+    return length * length if mode == "damped" else length
+
+
 def project_integral_halfspace(
     space: PeriodicGridSpace, x, mode: str = "damped"
 ) -> np.ndarray:
@@ -259,17 +277,16 @@ def project_integral_halfspace(
     ``damped`` adds ``(1 - a)/L^2``, an under-relaxed correction that only
     moves toward the set. Both variants are firmly nonexpansive.
     """
-    if not isinstance(space, PeriodicGridSpace):
-        raise TypeError("integral half-space projection needs a grid space")
-    if mode not in PROJECTION_MODES:
-        raise ValueError(f"mode must be one of {PROJECTION_MODES}, got {mode!r}")
-    x = space.check(x)
-    a = space.integrate(x)
+    _check_grid(space)
+    _check_mode(mode)
+    return _project_integral_halfspace(space, space.check(x), mode)
+
+
+def _project_integral_halfspace(space, x, mode):
+    a = space._integrate(x)
     if a <= 1.0:
         return x
-    length = space.interval_end
-    divisor = length * length if mode == "damped" else length
-    return x + (1.0 - a) / divisor
+    return x + (1.0 - a) / _integral_divisor(space, mode)
 
 
 def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
@@ -279,12 +296,14 @@ def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
     points inside (``b <= 16``) are returned unchanged, outside points are
     mapped to ``sin + 4 (x - sin)/sqrt(b)``.
     """
-    if not isinstance(space, PeriodicGridSpace):
-        raise TypeError("this projection is defined on a grid space")
-    x = space.check(x)
-    center = np.sin(space.nodes)
+    _check_grid(space)
+    return _project_l2_ball(space, space.check(x))
+
+
+def _project_l2_ball(space, x):
+    center = space.sin_nodes
     r = x - center
-    b = space.inner(r, r)
+    b = space._inner(r, r)
     if b <= 16.0:
         return x
     return center + (4.0 / np.sqrt(b)) * r
@@ -308,19 +327,22 @@ def project_halfspace_pair(
 
 
 def _project_halfspace_pair(space, h1, h2, x):
-    if _satisfied(space, h1, x) and _satisfied(space, h2, x):
-        return x
-    p1 = _project_halfspace(space, h1, x)
-    if _satisfied(space, h2, p1):
-        return p1
-    p2 = _project_halfspace(space, h2, x)
-    if _satisfied(space, h1, p2):
-        return p2
-
     a1, a2 = h1.normal, h2.normal
     g11 = space._inner(a1, a1)
-    g12 = space._inner(a1, a2)
     g22 = space._inner(a2, a2)
+    # the same bits as space._norm(a1), space._norm(a2)
+    n1 = math.sqrt(max(g11, 0.0))
+    n2 = math.sqrt(max(g22, 0.0))
+    if _satisfied(space, h1, n1, x) and _satisfied(space, h2, n2, x):
+        return x
+    p1 = _project_halfspace(space, h1, g11, x)
+    if _satisfied(space, h2, n2, p1):
+        return p1
+    p2 = _project_halfspace(space, h2, g22, x)
+    if _satisfied(space, h1, n1, p2):
+        return p2
+
+    g12 = space._inner(a1, a2)
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
         # parallel (or degenerate) normals that the single projections could
@@ -359,6 +381,14 @@ def _cq_halfspaces(space, x_n, y_n, x_0):
     return HalfSpace(c_normal, c_offset), HalfSpace(q_normal, q_offset)
 
 
+def _check_sfp_args(space, lam, mode) -> None:
+    # build_sfp calls it too, so a bad lam or mode fails before any run
+    _check_grid(space)
+    if not 0.0 < lam < 2.0:
+        raise ValueError(f"lam must lie in (0, 2), got {lam}")
+    _check_mode(mode)
+
+
 def sfp_operator(
     space: PeriodicGridSpace, x, lam: float = 0.25, mode: str = "damped"
 ) -> np.ndarray:
@@ -367,14 +397,17 @@ def sfp_operator(
     ``P_Q`` is the sin-centered ball projection and ``P_C`` the integral
     half-space projection (see above); the linear map between the two
     constraint spaces is the identity, which has unit norm, so the sweep is
-    nonexpansive exactly when ``0 < lam < 2``.
+    nonexpansive exactly when ``0 < lam < 2``. ``lam``, ``mode`` and ``x``
+    are checked once, then both projections run unchecked; the result is
+    bit-identical to composing :func:`project_l2_ball` and
+    :func:`project_integral_halfspace`. A point so large that the sweep
+    overflows gives a non-finite result, which :func:`fpiter.algorithms.run`
+    rejects.
     """
-    if not 0.0 < lam < 2.0:
-        raise ValueError(f"lam must lie in (0, 2), got {lam}")
+    _check_sfp_args(space, lam, mode)
     x = space.check(x)
-    pq = project_l2_ball(space, x)
-    z = x - lam * (x - pq)
-    return project_integral_halfspace(space, z, mode)
+    z = x - lam * (x - _project_l2_ball(space, x))
+    return _project_integral_halfspace(space, z, mode)
 
 
 def cfp_operator(

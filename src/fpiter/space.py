@@ -96,6 +96,10 @@ class PeriodicGridSpace(InnerProductSpace):
     smooth integrands that are periodic on the interval, so trigonometric
     identities such as ``integral of sin^2 = pi`` hold to machine precision
     at the default resolution.
+
+    ``sin_nodes`` holds ``sin`` sampled at the nodes, computed once: it is
+    the center of the ball constraint of the feasibility benchmark, which
+    the projections and the residual metric read on every call.
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
@@ -112,10 +116,16 @@ class PeriodicGridSpace(InnerProductSpace):
         self.interval_end = float(interval_end)
         self.nodes = np.linspace(0.0, interval_end, num_points)
         self.nodes.setflags(write=False)
+        self.sin_nodes = np.sin(self.nodes)
+        self.sin_nodes.setflags(write=False)
 
     def integrate(self, x) -> float:
         """Quadrature of ``x`` over [0, interval_end]."""
-        return float(np.dot(self.weights, self.check(x)))
+        return self._integrate(self.check(x))
+
+    def _integrate(self, x: np.ndarray) -> float:
+        # unchecked form, like ``_inner``
+        return float(np.dot(self.weights, x))
 
     def from_function(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Sample ``f`` at the grid nodes."""

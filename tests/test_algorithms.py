@@ -14,7 +14,7 @@ from fpiter.algorithms import (
     mimva_step,
     run,
 )
-from fpiter.experiments import build_cfp, sup_norm
+from fpiter.experiments import build_cfp, build_sfp, sup_norm
 from fpiter.operators import Ball, Operator, SingularityError, project_ball
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace
@@ -378,6 +378,31 @@ class TestValidationCount:
         assert trace.iterations == 200
         # one more call checks the start point on entry
         assert len(calls) <= limit * trace.iterations + 1
+
+    @pytest.mark.parametrize(
+        "algorithm, limit", [("mmha", 3), ("mimha", 3), ("mmva", 4), ("mimva", 4)]
+    )
+    def test_space_checks_per_sfp_iteration(self, algorithm, limit, monkeypatch):
+        # per iteration: the metric's x, the operator's x and run's check of
+        # the operator output, plus the contraction output for the viscous
+        # engines
+        spec = build_sfp(1024)
+        space = spec.space
+        calls = []
+        check = space.check
+
+        def counted(x):
+            calls.append(1)
+            return check(x)
+
+        monkeypatch.setattr(space, "check", counted)
+        for name, start in spec.initial_cases:
+            calls.clear()
+            trace = run(algorithm, spec.operator, spec.defaults, start)
+            assert trace.terminal_reason is TerminalReason.TOLERANCE_MET, name
+            # two more per run: the start point on entry and the metric at
+            # the final iterate
+            assert len(calls) <= limit * trace.iterations + 2, name
 
 
 class TestRunConfigValidation:

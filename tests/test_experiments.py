@@ -10,10 +10,16 @@ from fpiter.experiments import (
     build_sfp,
     build_weber,
     fermat_weber_point,
+    sfp_residual_metric,
     sup_norm,
 )
-from fpiter.operators import AnchorSet
-from fpiter.space import TWO_PI
+from fpiter.operators import (
+    PROJECTION_MODES,
+    AnchorSet,
+    project_integral_halfspace,
+    project_l2_ball,
+)
+from fpiter.space import TWO_PI, EuclideanSpace, PeriodicGridSpace
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +78,97 @@ class TestSfpSpec:
     def test_fixed_cases_returned_regardless_of_count(self, sfp):
         initials = sfp.make_initials(np.random.default_rng(0), count=7)
         assert len(initials) == 4
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"mode": "bogus"}, {"lam": 0.0}, {"lam": 2.0}, {"lam": float("nan")}],
+        ids=["mode", "lam-0", "lam-2", "lam-nan"],
+    )
+    def test_bad_argument_rejected_when_built(self, kwargs):
+        with pytest.raises(ValueError, match="mode" if "mode" in kwargs else "lam"):
+            build_sfp(64, **kwargs)
+
+
+class RectangleGrid(PeriodicGridSpace):
+    """A grid with rectangle-rule weights ``h``, whose sum ``N h`` is not ``L``."""
+
+    def __init__(self, num_points):
+        super().__init__(num_points)
+        weights = np.full(num_points, self.interval_end / (num_points - 1))
+        weights.setflags(write=False)
+        self.weights = weights
+
+
+def vector_metric(space, mode, x):
+    """``0.5 ||P_C x - x||^2 + 0.5 ||P_Q x - x||^2`` from the projected vectors."""
+    rc = project_integral_halfspace(space, x, mode) - x
+    rq = project_l2_ball(space, x) - x
+    return 0.5 * space.inner(rc, rc) + 0.5 * space.inner(rq, rq)
+
+
+class TestSfpResidualMetric:
+    """The two-reduction metric against the projected-vector formula."""
+
+    SPACES = pytest.mark.parametrize(
+        "space", [PeriodicGridSpace(1024), RectangleGrid(257)], ids=["trapezoid", "rectangle"]
+    )
+    MODES = pytest.mark.parametrize("mode", PROJECTION_MODES)
+
+    @staticmethod
+    def constraints(space, x):
+        r = x - space.sin_nodes
+        return space.integrate(x), space.inner(r, r)
+
+    def points(self, space):
+        """Points inside and outside each set, away from both boundaries.
+
+        Near a boundary a residual is small against ``x`` itself, and the
+        vector formula's ``P x - x`` loses its digits to cancellation.
+        """
+        rng = np.random.default_rng(41)
+        out = []
+        while len(out) < 60:
+            x = rng.normal(size=space.size) * rng.uniform(0.0, 3.0) + rng.uniform(-1.0, 1.0)
+            a, b = self.constraints(space, x)
+            if not (0.5 < a < 1.5 or 12.0 < b < 20.0):
+                out.append(x)
+        return out
+
+    @SPACES
+    @MODES
+    def test_matches_vector_formula(self, space, mode):
+        metric = sfp_residual_metric(space, mode)
+        seen = set()
+        for x in self.points(space):
+            a, b = self.constraints(space, x)
+            seen.add((a > 1.0, b > 16.0))
+            expected = vector_metric(space, mode, x)
+            assert metric(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # inside both, outside C only, outside Q only, outside both
+        assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+    @SPACES
+    @MODES
+    def test_exactly_zero_on_the_intersection(self, space, mode):
+        metric = sfp_residual_metric(space, mode)
+        t = space.nodes
+        for x in (space.zeros(), np.sin(t), 0.5 * np.sin(t) + 0.1, np.cos(t)):
+            a, b = self.constraints(space, x)
+            assert a <= 1.0 and b <= 16.0
+            assert metric(x) == 0.0
+
+    def test_rejects_bad_mode_and_space_when_built(self):
+        with pytest.raises(ValueError, match="mode"):
+            sfp_residual_metric(PeriodicGridSpace(64), "bogus")
+        with pytest.raises(TypeError):
+            sfp_residual_metric(EuclideanSpace(3))
+
+    @pytest.mark.parametrize(
+        "bad", [np.full(64, np.nan), np.full(64, np.inf), np.zeros(63)], ids=["nan", "inf", "shape"]
+    )
+    def test_rejects_bad_points(self, bad):
+        with pytest.raises(ValueError):
+            sfp_residual_metric(PeriodicGridSpace(64))(bad)
 
 
 class TestCfpSpec:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpiter.operators import (
+    PROJECTION_MODES,
     AnchorSet,
     Ball,
     BallSet,
@@ -25,6 +26,8 @@ from fpiter.operators import (
     _cq_halfspaces,
     _project_halfspace,
     _project_halfspace_pair,
+    _project_integral_halfspace,
+    _project_l2_ball,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
 
@@ -305,7 +308,8 @@ class TestCqKernelsMatchWrappers:
             x = z + rng.normal(size=30) * rng.uniform(0.1, 3.0)
             for hs in (h1, h2):
                 assert same_bits(
-                    project_halfspace(space, hs, x), _project_halfspace(space, hs, x)
+                    project_halfspace(space, hs, x),
+                    _project_halfspace(space, hs, space.inner(hs.normal, hs.normal), x),
                 )
             out = project_halfspace_pair(space, h1, h2, x)
             assert same_bits(out, _project_halfspace_pair(space, h1, h2, x))
@@ -317,6 +321,27 @@ class TestCqKernelsMatchWrappers:
             )
         # every case of the active-set analysis was exercised
         assert branches == {"x", "p1", "p2", "both"}
+
+    def test_pair_projection_takes_each_normal_norm_once(self, monkeypatch):
+        space = EuclideanSpace(30)
+        rng = np.random.default_rng(24)
+        inner = space._inner
+        grams = []
+
+        def counted(u, v):
+            if u is v:
+                grams.append(u)
+            return inner(u, v)
+
+        monkeypatch.setattr(space, "_inner", counted)
+        for _ in range(200):
+            a1, a2, z = rng.normal(size=30), rng.normal(size=30), rng.normal(size=30)
+            h1 = HalfSpace(a1, float(a1 @ z) + rng.uniform(-1.0, 3.0))
+            h2 = HalfSpace(a2, float(a2 @ z) + rng.uniform(-1.0, 3.0))
+            grams.clear()
+            _project_halfspace_pair(space, h1, h2, z + rng.normal(size=30) * 2.0)
+            assert sum(u is a1 for u in grams) == 1
+            assert sum(u is a2 for u in grams) == 1
 
     def test_cq_sets_of_a_cfp_step(self):
         space = R30
@@ -398,6 +423,95 @@ class TestSfpOperator:
             sfp_operator(GRID, GRID.zeros(), lam=3.0)
         with pytest.raises(ValueError, match="lam"):
             sfp_operator(GRID, GRID.zeros(), lam=0.0)
+
+
+class TestSfpKernelsMatchWrappers:
+    """The sfp kernels give the public projections' bits, on every branch."""
+
+    MODES = pytest.mark.parametrize("mode", PROJECTION_MODES)
+
+    @staticmethod
+    def points():
+        t = GRID.nodes
+        rng = np.random.default_rng(31)
+        fixed = [GRID.zeros(), np.ones(GRID.size), 3.0 * np.sin(2.0 * t), np.sin(t) + 8.0]
+        noisy = [
+            rng.normal(size=GRID.size) * rng.uniform(0.0, 3.0) + rng.uniform(-1.0, 1.0)
+            for _ in range(40)
+        ]
+        return fixed + noisy
+
+    @staticmethod
+    def sin_ball_before_caching(space, x):
+        # project_l2_ball as it was when it computed sin(nodes) on every call
+        center = np.sin(space.nodes)
+        r = x - center
+        b = space.inner(r, r)
+        if b <= 16.0:
+            return x
+        return center + (4.0 / np.sqrt(b)) * r
+
+    def test_sin_ball(self):
+        branches = set()
+        for x in self.points():
+            out = project_l2_ball(GRID, x)
+            assert same_bits(out, _project_l2_ball(GRID, x))
+            assert same_bits(out, self.sin_ball_before_caching(GRID, x))
+            branches.add(out is x)
+        assert branches == {True, False}
+
+    @MODES
+    def test_integral_halfspace(self, mode):
+        branches = set()
+        for x in self.points():
+            out = project_integral_halfspace(GRID, x, mode)
+            assert same_bits(out, _project_integral_halfspace(GRID, x, mode))
+            branches.add(out is x)
+        assert branches == {True, False}
+
+    @MODES
+    @pytest.mark.parametrize("lam", [0.25, 1.5])
+    def test_operator_composes_the_wrappers(self, mode, lam):
+        for x in self.points():
+            z = x - lam * (x - project_l2_ball(GRID, x))
+            expected = project_integral_halfspace(GRID, z, mode)
+            assert same_bits(sfp_operator(GRID, x, lam=lam, mode=mode), expected)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.where(GRID.nodes > 3.0, np.nan, 0.0), np.where(GRID.nodes > 3.0, np.inf, 0.0),
+         np.zeros(GRID.size - 1)],
+        ids=["nan", "inf", "shape"],
+    )
+    def test_wrappers_reject_bad_points(self, bad):
+        for mode in PROJECTION_MODES:
+            with pytest.raises(ValueError):
+                project_integral_halfspace(GRID, bad, mode)
+            with pytest.raises(ValueError):
+                sfp_operator(GRID, bad, mode=mode)
+        with pytest.raises(ValueError):
+            project_l2_ball(GRID, bad)
+
+    def test_wrappers_reject_a_non_grid_space(self):
+        x = np.zeros(3)
+        for call in (
+            lambda: project_l2_ball(EuclideanSpace(3), x),
+            lambda: project_integral_halfspace(EuclideanSpace(3), x),
+            lambda: sfp_operator(EuclideanSpace(3), x),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_operator_rejects_bad_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            sfp_operator(GRID, GRID.zeros(), mode="verbatim")
+
+    def test_cached_center(self):
+        center = GRID.sin_nodes
+        assert same_bits(center, np.sin(GRID.nodes))
+        assert not center.flags.writeable
+        with pytest.raises(ValueError):
+            center[0] = 1.0
 
 
 class TestCfpOperator:
