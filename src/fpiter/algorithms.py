@@ -18,10 +18,10 @@ id                 update from ``x = x_n`` (``w`` is the extrapolated point)
 == =============== ==========================================================
 
 A single run is strictly sequential; the runner itself is reentrant, so
-independent runs can execute concurrently on their own inputs. Traces are
-plain frozen records. Given identical configuration and inputs the numeric
-content of a trace is bit-for-bit reproducible; only the wall-clock column
-varies between invocations.
+independent runs can execute concurrently on their own inputs. A trace is
+frozen and stores its iterations as columns. Given identical configuration
+and inputs the numeric content of a trace is bit-for-bit reproducible; only
+the wall-clock column varies between invocations.
 """
 
 from __future__ import annotations
@@ -56,11 +56,18 @@ __all__ = [
     "run",
 ]
 
-ALGORITHMS = ("mann", "inertial-mann", "cq", "mmha", "mimha", "mmva", "mimva")
-
-_ANCHORED = ("mmha", "mimha")
-_VISCOUS = ("mmva", "mimva")
-_INERTIAL = ("inertial-mann", "mimha", "mimva")
+# name -> (inertial?, blend, cq?); the blend term is None, "anchor" (the
+# fixed point u) or "contraction" (f(x_n))
+_ENGINES = {
+    "mann": (False, None, False),
+    "inertial-mann": (True, None, False),
+    "cq": (False, None, True),
+    "mmha": (False, "anchor", False),
+    "mimha": (True, "anchor", False),
+    "mmva": (False, "contraction", False),
+    "mimva": (True, "contraction", False),
+}
+ALGORITHMS = tuple(_ENGINES)
 
 
 class TerminalReason(Enum):
@@ -81,20 +88,35 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    records: Tuple[TraceRecord, ...]
+    """A finished run, stored as one column per trace field.
+
+    Entry ``n`` of ``errors``, ``deltas`` and ``elapsed`` belongs to
+    iteration ``n`` (``E_n``, ``delta_n`` and the wall time since the run
+    started), so each column holds ``iterations + 1`` entries.
+    :attr:`records` rebuilds the per-iteration :class:`TraceRecord` rows.
+    """
+
+    errors: Tuple[float, ...]
+    deltas: Tuple[float, ...]
+    elapsed: Tuple[float, ...]
     terminal_reason: TerminalReason
 
     @property
+    def records(self) -> Tuple[TraceRecord, ...]:
+        return tuple(
+            TraceRecord(n, error, delta, elapsed_s)
+            for n, (error, delta, elapsed_s) in enumerate(
+                zip(self.errors, self.deltas, self.elapsed)
+            )
+        )
+
+    @property
     def iterations(self) -> int:
-        return self.records[-1].n
+        return len(self.errors) - 1
 
     @property
     def final_error(self) -> float:
-        return self.records[-1].error
-
-    @property
-    def errors(self) -> Tuple[float, ...]:
-        return tuple(r.error for r in self.records)
+        return self.errors[-1]
 
 
 @dataclass(frozen=True)
@@ -134,13 +156,14 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def _extrapolate(x, x_prev, delta_n):
+def _extrapolate(x, x_prev, delta_n, diff=None):
+    """``x + delta (x - x_prev)``; ``diff`` is ``x - x_prev`` if already formed."""
     if delta_n < 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta_n}")
     if delta_n == 0.0:
         # short-circuit keeps the no-inertia reductions bitwise identical
         return x
-    return x + delta_n * (x - x_prev)
+    return x + delta_n * (x - x_prev if diff is None else diff)
 
 
 # The private kernels below take arrays that are already validated and check
@@ -248,19 +271,21 @@ def run(
     """Iterate ``algorithm`` around ``T`` until tolerance or the iteration cap.
 
     The error metric is evaluated at ``x_n`` before each step and every
-    iteration appends one record ``(n, E_n, delta_n, elapsed_s)``; the trace
-    therefore holds ``iterations + 1`` records. ``x_init_prev`` defaults to
-    ``x_init`` (no momentum on the first step either way, since the inertia
-    cap is zero at n = 0). ``anchor`` and ``contraction`` default to
-    ``config.anchor_scale * x_init`` and ``x -> config.contraction_rho * x``.
-    A :class:`SingularityError` raised by the operator ends the run with
-    the corresponding terminal reason instead of propagating. Arrays are
-    validated once, where they enter the iteration: the inputs on entry,
-    and every operator and contraction output, so a non-finite value
-    there raises ``ValueError``.
+    iteration appends ``E_n``, ``delta_n`` and ``elapsed_s`` to the trace
+    columns, which therefore hold ``iterations + 1`` entries. The engine's
+    behaviour (inertia, blend term, CQ) is looked up once, before the loop.
+    ``x_init_prev`` defaults to ``x_init`` (no momentum on the first step
+    either way, since the inertia cap is zero at n = 0). ``anchor`` and
+    ``contraction`` default to ``config.anchor_scale * x_init`` and
+    ``x -> config.contraction_rho * x``. A :class:`SingularityError` raised
+    by the operator ends the run with the corresponding terminal reason
+    instead of propagating. Arrays are validated once, where they enter the
+    iteration: the inputs on entry, and every operator and contraction
+    output, so a non-finite value there raises ``ValueError``.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    inertial, blend, cq = _ENGINES[algorithm]
     space = T.space
     x = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)
@@ -271,32 +296,42 @@ def run(
         contraction = lambda p: rho * p  # noqa: E731
 
     sched = config.schedules
+    metric = config.error_metric
+    tolerance = config.tolerance
+    last = config.max_iterations
+    clock = time.perf_counter
 
-    records = []
+    errors, deltas, elapsed = [], [], []
     reason = TerminalReason.MAX_ITERATIONS
-    start = time.perf_counter()
-    for n in range(config.max_iterations + 1):
-        err = config.error_metric(x)
-        delta = sched.delta(n, space._norm(x - x_prev)) if algorithm in _INERTIAL else 0.0
-        records.append(TraceRecord(n, float(err), delta, time.perf_counter() - start))
-        if err < config.tolerance:
+    delta = 0.0
+    start = clock()
+    for n in range(last + 1):
+        err = float(metric(x))
+        if inertial:
+            # one difference serves the inertia cap and the extrapolation
+            diff = x - x_prev
+            delta = sched.delta(n, space._norm(diff))
+        errors.append(err)
+        deltas.append(delta)
+        elapsed.append(clock() - start)
+        if err < tolerance:
             reason = TerminalReason.TOLERANCE_MET
             break
-        if n == config.max_iterations:
-            reason = TerminalReason.MAX_ITERATIONS
+        if n == last:
             break
         psi_n = sched.psi_at(n)
         try:
-            if algorithm == "cq":
+            if cq:
                 x_next = _cq(space, T, x, x0, psi_n)
             else:
-                x_next = _averaged(space, T, _extrapolate(x, x_prev, delta), psi_n)
-                if algorithm in _ANCHORED:
+                w = _extrapolate(x, x_prev, delta, diff) if inertial else x
+                x_next = _averaged(space, T, w, psi_n)
+                if blend == "anchor":
                     x_next = _blend(sched.nu_at(n), u, x_next)
-                elif algorithm in _VISCOUS:
+                elif blend == "contraction":
                     x_next = _blend(sched.nu_at(n), space.check(contraction(x)), x_next)
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break
         x_prev, x = x, x_next
-    return IterationTrace(records=tuple(records), terminal_reason=reason)
+    return IterationTrace(tuple(errors), tuple(deltas), tuple(elapsed), reason)

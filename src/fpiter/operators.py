@@ -200,10 +200,14 @@ def _checked_halfspace(space, hs: HalfSpace) -> HalfSpace:
     return HalfSpace(space.check(hs.normal), hs.offset)
 
 
+def _within(hs, normal_norm, au, u_norm) -> bool:
+    # <a, u> <= b with a backward-error sized slack, so borderline points
+    # count as feasible; au is <a, u> and u_norm is ||u||
+    return au <= hs.offset + 1e-12 * (1.0 + abs(hs.offset) + normal_norm * u_norm)
+
+
 def _satisfied(space, hs, normal_norm, u) -> bool:
-    # backward-error sized slack so borderline points count as feasible
-    slack = 1e-12 * (1.0 + abs(hs.offset) + normal_norm * space._norm(u))
-    return space._inner(hs.normal, u) <= hs.offset + slack
+    return _within(hs, normal_norm, space._inner(hs.normal, u), space._norm(u))
 
 
 def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
@@ -215,13 +219,14 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
     """
     x = space.check(x)
     hs = _checked_halfspace(space, hs)
-    return _project_halfspace(space, hs, space._inner(hs.normal, hs.normal), x)
-
-
-def _project_halfspace(space, hs, sq, x):
-    # sq is <a, a>, which the pair projection has already computed
     a = hs.normal
-    ax = space._inner(a, x)
+    return _project_halfspace(space, hs, space._inner(a, a), x, space._inner(a, x))
+
+
+def _project_halfspace(space, hs, sq, x, ax):
+    # sq is <a, a> and ax is <a, x>, which the pair projection has already
+    # computed
+    a = hs.normal
     if ax <= hs.offset:
         return x
     if sq == 0.0:
@@ -333,12 +338,17 @@ def _project_halfspace_pair(space, h1, h2, x):
     # the same bits as space._norm(a1), space._norm(a2)
     n1 = math.sqrt(max(g11, 0.0))
     n2 = math.sqrt(max(g22, 0.0))
-    if _satisfied(space, h1, n1, x) and _satisfied(space, h2, n2, x):
+    # <a_i, x> and ||x|| are taken once: the feasibility test, the single
+    # projections and the Gram system below all read them
+    ax1 = space._inner(a1, x)
+    ax2 = space._inner(a2, x)
+    x_norm = space._norm(x)
+    if _within(h1, n1, ax1, x_norm) and _within(h2, n2, ax2, x_norm):
         return x
-    p1 = _project_halfspace(space, h1, g11, x)
+    p1 = _project_halfspace(space, h1, g11, x, ax1)
     if _satisfied(space, h2, n2, p1):
         return p1
-    p2 = _project_halfspace(space, h2, g22, x)
+    p2 = _project_halfspace(space, h2, g22, x, ax2)
     if _satisfied(space, h1, n1, p2):
         return p2
 
@@ -348,8 +358,8 @@ def _project_halfspace_pair(space, h1, h2, x):
         # parallel (or degenerate) normals that the single projections could
         # not reconcile: opposing half-spaces with no overlap
         raise InfeasibleSetError("half-space intersection is empty")
-    r1 = space._inner(a1, x) - h1.offset
-    r2 = space._inner(a2, x) - h2.offset
+    r1 = ax1 - h1.offset
+    r2 = ax2 - h2.offset
     mu1 = (g22 * r1 - g12 * r2) / det
     mu2 = (g11 * r2 - g12 * r1) / det
     tol = 1e-12 * (1.0 + abs(mu1) + abs(mu2))
@@ -466,7 +476,9 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
         )
     diffs = x - points
     dists = np.sqrt((diffs * diffs) @ space.weights)
-    if (dists <= ANCHOR_SINGULARITY_TOL).any():
+    # one reduction with the verdict of (dists <= tol).any(): fmin skips a
+    # NaN distance where np.minimum would return it and hide a singular one
+    if np.fmin.reduce(dists) <= ANCHOR_SINGULARITY_TOL:
         raise SingularityError("evaluation point coincides with an anchor")
     coef = anchors.weights / dists
     return (coef @ points) / coef.sum()

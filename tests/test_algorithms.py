@@ -7,6 +7,7 @@ from fpiter.algorithms import (
     ALGORITHMS,
     RunConfig,
     TerminalReason,
+    TraceRecord,
     cq_step,
     inertial_mann_step,
     mann_step,
@@ -14,7 +15,7 @@ from fpiter.algorithms import (
     mimva_step,
     run,
 )
-from fpiter.experiments import build_cfp, build_sfp, sup_norm
+from fpiter.experiments import build_cfp, build_sfp, build_weber, sup_norm
 from fpiter.operators import Ball, Operator, SingularityError, project_ball
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace
@@ -295,6 +296,39 @@ class TestRun:
         # n=0: nu=1 so x_1 = anchor; error at n=1 is |anchor|
         assert trace.records[1].error == pytest.approx(1.0)
 
+    def test_records_rebuilt_from_the_columns(self):
+        # a replay with the public step reproduces what run recorded per
+        # iteration, and the records rebuilt from the columns hold it
+        spec = build_weber()
+        space, T = spec.space, spec.operator
+        sched = spec.schedules_for("mimva")
+        config = replace(spec.defaults, max_iterations=60, schedules=sched)
+        x0 = spec.make_initials(np.random.default_rng(5))[0][1]
+        trace = run("mimva", T, config, x0)
+
+        rho = config.contraction_rho
+        x_prev = x = x0
+        expected = []
+        for n in range(config.max_iterations + 1):
+            delta = sched.delta(n, space.norm(x - x_prev))
+            expected.append((n, float(config.error_metric(x)), delta))
+            if n == config.max_iterations:
+                break
+            x_next = mimva_step(
+                space, T, x, x_prev, lambda p: rho * p, delta, sched.psi_at(n), sched.nu_at(n)
+            )
+            x_prev, x = x, x_next
+
+        records = trace.records
+        assert all(type(r) is TraceRecord for r in records)
+        assert [(r.n, r.error, r.delta) for r in records] == expected
+        assert any(r.delta > 0 for r in records)
+        assert [r.elapsed_s for r in records] == list(trace.elapsed)
+        assert list(trace.elapsed) == sorted(trace.elapsed)
+        assert trace.errors == tuple(e for _, e, _ in expected)
+        assert trace.iterations == records[-1].n == 60
+        assert trace.final_error == records[-1].error
+
     def test_unknown_algorithm(self):
         space = EuclideanSpace(1)
         config = RunConfig(error_metric=metric_to_zero(space))
@@ -403,6 +437,31 @@ class TestValidationCount:
             # two more per run: the start point on entry and the metric at
             # the final iterate
             assert len(calls) <= limit * trace.iterations + 2, name
+
+
+    @pytest.mark.parametrize("algorithm, limit", [("mimha", 3), ("mimva", 4)])
+    def test_space_checks_per_weber_iteration(self, algorithm, limit, monkeypatch):
+        # per iteration: the metric's x, the operator's x and run's check of
+        # the operator output, plus the contraction output for mimva; pinned
+        # exactly, so that no trim of the loop adds or hides a check
+        spec = build_weber()
+        space = spec.space
+        calls = []
+        check = space.check
+
+        def counted(x):
+            calls.append(1)
+            return check(x)
+
+        monkeypatch.setattr(space, "check", counted)
+        config = replace(spec.defaults, schedules=spec.schedules_for(algorithm))
+        for _, start in spec.make_initials(np.random.default_rng(3), 2):
+            calls.clear()
+            trace = run(algorithm, spec.operator, config, start)
+            assert trace.terminal_reason is TerminalReason.MAX_ITERATIONS
+            # two more per run: the start point on entry and the metric at
+            # the final iterate
+            assert len(calls) == limit * trace.iterations + 2
 
 
 class TestRunConfigValidation:

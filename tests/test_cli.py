@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpiter.algorithms import run
-from fpiter.cli import KEYS, CliConfig, ConfigError, main, parse_config, run_suite
+from fpiter.algorithms import IterationTrace, TerminalReason, run
+from fpiter.cli import KEYS, CliConfig, ConfigError, _write_trace, main, parse_config, run_suite
 from fpiter.experiments import build_experiment
 
 
@@ -275,6 +275,28 @@ class TestRunSuite:
                 assert ra["n"] == rb["n"]
                 assert ra["E_n"] == rb["E_n"]
                 assert ra["delta_n"] == rb["delta_n"]
+
+    def test_trace_csv_has_the_bytes_of_csv_writer(self, tmp_path):
+        trace = IterationTrace(
+            errors=(-0.0, 5e-324, 1.7976931348623157e308, 0.1),
+            deltas=(0.0, np.float64(0.3), 5e-324, 1.7976931348623157e308),
+            elapsed=(1.7976931348623157e308, -0.0, np.float64(2.5e-7), 5e-324),
+            terminal_reason=TerminalReason.MAX_ITERATIONS,
+        )
+        _write_trace(tmp_path / "joined.csv", trace)
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            fh.write(
+                "# E_n is the stopping metric at x_n before step n; iterations = data rows - 1\n"
+            )
+            writer = csv.writer(fh)
+            writer.writerow(["n", "E_n", "delta_n", "elapsed_s"])
+            for rec in trace.records:
+                writer.writerow(
+                    [rec.n] + [repr(float(v)) for v in (rec.error, rec.delta, rec.elapsed_s)]
+                )
+        joined = (tmp_path / "joined.csv").read_bytes()
+        assert joined == (tmp_path / "writer.csv").read_bytes()
+        assert b"np.float64" not in joined and b",0.3," in joined
 
     def test_repeat_generates_independent_cases(self, tmp_path):
         cfg = CliConfig(

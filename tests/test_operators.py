@@ -309,7 +309,9 @@ class TestCqKernelsMatchWrappers:
             for hs in (h1, h2):
                 assert same_bits(
                     project_halfspace(space, hs, x),
-                    _project_halfspace(space, hs, space.inner(hs.normal, hs.normal), x),
+                    _project_halfspace(
+                        space, hs, space.inner(hs.normal, hs.normal), x, space.inner(hs.normal, x)
+                    ),
                 )
             out = project_halfspace_pair(space, h1, h2, x)
             assert same_bits(out, _project_halfspace_pair(space, h1, h2, x))
@@ -324,24 +326,40 @@ class TestCqKernelsMatchWrappers:
 
     def test_pair_projection_takes_each_normal_norm_once(self, monkeypatch):
         space = EuclideanSpace(30)
+        plain = EuclideanSpace(30)  # uncounted, to tell the branches apart
         rng = np.random.default_rng(24)
         inner = space._inner
         grams = []
+        calls = []
 
         def counted(u, v):
+            calls.append(1)
             if u is v:
                 grams.append(u)
             return inner(u, v)
 
         monkeypatch.setattr(space, "_inner", counted)
+        both_active = 0
         for _ in range(200):
             a1, a2, z = rng.normal(size=30), rng.normal(size=30), rng.normal(size=30)
             h1 = HalfSpace(a1, float(a1 @ z) + rng.uniform(-1.0, 3.0))
             h2 = HalfSpace(a2, float(a2 @ z) + rng.uniform(-1.0, 3.0))
+            x = z + rng.normal(size=30) * 2.0
             grams.clear()
-            _project_halfspace_pair(space, h1, h2, z + rng.normal(size=30) * 2.0)
+            calls.clear()
+            out = _project_halfspace_pair(space, h1, h2, x)
             assert sum(u is a1 for u in grams) == 1
             assert sum(u is a2 for u in grams) == 1
+            if not (
+                out is x
+                or same_bits(out, project_halfspace(plain, h1, x))
+                or same_bits(out, project_halfspace(plain, h2, x))
+            ):
+                both_active += 1
+                # <a_i, a_i>, <a_i, x> and ||x|| once each, one feasibility
+                # test per single projection (<a_j, p_i> and ||p_i||), <a_1, a_2>
+                assert len(calls) == 10
+        assert both_active > 0
 
     def test_cq_sets_of_a_cfp_step(self):
         space = R30

@@ -37,6 +37,26 @@ class TestEuclidean:
         with pytest.raises(ValueError, match="finite"):
             space.check([np.inf, 0.0])
 
+    def test_inner_has_the_bits_of_the_weighted_dot(self):
+        # the override drops the multiply by the unit weights; 1.0 * v is
+        # exact, so every result, overflow included, keeps its bits
+        rng = np.random.default_rng(31)
+        special = np.array(
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+        )
+        for dim in (1, 3, 8, 30, 257):
+            space = EuclideanSpace(dim)
+            for _ in range(100):
+                x = rng.normal(size=dim) * 10.0 ** rng.integers(-320, 308, size=dim)
+                y = rng.normal(size=dim) * 10.0 ** rng.integers(-320, 308, size=dim)
+                for v in (x, y):
+                    picks = rng.random(dim) < 0.3
+                    v[picks] = rng.choice(special, size=int(picks.sum()))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = space._inner(x, y)
+                    want = float(np.dot(space.weights * x, y))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestPeriodicGrid:
     def test_weights_sum_to_interval(self):
