@@ -156,16 +156,6 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def _extrapolate(x, x_prev, delta_n, diff=None):
-    """``x + delta (x - x_prev)``; ``diff`` is ``x - x_prev`` if already formed."""
-    if delta_n < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta_n}")
-    if delta_n == 0.0:
-        # short-circuit keeps the no-inertia reductions bitwise identical
-        return x
-    return x + delta_n * (x - x_prev if diff is None else diff)
-
-
 # The private kernels below take arrays that are already validated and check
 # only what enters from outside: the operator's and the contraction's
 # outputs, where non-finite values first appear. CQ calls the half-space
@@ -173,18 +163,35 @@ def _extrapolate(x, x_prev, delta_n, diff=None):
 # points they create, where an overflow can appear. The public step functions
 # validate their array arguments once and call the same kernels, so a run
 # and a sequence of public steps produce the same bits.
+#
+# ``out`` receives the result and ``scratch`` the second product; both are
+# run workspace vectors, and ``out`` may be the ``diff`` or ``y`` argument.
+# Without them (the public steps) every result is a fresh array.
 
 
-def _averaged(space, T, w, psi_n):
+def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
+    """``x + delta (x - x_prev)``; ``diff`` is ``x - x_prev`` if already formed."""
+    if delta_n < 0.0:
+        raise ValueError(f"delta must be nonnegative, got {delta_n}")
+    if delta_n == 0.0:
+        # short-circuit keeps the no-inertia reductions bitwise identical
+        return x
+    if diff is None:
+        diff = np.subtract(x, x_prev, out)
+    return np.add(x, np.multiply(diff, delta_n, out), out)
+
+
+def _averaged(space, T, w, psi_n, out=None, scratch=None):
     """``psi w + (1 - psi) T w``."""
     _check_unit("psi", psi_n)
-    return psi_n * w + (1.0 - psi_n) * space.check(T(w))
+    t_w = space.check(T(w))
+    return np.add(np.multiply(w, psi_n, out), np.multiply(t_w, 1.0 - psi_n, scratch), out)
 
 
-def _blend(nu_n, v, y):
+def _blend(nu_n, v, y, out=None, scratch=None):
     """``nu v + (1 - nu) y``."""
     _check_unit("nu", nu_n)
-    return nu_n * v + (1.0 - nu_n) * y
+    return np.add(np.multiply(v, nu_n, scratch), np.multiply(y, 1.0 - nu_n, out), out)
 
 
 def _cq(space, T, x, x0, psi_n):
@@ -282,10 +289,25 @@ def run(
     instead of propagating. Arrays are validated once, where they enter the
     iteration: the inputs on entry, and every operator and contraction
     output, so a non-finite value there raises ``ValueError``.
+
+    The run allocates its workspace once: three iterate slots, the
+    extrapolated point and a product scratch vector. ``x_{n+1}`` is written
+    into slot ``n % 3``, so ``x_{n-1}``, ``x_n`` and ``x_{n+1}`` never share
+    memory; the extrapolated point holds ``x_n - x_{n-1}`` until it becomes
+    ``w``; and the second product of each combination goes to the scratch
+    vector. The step arithmetic therefore allocates no vector inside the
+    loop; the operator, the contraction and the CQ projection still return
+    fresh ones. The caller's ``x_init``, ``x_init_prev`` and ``anchor`` are
+    only read, never written. An iterate handed to ``T``, the metric or the
+    contraction is a workspace vector that later iterations overwrite, so a
+    callback must copy any point it keeps.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     inertial, blend, cq = _ENGINES[algorithm]
+    sched = config.schedules
+    # zero inertia extrapolates by nothing: skip the difference and its norm
+    inertial = inertial and sched.delta_mode != "zero"
     space = T.space
     x = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)
@@ -294,8 +316,10 @@ def run(
     if contraction is None:
         rho = config.contraction_rho
         contraction = lambda p: rho * p  # noqa: E731
+    slots = (np.empty(space.size), np.empty(space.size), np.empty(space.size))
+    w_buf = np.empty(space.size)
+    scratch = np.empty(space.size)
 
-    sched = config.schedules
     metric = config.error_metric
     tolerance = config.tolerance
     last = config.max_iterations
@@ -309,7 +333,7 @@ def run(
         err = float(metric(x))
         if inertial:
             # one difference serves the inertia cap and the extrapolation
-            diff = x - x_prev
+            diff = np.subtract(x, x_prev, w_buf)
             delta = sched.delta(n, space._norm(diff))
         errors.append(err)
         deltas.append(delta)
@@ -324,12 +348,14 @@ def run(
             if cq:
                 x_next = _cq(space, T, x, x0, psi_n)
             else:
-                w = _extrapolate(x, x_prev, delta, diff) if inertial else x
-                x_next = _averaged(space, T, w, psi_n)
+                out = slots[n % 3]
+                w = _extrapolate(x, x_prev, delta, diff, w_buf) if inertial else x
+                x_next = _averaged(space, T, w, psi_n, out, scratch)
                 if blend == "anchor":
-                    x_next = _blend(sched.nu_at(n), u, x_next)
+                    x_next = _blend(sched.nu_at(n), u, x_next, out, scratch)
                 elif blend == "contraction":
-                    x_next = _blend(sched.nu_at(n), space.check(contraction(x)), x_next)
+                    f_x = space.check(contraction(x))
+                    x_next = _blend(sched.nu_at(n), f_x, x_next, out, scratch)
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break

@@ -295,7 +295,9 @@ def run_suite(cfg: CliConfig) -> int:
 
     Returns 0 when every run ended by tolerance or the iteration cap;
     singularity terminations are recorded in the summary and flip the exit
-    status to 1 without aborting the rest of the suite.
+    status to 1 without aborting the rest of the suite. The summary header
+    is written first and each row as its run finishes, so a suite that dies
+    halfway keeps the rows of the runs it finished.
     """
     spec = _build_spec(cfg)
     run_config = replace(spec.defaults, **_given(max_iterations=cfg.max_iter, tolerance=cfg.tol))
@@ -304,48 +306,41 @@ def run_suite(cfg: CliConfig) -> int:
     initials = spec.make_initials(initials_rng, cfg.repeat)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    ok = True
-    for algo_index, algorithm in enumerate(cfg.algorithms):
-        schedules = _apply_schedule_overrides(spec.schedules_for(algorithm), cfg)
-        algo_config = replace(run_config, schedules=schedules)
-        for case_index, (case, x0) in enumerate(initials):
-            perturb_rng = np.random.default_rng([cfg.seed, 2, algo_index, case_index])
-            trace = _run_with_retry(algorithm, spec.operator, algo_config, x0, perturb_rng)
-            trace_path = cfg.output_dir / f"{cfg.experiment}_{algorithm}_{case}.csv"
-            _write_trace(trace_path, trace)
-            reason = trace.terminal_reason
-            ok = ok and reason is not TerminalReason.SINGULARITY
-            rows.append(
-                {
-                    "algorithm": algorithm,
-                    "case": case,
-                    "iterations": trace.iterations,
-                    "time_s": trace.elapsed[-1],
-                    "terminal_reason": reason.value,
-                    "seed": cfg.seed,
-                }
-            )
-            log.info(
-                "%s %s %s: %d iterations, %s, E=%.3e",
-                cfg.experiment,
-                algorithm,
-                case,
-                trace.iterations,
-                reason.value,
-                trace.final_error,
-            )
     summary_path = cfg.output_dir / f"{cfg.experiment}_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["algorithm", "case", "iterations", "time_s", "terminal_reason", "seed"],
-        )
-        writer.writeheader()
-        for row in rows:
-            row = dict(row)
-            row["time_s"] = _format(row["time_s"])
-            writer.writerow(row)
+    ok = True
+    with open(summary_path, "w", newline="") as summary:
+        writer = csv.writer(summary)
+        writer.writerow(["algorithm", "case", "iterations", "time_s", "terminal_reason", "seed"])
+        for algo_index, algorithm in enumerate(cfg.algorithms):
+            schedules = _apply_schedule_overrides(spec.schedules_for(algorithm), cfg)
+            algo_config = replace(run_config, schedules=schedules)
+            for case_index, (case, x0) in enumerate(initials):
+                perturb_rng = np.random.default_rng([cfg.seed, 2, algo_index, case_index])
+                trace = _run_with_retry(algorithm, spec.operator, algo_config, x0, perturb_rng)
+                trace_path = cfg.output_dir / f"{cfg.experiment}_{algorithm}_{case}.csv"
+                _write_trace(trace_path, trace)
+                reason = trace.terminal_reason
+                ok = ok and reason is not TerminalReason.SINGULARITY
+                writer.writerow(
+                    [
+                        algorithm,
+                        case,
+                        trace.iterations,
+                        _format(trace.elapsed[-1]),
+                        reason.value,
+                        cfg.seed,
+                    ]
+                )
+                summary.flush()
+                log.info(
+                    "%s %s %s: %d iterations, %s, E=%.3e",
+                    cfg.experiment,
+                    algorithm,
+                    case,
+                    trace.iterations,
+                    reason.value,
+                    trace.final_error,
+                )
     return 0 if ok else 1
 
 

@@ -89,6 +89,8 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     ``k^2 sum(w)``; and ``P_Q x - x = (4/sqrt(b) - 1)(x - sin)`` when
     ``b > 16``, with squared norm ``(4/sqrt(b) - 1)^2 b``. A term is 0 where
     its constraint holds. The two forms agree to rounding, not bit for bit.
+    ``x - sin`` and its weighted product are formed in the space's
+    per-thread scratch vectors, so a call allocates nothing of grid size.
     """
     _check_grid(space)
     _check_mode(mode)
@@ -99,7 +101,7 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     def metric(x):
         x = space.check(x)
         a = space._integrate(x)
-        r = x - center
+        r = np.subtract(x, center, space._scratch()[0])
         b = space._inner(r, r)
         c_sq = q_sq = 0.0
         if a > 1.0:

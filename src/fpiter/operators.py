@@ -287,11 +287,12 @@ def project_integral_halfspace(
     return _project_integral_halfspace(space, space.check(x), mode)
 
 
-def _project_integral_halfspace(space, x, mode):
+def _project_integral_halfspace(space, x, mode, out=None):
+    # ``out`` receives the shifted point; a feasible ``x`` comes back as is
     a = space._integrate(x)
     if a <= 1.0:
         return x
-    return x + (1.0 - a) / _integral_divisor(space, mode)
+    return np.add(x, (1.0 - a) / _integral_divisor(space, mode), out)
 
 
 def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
@@ -305,13 +306,15 @@ def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
     return _project_l2_ball(space, space.check(x))
 
 
-def _project_l2_ball(space, x):
+def _project_l2_ball(space, x, out=None):
+    # ``out`` receives ``x - sin`` and then the pulled-in point; an inside
+    # ``x`` comes back as is
     center = space.sin_nodes
-    r = x - center
+    r = np.subtract(x, center, out)
     b = space._inner(r, r)
     if b <= 16.0:
         return x
-    return center + (4.0 / np.sqrt(b)) * r
+    return np.add(center, np.multiply(r, 4.0 / np.sqrt(b), r), r)
 
 
 def project_halfspace_pair(
@@ -412,12 +415,16 @@ def sfp_operator(
     bit-identical to composing :func:`project_l2_ball` and
     :func:`project_integral_halfspace`. A point so large that the sweep
     overflows gives a non-finite result, which :func:`fpiter.algorithms.run`
-    rejects.
+    rejects. The result is one fresh array, which every stage of the sweep
+    is written into in place; no other temporary of grid size is made.
     """
     _check_sfp_args(space, lam, mode)
     x = space.check(x)
-    z = x - lam * (x - _project_l2_ball(space, x))
-    return _project_integral_halfspace(space, z, mode)
+    z = np.empty_like(x)
+    p_q = _project_l2_ball(space, x, z)
+    # z = x - lam (x - P_Q x); the subtraction also covers p_q being x
+    np.subtract(x, np.multiply(np.subtract(x, p_q, z), lam, z), z)
+    return _project_integral_halfspace(space, z, mode, z)
 
 
 def cfp_operator(

@@ -7,13 +7,17 @@ of f*g (default L = 2*pi). Points are plain one-dimensional numpy arrays;
 a space validates membership (length and finiteness) and supplies the
 inner product, norm and affine combinations.
 
-Spaces are immutable after construction and every method is a pure function
-of its arguments, so instances can be shared freely across threads.
+Spaces are immutable after construction and every public method is a pure
+function of its arguments, so instances can be shared freely across threads.
+A :class:`PeriodicGridSpace` also lends each thread two scratch vectors
+(see :meth:`PeriodicGridSpace._scratch`); they hold no state between
+calls.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable
 
 import numpy as np
@@ -105,6 +109,13 @@ class PeriodicGridSpace(InnerProductSpace):
     ``sin_nodes`` holds ``sin`` sampled at the nodes, computed once: it is
     the center of the ball constraint of the feasibility benchmark, which
     the projections and the residual metric read on every call.
+
+    Each thread gets two scratch vectors, made on its first use and held in
+    a ``threading.local``: :meth:`_inner` forms the weighted product ``w * x``
+    in the second, and the residual metric forms ``x - sin`` in the first
+    (:meth:`_scratch`). They hold nothing between calls, so the space stays
+    shareable across threads, and a wide grid does not allocate (and
+    page-fault in) fresh temporaries on every iteration.
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
@@ -123,6 +134,7 @@ class PeriodicGridSpace(InnerProductSpace):
         self.nodes.setflags(write=False)
         self.sin_nodes = np.sin(self.nodes)
         self.sin_nodes.setflags(write=False)
+        self._local = threading.local()
 
     def integrate(self, x) -> float:
         """Quadrature of ``x`` over [0, interval_end]."""
@@ -131,6 +143,22 @@ class PeriodicGridSpace(InnerProductSpace):
     def _integrate(self, x: np.ndarray) -> float:
         # unchecked form, like ``_inner``
         return float(np.dot(self.weights, x))
+
+    def _scratch(self):
+        """This thread's two scratch vectors; their contents are undefined.
+
+        :meth:`_inner` writes its product into the second, so a caller may
+        hold only the first across a call to it.
+        """
+        try:
+            return self._local.buffers
+        except AttributeError:
+            buffers = self._local.buffers = (np.empty(self.size), np.empty(self.size))
+            return buffers
+
+    def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        # the base class's product and dot, with the product in scratch
+        return float(np.dot(np.multiply(self.weights, x, self._scratch()[1]), y))
 
     def from_function(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Sample ``f`` at the grid nodes."""

@@ -217,6 +217,34 @@ class TestRunSuite:
         assert len(rows) == 8
         assert all(r["terminal_reason"] == "tolerance_met" for r in rows)
 
+    def test_suite_that_dies_keeps_the_finished_rows(self, tmp_path, monkeypatch):
+        import fpiter.cli as cli
+
+        calls = []
+        real = cli._run_with_retry
+
+        def second_run_dies(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("second run dies")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_run_with_retry", second_run_dies)
+        cfg = CliConfig(
+            experiment="weber",
+            algorithms=("mimha",),
+            seed=1,
+            output_dir=tmp_path,
+            max_iter=20,
+            repeat=3,
+        )
+        with pytest.raises(RuntimeError, match="second run dies"):
+            run_suite(cfg)
+        lines = (tmp_path / "weber_summary.csv").read_text().splitlines()
+        assert lines[0] == "algorithm,case,iterations,time_s,terminal_reason,seed"
+        assert len(lines) == 2
+        assert lines[1].startswith("mimha,rand0,")
+
     def test_summary_iteration_count_matches_trace_rows(self, tmp_path):
         cfg = CliConfig(
             experiment="weber",
