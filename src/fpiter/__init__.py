@@ -7,109 +7,14 @@ inner-product spaces. ``fpiter.experiments`` ships three ready benchmark
 problems and ``fpiter.cli`` drives them from the command line.
 """
 
-from .algorithms import (
-    ALGORITHMS,
-    IterationTrace,
-    RunConfig,
-    TerminalReason,
-    TraceRecord,
-    cq_step,
-    inertial_mann_step,
-    mann_step,
-    mimha_step,
-    mimva_step,
-    run,
-)
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    build_cfp,
-    build_experiment,
-    build_sfp,
-    build_weber,
-    distance_metric,
-    fermat_weber_point,
-    sfp_residual_metric,
-    sup_norm,
-)
-from .operators import (
-    AnchorSet,
-    Ball,
-    BallSet,
-    HalfSpace,
-    InfeasibleSetError,
-    Operator,
-    SingularityError,
-    cfp_operator,
-    halfspace_from_cq_sets,
-    project_ball,
-    project_halfspace,
-    project_halfspace_pair,
-    project_integral_halfspace,
-    project_l2_ball,
-    sfp_operator,
-    weiszfeld_map,
-)
-from .schedules import (
-    InertiaDecayReport,
-    Schedules,
-    check_inertia_decay,
-    default_nu,
-    default_psi,
-    default_xi,
-    inverse_linear,
-)
-from .space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
+from . import algorithms, experiments, operators, schedules, space
+from .algorithms import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .schedules import *  # noqa: F401,F403
+from .space import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "EXPERIMENTS",
-    "TWO_PI",
-    "AnchorSet",
-    "Ball",
-    "BallSet",
-    "EuclideanSpace",
-    "ExperimentSpec",
-    "HalfSpace",
-    "InertiaDecayReport",
-    "InfeasibleSetError",
-    "InnerProductSpace",
-    "IterationTrace",
-    "Operator",
-    "PeriodicGridSpace",
-    "RunConfig",
-    "Schedules",
-    "SingularityError",
-    "TerminalReason",
-    "TraceRecord",
-    "build_cfp",
-    "build_experiment",
-    "build_sfp",
-    "build_weber",
-    "cfp_operator",
-    "check_inertia_decay",
-    "cq_step",
-    "default_nu",
-    "default_psi",
-    "default_xi",
-    "distance_metric",
-    "fermat_weber_point",
-    "halfspace_from_cq_sets",
-    "inertial_mann_step",
-    "inverse_linear",
-    "mann_step",
-    "mimha_step",
-    "mimva_step",
-    "project_ball",
-    "project_halfspace",
-    "project_halfspace_pair",
-    "project_integral_halfspace",
-    "project_l2_ball",
-    "run",
-    "sfp_operator",
-    "sfp_residual_metric",
-    "sup_norm",
-    "weiszfeld_map",
-]
+# each library module's __all__ is the one list of its public names
+__all__ = [n for m in (algorithms, experiments, operators, schedules, space) for n in m.__all__]

@@ -49,8 +49,6 @@ __all__ = [
     "IterationTrace",
     "RunConfig",
     "mann_step",
-    "inertial_mann_step",
-    "cq_step",
     "mimha_step",
     "mimva_step",
     "run",
@@ -145,6 +143,8 @@ class RunConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not np.isfinite(self.anchor_scale):
+            raise ValueError(f"anchor_scale must be finite, got {self.anchor_scale}")
         if not 0.0 <= self.contraction_rho < 1.0:
             raise ValueError(
                 f"contraction_rho must lie in [0, 1), got {self.contraction_rho}"
@@ -158,11 +158,10 @@ def _check_unit(name: str, value: float) -> None:
 
 # The private kernels below take arrays that are already validated and check
 # only what enters from outside: the operator's and the contraction's
-# outputs, where non-finite values first appear. CQ calls the half-space
-# kernels of ``operators``, which check only the normals and projected
-# points they create, where an overflow can appear. The public step functions
-# validate their array arguments once and call the same kernels, so a run
-# and a sequence of public steps produce the same bits.
+# outputs, where non-finite values first appear (the CQ kernels of
+# ``operators`` also check the normals and points they create). The public
+# step functions validate their array arguments once and call the same
+# kernels, so a run and a sequence of public steps produce the same bits.
 #
 # ``out`` receives the result and ``scratch`` the second product; both are
 # run workspace vectors, and ``out`` may be the ``diff`` or ``y`` argument.
@@ -195,6 +194,8 @@ def _blend(nu_n, v, y, out=None, scratch=None):
 
 
 def _cq(space, T, x, x0, psi_n):
+    # psi = 1 is accepted: the 1/(n+1) schedule starts there (y = x, the first
+    # cut is the whole space); the two cuts always meet while T has a fixed point
     y = _averaged(space, T, x, psi_n)
     c_set, q_set = _cq_halfspaces(space, x, y, x0)
     return _project_halfspace_pair(space, c_set, q_set, x0)
@@ -203,27 +204,6 @@ def _cq(space, T, x, x0, psi_n):
 def mann_step(space: InnerProductSpace, T, x, psi_n: float) -> np.ndarray:
     """Averaged operator step ``psi x + (1 - psi) T x``."""
     return _averaged(space, T, space.check(x), psi_n)
-
-
-def inertial_mann_step(
-    space: InnerProductSpace, T, x, x_prev, delta_n: float, psi_n: float
-) -> np.ndarray:
-    """Mann step applied at the extrapolated point ``x + delta (x - x_prev)``."""
-    w = _extrapolate(space.check(x), space.check(x_prev), delta_n)
-    return _averaged(space, T, w, psi_n)
-
-
-def cq_step(space: InnerProductSpace, T, x, x0, psi_n: float) -> np.ndarray:
-    """Averaged step followed by projecting the starting point.
-
-    Builds the two half-spaces from ``(x, y, x0)`` and returns the exact
-    projection of ``x0`` onto their intersection. ``psi = 1`` is accepted
-    because the baseline schedule ``1/(n+1)`` starts there; the step then
-    degenerates gracefully (``y = x``, first cut is the whole space).
-    An empty intersection is a fatal error: it cannot occur while the
-    operator has fixed points.
-    """
-    return _cq(space, T, space.check(x), space.check(x0), psi_n)
 
 
 def mimha_step(
@@ -308,6 +288,7 @@ def run(
     sched = config.schedules
     # zero inertia extrapolates by nothing: skip the difference and its norm
     inertial = inertial and sched.delta_mode != "zero"
+    adaptive = sched.delta_mode == "adaptive"  # only the cap reads the norm
     space = T.space
     x = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)
@@ -334,7 +315,7 @@ def run(
         if inertial:
             # one difference serves the inertia cap and the extrapolation
             diff = np.subtract(x, x_prev, w_buf)
-            delta = sched.delta(n, space._norm(diff))
+            delta = sched.delta(n, space._norm(diff) if adaptive else 0.0)
         errors.append(err)
         deltas.append(delta)
         elapsed.append(clock() - start)

@@ -15,9 +15,9 @@ of the sfp sweep come in two layers: the public functions validate their
 arguments and call private kernels that take validated arrays, use the
 unchecked ``space._inner``/``_norm``/``_integrate`` and check at most the
 arrays they create (the CQ normals and projected points; the sfp kernels
-check nothing). ``algorithms`` calls the CQ kernels directly, since a run
-has already validated its iterates, and :func:`sfp_operator` checks its
-point once and then calls the sfp kernels.
+check nothing). ``algorithms`` reaches the CQ half-space pair only through
+its kernels, since a run has already validated its iterates, and
+:func:`sfp_operator` checks its point once and then calls the sfp kernels.
 
 All functions are pure; the small dataclasses are frozen. A note on
 nonexpansiveness: every projection here, and the half-space/ball
@@ -53,7 +53,6 @@ __all__ = [
     "project_integral_halfspace",
     "project_l2_ball",
     "project_halfspace_pair",
-    "halfspace_from_cq_sets",
     "sfp_operator",
     "cfp_operator",
     "weiszfeld_map",
@@ -371,9 +370,7 @@ def _project_halfspace_pair(space, h1, h2, x):
     return space.check(x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2)
 
 
-def halfspace_from_cq_sets(
-    space: InnerProductSpace, x_n, y_n, x_0
-) -> tuple[HalfSpace, HalfSpace]:
+def _cq_halfspaces(space, x_n, y_n, x_0):
     """Half-space forms of the two sets cut by a CQ-type projection step.
 
     ``{u : ||y - u|| <= ||x - u||}`` expands to
@@ -383,10 +380,6 @@ def halfspace_from_cq_sets(
     ``x0 = x``) give zero normals with offset 0, i.e. the whole space.
     A normal that overflows to infinity raises ``ValueError``.
     """
-    return _cq_halfspaces(space, space.check(x_n), space.check(y_n), space.check(x_0))
-
-
-def _cq_halfspaces(space, x_n, y_n, x_0):
     c_normal = space.check(x_n - y_n)
     c_offset = 0.5 * (space._inner(x_n, x_n) - space._inner(y_n, y_n))
     q_normal = space.check(x_0 - x_n)

@@ -68,11 +68,6 @@ class Schedules:
     ``"adaptive"`` takes the cap ``delta_bar`` (maximal admissible inertia),
     ``"constant"`` always returns ``delta_value``, ``"zero"`` disables
     inertia and reproduces the non-inertial baselines bit for bit.
-
-    ``index_offset`` shifts the index fed to psi/nu/xi; the default 0
-    evaluates the formulas as written, which puts ``nu(0) = 1`` on the
-    boundary of the (0, 1) range the convergence theory assumes. Pass
-    ``index_offset=1`` for a strictly interior run.
     """
 
     psi: Callable[[int], float] = default_psi
@@ -81,7 +76,6 @@ class Schedules:
     eta: float = 4.0
     delta_mode: str = "adaptive"
     delta_value: float = 0.0
-    index_offset: int = 0
 
     def __post_init__(self):
         if not self.eta >= 3.0:
@@ -90,17 +84,15 @@ class Schedules:
             raise ValueError(f"delta_mode must be one of {DELTA_MODES}, got {self.delta_mode!r}")
         if not self.delta_value >= 0.0:
             raise ValueError(f"delta_value must be nonnegative, got {self.delta_value}")
-        if self.index_offset < 0:
-            raise ValueError(f"index_offset must be nonnegative, got {self.index_offset}")
 
     def psi_at(self, n: int) -> float:
-        return self.psi(n + self.index_offset)
+        return self.psi(n)
 
     def nu_at(self, n: int) -> float:
-        return self.nu(n + self.index_offset)
+        return self.nu(n)
 
     def xi_at(self, n: int) -> float:
-        return self.xi(n + self.index_offset)
+        return self.xi(n)
 
     def delta_bar(self, n: int, diff_norm: float) -> float:
         """Largest admissible inertia coefficient at step ``n``.
@@ -111,8 +103,7 @@ class Schedules:
         """
         if diff_norm < 0.0:
             raise ValueError(f"diff_norm must be nonnegative, got {diff_norm}")
-        m = n + self.index_offset
-        cap = (m - 1.0) / (m + self.eta - 1.0)
+        cap = (n - 1.0) / (n + self.eta - 1.0)
         if cap <= 0.0:
             return 0.0
         if diff_norm > 0.0:

@@ -85,7 +85,6 @@ class EuclideanSpace(InnerProductSpace):
 
     def __init__(self, dim: int):
         super().__init__(dim, np.ones(int(dim)))
-        self.dim = self.size
 
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
         # the weights are all 1.0 and 1.0 * v is exact, so the plain dot
@@ -93,7 +92,7 @@ class EuclideanSpace(InnerProductSpace):
         return float(np.dot(x, y))
 
     def __repr__(self):
-        return f"EuclideanSpace(dim={self.dim})"
+        return f"EuclideanSpace(dim={self.size})"
 
 
 class PeriodicGridSpace(InnerProductSpace):

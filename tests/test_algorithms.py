@@ -8,8 +8,9 @@ from fpiter.algorithms import (
     RunConfig,
     TerminalReason,
     TraceRecord,
-    cq_step,
-    inertial_mann_step,
+    _averaged,
+    _cq,
+    _extrapolate,
     mann_step,
     mimha_step,
     mimva_step,
@@ -30,6 +31,11 @@ IDENTITY_2D = Operator(R2, lambda x: R2.check(x), name="identity")
 
 def arr(*values):
     return np.array([float(v) for v in values])
+
+
+def inertial_mann(space, T, x, x_prev, delta_n, psi_n):
+    """The inertial Mann update of ``run``, from the kernels it calls."""
+    return _averaged(space, T, _extrapolate(space.check(x), space.check(x_prev), delta_n), psi_n)
 
 
 class TestMannStep:
@@ -58,47 +64,57 @@ class TestInertialMannStep:
             x = rng.normal(size=2)
             x_prev = rng.normal(size=2)
             psi = rng.uniform(0, 1)
-            a = inertial_mann_step(R2, ZERO_MAP_2D, x, x_prev, 0.0, psi)
+            a = inertial_mann(R2, ZERO_MAP_2D, x, x_prev, 0.0, psi)
             b = mann_step(R2, ZERO_MAP_2D, x, psi)
             assert np.array_equal(a, b)
 
     def test_equal_iterates_ignore_inertia(self):
         x = arr(3.0, -1.0)
-        out = inertial_mann_step(R2, IDENTITY_2D, x, x, 0.9, 0.5)
+        out = inertial_mann(R2, IDENTITY_2D, x, x, 0.9, 0.5)
         assert np.allclose(out, x, rtol=0, atol=1e-15)
 
     def test_one_dimensional_example(self):
-        out = inertial_mann_step(R1, ZERO_MAP, arr(2.0), arr(0.0), 0.5, 0.2)
+        # one step of run: the constant schedule gives delta_0 = 0.5, and the
+        # metric records the iterate itself
+        config = RunConfig(
+            error_metric=lambda x: float(x[0]),
+            max_iterations=1,
+            tolerance=1e-30,
+            schedules=Schedules(psi=lambda n: 0.2, delta_mode="constant", delta_value=0.5),
+        )
+        trace = run("inertial-mann", ZERO_MAP, config, arr(2.0), x_init_prev=arr(0.0))
         # w = 3, result 0.2*3 + 0.8*0
-        assert out[0] == pytest.approx(0.6, rel=1e-15)
+        assert trace.deltas == (0.5, 0.5)
+        assert trace.errors[1] == pytest.approx(0.6, rel=1e-15)
 
     def test_negative_inertia_rejected(self):
         with pytest.raises(ValueError, match="delta"):
-            inertial_mann_step(R1, ZERO_MAP, arr(1.0), arr(0.0), -0.1, 0.5)
+            _extrapolate(arr(1.0), arr(0.0), -0.1)
 
 
 class TestCqStep:
+    # _cq takes validated arrays, as run passes them
     def test_identity_operator_projects_onto_anchoring_cut(self):
         # y = x makes the first cut the whole space
-        x = arr(1.0, 1.0)
-        x0 = arr(3.0, 1.0)
-        out = cq_step(R2, IDENTITY_2D, x, x0, 0.5)
+        x = R2.check(arr(1.0, 1.0))
+        x0 = R2.check(arr(3.0, 1.0))
+        out = _cq(R2, IDENTITY_2D, x, x0, 0.5)
         # remaining cut: <x0 - x, u> <= <x0 - x, x>  =>  u_1 <= 1
         assert np.allclose(out, arr(1.0, 1.0), atol=1e-12)
 
     def test_start_equal_current_projects_onto_contraction_cut(self):
-        x = arr(4.0)
-        out = cq_step(R1, ZERO_MAP, x, x, 0.0)
+        x = R1.check(arr(4.0))
+        out = _cq(R1, ZERO_MAP, x, x, 0.0)
         # y = 0: cut is u <= 2; anchoring cut is degenerate
         assert out[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_one_dimensional_case_analysis(self):
-        out = cq_step(R1, ZERO_MAP, arr(4.0), arr(4.0), 0.0)
+        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 0.0)
         assert out[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_accepts_psi_equal_one(self):
         # the baseline schedule 1/(n+1) starts at exactly 1
-        out = cq_step(R1, ZERO_MAP, arr(4.0), arr(4.0), 1.0)
+        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 1.0)
         assert out[0] == pytest.approx(4.0)
 
 
@@ -153,7 +169,7 @@ class TestFixedPointRetention:
         T = Operator(space, lambda x: project_ball(space, ball, x), name="ball-proj")
         p = arr(2.0, -4.0)  # dyadic so the convex combinations are exact
         assert np.array_equal(mann_step(space, T, p, 0.25), p)
-        assert np.array_equal(inertial_mann_step(space, T, p, p, 0.5, 0.25), p)
+        assert np.array_equal(inertial_mann(space, T, p, p, 0.5, 0.25), p)
         out = mimha_step(space, T, p, p, arr(1.0, 1.0), 0.5, 0.25, 0.25)
         assert np.array_equal(out, 0.25 * arr(1.0, 1.0) + 0.75 * p)
 
@@ -464,6 +480,30 @@ class TestValidationCount:
             assert len(calls) == limit * trace.iterations + 2
 
 
+class TestInertiaNormCount:
+    def test_constant_inertia_takes_no_norm(self, monkeypatch):
+        # the constant delta rule ignores ||x_n - x_{n-1}||, so the only norms
+        # of a cfp inertial-mann run are the operator's outer-ball projections
+        spec = build_cfp(seed=0)
+        space = spec.space
+        sched = spec.schedules_for("inertial-mann")
+        assert sched.delta_mode == "constant"
+        calls = []
+        norm = space._norm
+
+        def counted(x):
+            calls.append(1)
+            return norm(x)
+
+        monkeypatch.setattr(space, "_norm", counted)
+        config = replace(spec.defaults, max_iterations=100, tolerance=1e-300, schedules=sched)
+        start = spec.make_initials(np.random.default_rng(1))[0][1]
+        trace = run("inertial-mann", spec.operator, config, start)
+        assert trace.iterations == 100
+        assert set(trace.deltas) == {0.5}
+        assert len(calls) == 100
+
+
 class TestRunConfigValidation:
     def test_bounds(self):
         metric = lambda x: 0.0  # noqa: E731
@@ -473,3 +513,6 @@ class TestRunConfigValidation:
             RunConfig(error_metric=metric, tolerance=0.0)
         with pytest.raises(ValueError):
             RunConfig(error_metric=metric, contraction_rho=1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="anchor_scale"):
+                RunConfig(error_metric=metric, anchor_scale=bad)

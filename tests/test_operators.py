@@ -13,7 +13,6 @@ from fpiter.operators import (
     Operator,
     SingularityError,
     cfp_operator,
-    halfspace_from_cq_sets,
     project_ball,
     project_halfspace,
     project_halfspace_pair,
@@ -163,16 +162,17 @@ class TestSinBallProjection:
 
 
 class TestCqHalfspaces:
+    # _cq_halfspaces takes validated arrays, as the CQ step of run passes them
     def test_equal_iterates_give_whole_space(self):
         x = np.array([1.0, 2.0])
-        c, q = halfspace_from_cq_sets(R2, x, x, np.array([5.0, 5.0]))
+        c, q = _cq_halfspaces(R2, x, x, np.array([5.0, 5.0]))
         assert np.array_equal(c.normal, np.zeros(2))
         assert c.offset == 0.0
 
     def test_start_at_current_gives_whole_space_cut(self):
         x = np.array([1.0, 2.0])
         y = np.array([0.5, 0.5])
-        c, q = halfspace_from_cq_sets(R2, x, y, x)
+        c, q = _cq_halfspaces(R2, x, y, x)
         assert np.array_equal(q.normal, np.zeros(2))
         assert q.offset == 0.0
 
@@ -180,7 +180,7 @@ class TestCqHalfspaces:
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 0.0])
         x0 = np.array([2.0, 0.0])
-        c, q = halfspace_from_cq_sets(R2, x, y, x0)
+        c, q = _cq_halfspaces(R2, x, y, x0)
         # ||y - u|| <= ||x - u||  <=>  u_1 <= 1/2
         assert np.allclose(c.normal, [1.0, 0.0])
         assert c.offset == pytest.approx(0.5)
@@ -196,13 +196,18 @@ class TestCqHalfspaces:
             y = rng.normal(size=4)
             x0 = rng.normal(size=4)
             u = rng.normal(size=4) * 2
-            c, q = halfspace_from_cq_sets(space, x, y, x0)
+            c, q = _cq_halfspaces(space, x, y, x0)
             in_c = space.norm(y - u) <= space.norm(x - u)
             in_c_half = space.inner(c.normal, u) <= c.offset + 1e-9
             assert in_c == in_c_half or abs(space.norm(y - u) - space.norm(x - u)) < 1e-7
             in_q = space.inner(x - u, x - x0) <= 0
             in_q_half = space.inner(q.normal, u) <= q.offset + 1e-9
             assert in_q == in_q_half or abs(space.inner(x - u, x - x0)) < 1e-7
+
+    def test_overflowing_normal_rejected(self):
+        x = np.full(2, 1.5e308)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            _cq_halfspaces(R2, x, -x, x)
 
 
 def brute_force_pair_projection(a1, b1, a2, b2, x, tol=1e-9):
@@ -286,17 +291,6 @@ class TestCqKernelsMatchWrappers:
     )
 
     @SPACES
-    def test_cq_halfspaces(self, space):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            x, y, x0 = (rng.normal(size=30) * 3 for _ in range(3))
-            for public, kernel in zip(
-                halfspace_from_cq_sets(space, x, y, x0), _cq_halfspaces(space, x, y, x0)
-            ):
-                assert same_bits(public.normal, kernel.normal)
-                assert same_bits(public.offset, kernel.offset)
-
-    @SPACES
     def test_single_and_pair_projections(self, space):
         rng = np.random.default_rng(22)
         branches = set()
@@ -370,10 +364,9 @@ class TestCqKernelsMatchWrappers:
         for n in range(20):
             psi = 1.0 / (n + 2)
             y = psi * x + (1.0 - psi) * cfp_operator(space, balls, x)
-            c, q = halfspace_from_cq_sets(space, x, y, x0)
+            c, q = _cq_halfspaces(space, x, y, x0)
             out = project_halfspace_pair(space, c, q, x0)
-            c_k, q_k = _cq_halfspaces(space, x, y, x0)
-            assert same_bits(out, _project_halfspace_pair(space, c_k, q_k, x0))
+            assert same_bits(out, _project_halfspace_pair(space, c, q, x0))
             x = out
 
 
@@ -400,19 +393,6 @@ class TestCqWrappersValidate:
             project_halfspace_pair(R2, HalfSpace(bad, 0.0), H, np.ones(2))
         with pytest.raises(ValueError):
             project_halfspace_pair(R2, H, HalfSpace(bad, 0.0), np.ones(2))
-
-    @BAD_ARRAYS
-    @pytest.mark.parametrize("position", [0, 1, 2])
-    def test_halfspace_from_cq_sets(self, bad, position):
-        args = [np.ones(2), np.zeros(2), np.full(2, 2.0)]
-        args[position] = bad
-        with pytest.raises(ValueError):
-            halfspace_from_cq_sets(R2, *args)
-
-    def test_overflowing_normal_rejected(self):
-        x = np.full(2, 1.5e308)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            halfspace_from_cq_sets(R2, x, -x, x)
 
     def test_list_normal_accepted(self):
         out = project_halfspace(R2, HalfSpace([1.0, 0.0], 0.0), [2.0, 1.0])

@@ -1,0 +1,42 @@
+"""The package's public surface: ``import fpiter`` and the README example."""
+
+import re
+from pathlib import Path
+
+import fpiter
+from fpiter import algorithms, experiments, operators, schedules, space
+
+MODULES = (algorithms, experiments, operators, schedules, space)
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_exports_are_the_modules_public_names():
+    expected = [name for module in MODULES for name in module.__all__]
+    assert fpiter.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    assert "PROJECTION_MODES" in fpiter.__all__
+
+
+def test_every_export_is_the_modules_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(fpiter, name) is getattr(module, name), name
+
+
+def test_deleted_names_stay_gone():
+    for name in ("cq_step", "inertial_mann_step", "halfspace_from_cq_sets"):
+        assert not hasattr(fpiter, name), name
+        assert all(not hasattr(module, name) for module in MODULES), name
+    assert not hasattr(fpiter.Schedules(), "index_offset")
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text()
+    section = text[text.index("Example library use:"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "fp.build_weber()" in code and 'fp.run("mimva"' in code
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    trace = namespace["trace"]
+    assert trace.iterations >= 1
+    assert capsys.readouterr().out.split()[0] == str(trace.iterations)

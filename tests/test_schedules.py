@@ -25,6 +25,14 @@ class TestDefaultSequences:
         assert default_xi(0) == 10.0
         assert default_xi(9) == pytest.approx(0.1)
 
+    def test_default_evaluates_formulas_as_written(self):
+        sched = Schedules()
+        assert sched.nu_at(0) == 1.0
+        for n in (0, 1, 7, 250):
+            assert sched.psi_at(n) == default_psi(n)
+            assert sched.nu_at(n) == default_nu(n)
+            assert sched.xi_at(n) == default_xi(n)
+
     def test_xi_over_nu_vanishes(self):
         ratios = [default_xi(n) / default_nu(n) for n in range(200)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -100,16 +108,6 @@ class TestDeltaModes:
             Schedules(delta_mode="constant", delta_value=-0.1)
         with pytest.raises(ValueError, match="delta_value"):
             Schedules(delta_mode="constant", delta_value=float("nan"))
-
-
-class TestIndexOffset:
-    def test_offset_shifts_sequences(self):
-        sched = Schedules(index_offset=1)
-        assert sched.nu_at(0) == 0.5  # strictly inside (0, 1)
-        assert sched.psi_at(0) == pytest.approx(1 / 400)
-
-    def test_default_evaluates_formulas_as_written(self):
-        assert Schedules().nu_at(0) == 1.0
 
 
 class TestInertiaDecayDiagnostic:
