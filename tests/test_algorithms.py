@@ -393,6 +393,22 @@ class TestRunValidatesWhereArraysEnter:
         with pytest.raises(ValueError, match="finite"):
             run("mann", ZERO_MAP_2D, self.CONFIG, arr(1.0, np.nan))
 
+    @pytest.mark.parametrize("entry", ["x_init", "x_init_prev", "anchor"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(arr(np.nan, 0.0), "finite"), (arr(0.0, np.inf), "finite"), (np.zeros(3), "coordinates")],
+        ids=["nan", "inf", "shape"],
+    )
+    def test_bad_entry_array_raises_before_the_first_step(self, entry, bad, message):
+        # every array the caller passes is checked on entry, before T is called
+        calls = []
+        T = Operator(R2, lambda x: calls.append(1) or np.zeros(2), name="counted-zero")
+        arrays = {"x_init": arr(1.0, 2.0), "x_init_prev": arr(0.5, 1.0), "anchor": arr(0.0, 1.0)}
+        arrays[entry] = bad
+        with pytest.raises(ValueError, match=message):
+            run("mimha", T, self.CONFIG, **arrays)
+        assert calls == []
+
     def test_cq_overflow_raises(self):
         # x - y overflows to inf in the CQ half-space normal
         T = Operator(EuclideanSpace(3), lambda x: -x, name="negate")
