@@ -29,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import index
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from .operators import (
     _project_halfspace_pair,
 )
 from .schedules import Schedules
-from .space import InnerProductSpace
+from .space import InnerProductSpace, _aligned_empty
 
 __all__ = [
     "ALGORITHMS",
@@ -132,13 +133,19 @@ class RunConfig:
     """
 
     error_metric: Callable[[np.ndarray], float]
-    max_iterations: int = 1000
+    max_iterations: int = 1000  # an integer (``operator.index``), at least 1
     tolerance: float = 1e-3
     schedules: Schedules = field(default_factory=Schedules)
     anchor_scale: float = 0.9
     contraction_rho: float = 0.9
 
     def __post_init__(self):
+        try:
+            index(self.max_iterations)
+        except TypeError:
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}"
+            ) from None
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.tolerance > 0:
@@ -193,12 +200,14 @@ def _blend(nu_n, v, y, out=None, scratch=None):
     return np.add(np.multiply(v, nu_n, scratch), np.multiply(y, 1.0 - nu_n, out), out)
 
 
-def _cq(space, T, x, x0, psi_n):
+def _cq(space, T, x, x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None):
     # psi = 1 is accepted: the 1/(n+1) schedule starts there (y = x, the first
-    # cut is the whole space); the two cuts always meet while T has a fixed point
-    y = _averaged(space, T, x, psi_n)
-    c_set, q_set = _cq_halfspaces(space, x, y, x0)
-    return _project_halfspace_pair(space, c_set, q_set, x0)
+    # cut is the whole space); the two cuts always meet while T has a fixed point.
+    # y is formed in y_buf, which then holds the first normal x - y; q_buf
+    # holds the second normal and out the projected point
+    y = _averaged(space, T, x, psi_n, y_buf, scratch)
+    c_set, q_set = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
+    return _project_halfspace_pair(space, c_set, q_set, x0, out, scratch)
 
 
 def mann_step(space: InnerProductSpace, T, x, psi_n: float) -> np.ndarray:
@@ -270,17 +279,22 @@ def run(
     iteration: the inputs on entry, and every operator and contraction
     output, so a non-finite value there raises ``ValueError``.
 
-    The run allocates its workspace once: three iterate slots, the
-    extrapolated point and a product scratch vector. ``x_{n+1}`` is written
-    into slot ``n % 3``, so ``x_{n-1}``, ``x_n`` and ``x_{n+1}`` never share
-    memory; the extrapolated point holds ``x_n - x_{n-1}`` until it becomes
-    ``w``; and the second product of each combination goes to the scratch
-    vector. The step arithmetic therefore allocates no vector inside the
-    loop; the operator, the contraction and the CQ projection still return
-    fresh ones. The caller's ``x_init``, ``x_init_prev`` and ``anchor`` are
-    only read, never written. An iterate handed to ``T``, the metric or the
-    contraction is a workspace vector that later iterations overwrite, so a
-    callback must copy any point it keeps.
+    The run allocates its workspace once, as 64-byte-aligned vectors (see
+    :mod:`fpiter.space`), and only what the engine reads: three iterate
+    slots and a product scratch vector always; the extrapolated point for
+    the inertial engines and CQ; the default anchor for the anchor engines;
+    the default contraction's result for the contraction engines; and CQ's
+    second cut normal. ``x_{n+1}`` is written into slot ``n % 3``, so
+    ``x_{n-1}``, ``x_n`` and ``x_{n+1}`` never share memory; the
+    extrapolated point holds ``x_n - x_{n-1}`` until it becomes ``w`` (for
+    CQ: ``y``, then the first cut normal); and the second product of each
+    combination goes to the scratch vector. The step arithmetic therefore
+    allocates no vector inside the loop; only the operator and a caller's
+    contraction return fresh ones. The caller's ``x_init``, ``x_init_prev``
+    and ``anchor`` are only read, never written or copied. An iterate
+    handed to ``T``, the metric or the contraction is a workspace vector
+    that later iterations overwrite, so a callback must copy any point it
+    keeps.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -293,13 +307,20 @@ def run(
     x = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)
     x0 = x
-    u = space.check(anchor) if anchor is not None else config.anchor_scale * x
-    if contraction is None:
-        rho = config.contraction_rho
-        contraction = lambda p: rho * p  # noqa: E731
-    slots = (np.empty(space.size), np.empty(space.size), np.empty(space.size))
-    w_buf = np.empty(space.size)
-    scratch = np.empty(space.size)
+    u = None if anchor is None else space.check(anchor)
+
+    def vector():
+        return _aligned_empty(space.size)
+
+    if blend == "anchor" and u is None:
+        u = np.multiply(config.anchor_scale, x, vector())
+    if blend == "contraction" and contraction is None:
+        rho, f_buf = config.contraction_rho, vector()
+        contraction = lambda p: np.multiply(rho, p, f_buf)  # noqa: E731
+    slots = (vector(), vector(), vector())
+    scratch = vector()
+    w_buf = vector() if inertial or cq else None
+    q_buf = vector() if cq else None
 
     metric = config.error_metric
     tolerance = config.tolerance
@@ -327,7 +348,7 @@ def run(
         psi_n = sched.psi_at(n)
         try:
             if cq:
-                x_next = _cq(space, T, x, x0, psi_n)
+                x_next = _cq(space, T, x, x0, psi_n, slots[n % 3], w_buf, q_buf, scratch)
             else:
                 out = slots[n % 3]
                 w = _extrapolate(x, x_prev, delta, diff, w_buf) if inertial else x

@@ -18,6 +18,9 @@ arrays they create (the CQ normals and projected points; the sfp kernels
 check nothing). ``algorithms`` reaches the CQ half-space pair only through
 its kernels, since a run has already validated its iterates, and
 :func:`sfp_operator` checks its point once and then calls the sfp kernels.
+The kernels take optional ``out`` vectors (a run's workspace, or the
+result :func:`sfp_operator` builds in place); without them, as the public
+wrappers call them, every result is fresh.
 
 All functions are pure; the small dataclasses are frozen. A note on
 nonexpansiveness: every projection here, and the half-space/ball
@@ -37,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import InnerProductSpace, PeriodicGridSpace
+from .space import InnerProductSpace, PeriodicGridSpace, _aligned_empty
 
 __all__ = [
     "HalfSpace",
@@ -222,9 +225,9 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
     return _project_halfspace(space, hs, space._inner(a, a), x, space._inner(a, x))
 
 
-def _project_halfspace(space, hs, sq, x, ax):
+def _project_halfspace(space, hs, sq, x, ax, out=None):
     # sq is <a, a> and ax is <a, x>, which the pair projection has already
-    # computed
+    # computed; ``out`` (neither x nor a) receives the projected point
     a = hs.normal
     if ax <= hs.offset:
         return x
@@ -232,7 +235,7 @@ def _project_halfspace(space, hs, sq, x, ax):
         raise InfeasibleSetError(
             "half-space with zero normal and negative offset is empty"
         )
-    return space.check(x - ((ax - hs.offset) / sq) * a)
+    return space.check(np.subtract(x, np.multiply(a, (ax - hs.offset) / sq, out), out))
 
 
 def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
@@ -333,7 +336,10 @@ def project_halfspace_pair(
     return _project_halfspace_pair(space, _checked_halfspace(space, h1), _checked_halfspace(space, h2), x)
 
 
-def _project_halfspace_pair(space, h1, h2, x):
+def _project_halfspace_pair(space, h1, h2, x, out=None, scratch=None):
+    # ``out`` receives the projected point (a single projection may be
+    # formed there and then discarded) and ``scratch`` the second product of
+    # the two-active case; neither may be x or a normal
     a1, a2 = h1.normal, h2.normal
     g11 = space._inner(a1, a1)
     g22 = space._inner(a2, a2)
@@ -347,10 +353,10 @@ def _project_halfspace_pair(space, h1, h2, x):
     x_norm = space._norm(x)
     if _within(h1, n1, ax1, x_norm) and _within(h2, n2, ax2, x_norm):
         return x
-    p1 = _project_halfspace(space, h1, g11, x, ax1)
+    p1 = _project_halfspace(space, h1, g11, x, ax1, out)
     if _satisfied(space, h2, n2, p1):
         return p1
-    p2 = _project_halfspace(space, h2, g22, x, ax2)
+    p2 = _project_halfspace(space, h2, g22, x, ax2, out)
     if _satisfied(space, h1, n1, p2):
         return p2
 
@@ -367,10 +373,12 @@ def _project_halfspace_pair(space, h1, h2, x):
     tol = 1e-12 * (1.0 + abs(mu1) + abs(mu2))
     if mu1 < -tol or mu2 < -tol:
         raise InfeasibleSetError("half-space intersection is empty")
-    return space.check(x - max(mu1, 0.0) * a1 - max(mu2, 0.0) * a2)
+    # (x - mu1 a1) - mu2 a2, in that order
+    p = np.subtract(x, np.multiply(a1, max(mu1, 0.0), out), out)
+    return space.check(np.subtract(p, np.multiply(a2, max(mu2, 0.0), scratch), out))
 
 
-def _cq_halfspaces(space, x_n, y_n, x_0):
+def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
     """Half-space forms of the two sets cut by a CQ-type projection step.
 
     ``{u : ||y - u|| <= ||x - u||}`` expands to
@@ -379,10 +387,13 @@ def _cq_halfspaces(space, x_n, y_n, x_0):
     ``{u : <x0 - x, u> <= <x0 - x, x>}``. Degenerate inputs (``y = x`` or
     ``x0 = x``) give zero normals with offset 0, i.e. the whole space.
     A normal that overflows to infinity raises ``ValueError``.
+
+    ``c_out`` and ``q_out`` receive the two normals; ``c_out`` may be the
+    storage of ``y_n``, which is read before the normal overwrites it.
     """
-    c_normal = space.check(x_n - y_n)
     c_offset = 0.5 * (space._inner(x_n, x_n) - space._inner(y_n, y_n))
-    q_normal = space.check(x_0 - x_n)
+    c_normal = space.check(np.subtract(x_n, y_n, c_out))
+    q_normal = space.check(np.subtract(x_0, x_n, q_out))
     q_offset = space._inner(q_normal, x_n)
     return HalfSpace(c_normal, c_offset), HalfSpace(q_normal, q_offset)
 
@@ -408,12 +419,13 @@ def sfp_operator(
     bit-identical to composing :func:`project_l2_ball` and
     :func:`project_integral_halfspace`. A point so large that the sweep
     overflows gives a non-finite result, which :func:`fpiter.algorithms.run`
-    rejects. The result is one fresh array, which every stage of the sweep
-    is written into in place; no other temporary of grid size is made.
+    rejects. The result is one fresh 64-byte-aligned array, which every
+    stage of the sweep is written into in place; no other temporary of grid
+    size is made.
     """
     _check_sfp_args(space, lam, mode)
     x = space.check(x)
-    z = np.empty_like(x)
+    z = _aligned_empty(space.size)
     p_q = _project_l2_ball(space, x, z)
     # z = x - lam (x - P_Q x); the subtraction also covers p_q being x
     np.subtract(x, np.multiply(np.subtract(x, p_q, z), lam, z), z)

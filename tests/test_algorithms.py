@@ -532,3 +532,13 @@ class TestRunConfigValidation:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="anchor_scale"):
                 RunConfig(error_metric=metric, anchor_scale=bad)
+
+    def test_max_iterations_must_be_an_integer(self):
+        metric = lambda x: 0.0  # noqa: E731
+        config = RunConfig(error_metric=metric)
+        for bad in (10.5, 10.0, np.float64(3.0), "10", None):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                replace(config, max_iterations=bad)
+        numpy_cap = replace(config, max_iterations=np.int64(7), error_metric=lambda x: 1.0)
+        T = Operator(EuclideanSpace(2), lambda x: 0.5 * x, name="half")
+        assert run("mann", T, numpy_cap, np.ones(2)).iterations == 7

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fpiter.space import TWO_PI, EuclideanSpace, PeriodicGridSpace
+from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
 
 
 def midpoint_quadrature(f, n=2_000_000, length=TWO_PI):
@@ -145,3 +145,13 @@ class TestInnerProductLaws:
         assert space.inner(2.5 * x + z, y) == pytest.approx(
             2.5 * space.inner(x, y) + space.inner(z, y), rel=1e-9, abs=1e-12
         )
+
+
+def test_weights_are_copied_and_the_callers_array_left_writeable():
+    weights = np.array([1.0, 2.0, 0.5])
+    space = InnerProductSpace(3, weights)
+    assert weights.flags.writeable
+    assert not space.weights.flags.writeable
+    assert not np.shares_memory(space.weights, weights)
+    weights[0] = 7.0
+    assert space.inner([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == 1.0
