@@ -10,10 +10,10 @@ elapsed-time columns are the only nondeterministic content.
 
 Configuration is a flat YAML mapping whose keys are listed in ``KEYS``.
 Every key is also a ``--<key>`` flag (``--algo`` for ``algorithms``), and
-flags override file values. A key that only another experiment's builder
-takes (see ``BUILD_ARGS``) is rejected. The default output directory comes
-from the ``FPITER_OUT`` environment variable, falling back to
-``./results``.
+flags override file values. A key that only one experiment's builder takes
+(the last column of ``KEYS``) is rejected for the other experiments. The
+default output directory comes from the ``FPITER_OUT`` environment
+variable, falling back to ``./results``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -31,7 +32,7 @@ import numpy as np
 import yaml
 
 from .algorithms import ALGORITHMS, IterationTrace, TerminalReason, run
-from .experiments import EXPERIMENTS, ExperimentSpec, build_experiment
+from .experiments import EXPERIMENTS, ExperimentSpec, build_cfp, build_sfp, build_weber
 from .operators import PROJECTION_MODES, AnchorSet
 from .schedules import DELTA_MODES, Schedules
 
@@ -101,6 +102,8 @@ def _as_float(accept, rule):
             out = float(value)
         except (TypeError, ValueError):
             _fail(key, f"expected a number, got {value!r}")
+        if not math.isfinite(out):
+            _fail(key, f"expected a finite number, got {out}")
         if not accept(out):
             _fail(key, f"{rule}, got {out}")
         return out
@@ -137,52 +140,31 @@ def _as_algorithms(key, value):
     return tuple(names)
 
 
-# key -> (CliConfig field, parser, flag help); values arrive from YAML or
-# flags. The range checks repeat some library checks on purpose: they reject
-# outside input by its key name before anything is built.
+# key -> (CliConfig field, parser, flag help, experiment); values arrive from
+# YAML or flags. The range checks repeat some library checks on purpose: they
+# reject outside input by its key name before anything is built. experiment
+# is the one experiment whose builder takes the key, or None; seed is None
+# because it draws every experiment's initial points (it also seeds cfp's centers).
 KEYS = {
-    "experiment": ("experiment", _as_choice(EXPERIMENTS), "experiment id"),
-    "algorithms": ("algorithms", _as_algorithms, "comma-separated algorithm names"),
-    "seed": ("seed", _as_int(0), "random seed (centers and initial points)"),
-    "out": ("output_dir", _as_path, f"output directory (default ${OUTPUT_DIR_ENV} or ./results)"),
-    "repeat": ("repeat", _as_int(1), "number of random initial points"),
-    "max-iter": ("max_iter", _as_int(1), "iteration cap"),
-    "tol": ("tol", _as_float(lambda v: v > 0, "must be positive"), "stopping tolerance"),
-    "grid": ("grid", _as_int(2), "grid nodes for the sfp experiment"),
-    "eta": ("eta", _as_float(lambda v: v >= 3, "must be >= 3"), "inertia cap shape parameter"),
-    "lambda": ("lam", _as_float(lambda v: 0 < v < 2, "must lie in (0, 2)"), "sfp step"),
-    "xi-coeff": ("xi_coeff", _as_float(lambda v: v > 0, "must be positive"), "c in xi_n = c/(n+1)^2"),
-    "psi-coeff": ("psi_coeff", _as_float(lambda v: 0 < v < 1, "must lie in (0, 1)"), "c in psi_n = c/(n+1)^2"),
-    "delta-mode": ("delta_mode", _as_choice(DELTA_MODES), "inertia rule"),
-    "delta-value": ("delta_value", _as_float(lambda v: v >= 0, "must be nonnegative"), "constant delta"),
-    "sfp-projection": ("sfp_projection", _as_choice(PROJECTION_MODES), "sfp half-space projection"),
-    "anchors-csv": ("anchors_csv", _as_path, "weber anchors CSV, weight in the last column"),
-    "dim": ("dim", _as_int(1), "cfp space dimension"),
-    "balls": ("balls", _as_int(2), "cfp inner ball count"),
+    "experiment": ("experiment", _as_choice(EXPERIMENTS), "experiment id", None),
+    "algorithms": ("algorithms", _as_algorithms, "comma-separated algorithm names", None),
+    "seed": ("seed", _as_int(0), "random seed (centers and initial points)", None),
+    "out": ("output_dir", _as_path, f"output directory (default ${OUTPUT_DIR_ENV} or ./results)", None),
+    "repeat": ("repeat", _as_int(1), "number of random initial points", None),
+    "max-iter": ("max_iter", _as_int(1), "iteration cap", None),
+    "tol": ("tol", _as_float(lambda v: v > 0, "must be positive"), "stopping tolerance", None),
+    "grid": ("grid", _as_int(2), "grid nodes for the sfp experiment", "sfp"),
+    "eta": ("eta", _as_float(lambda v: v >= 3, "must be >= 3"), "inertia cap shape parameter", None),
+    "lambda": ("lam", _as_float(lambda v: 0 < v < 2, "must lie in (0, 2)"), "sfp step", "sfp"),
+    "xi-coeff": ("xi_coeff", _as_float(lambda v: v > 0, "must be positive"), "c in xi_n = c/(n+1)^2", None),
+    "psi-coeff": ("psi_coeff", _as_float(lambda v: 0 < v < 1, "must lie in (0, 1)"), "c in psi_n = c/(n+1)^2", None),
+    "delta-mode": ("delta_mode", _as_choice(DELTA_MODES), "inertia rule", None),
+    "delta-value": ("delta_value", _as_float(lambda v: v >= 0, "must be nonnegative"), "constant delta", None),
+    "sfp-projection": ("sfp_projection", _as_choice(PROJECTION_MODES), "sfp half-space projection", "sfp"),
+    "anchors-csv": ("anchors_csv", _as_path, "weber anchors CSV, weight in the last column", "weber"),
+    "dim": ("dim", _as_int(1), "cfp space dimension", "cfp"),
+    "balls": ("balls", _as_int(2), "cfp inner ball count", "cfp"),
 }
-
-def _unchanged(value):
-    return value
-
-
-# experiment -> {CliConfig field: (builder keyword, conversion)}
-BUILD_ARGS = {
-    "sfp": {
-        "grid": ("grid_points", _unchanged),
-        "lam": ("lam", _unchanged),
-        "sfp_projection": ("mode", _unchanged),
-    },
-    "cfp": {
-        "dim": ("dim", _unchanged),
-        "balls": ("num_balls", _unchanged),
-        "seed": ("seed", _unchanged),
-    },
-    "weber": {"anchors_csv": ("anchors", AnchorSet.from_csv)},
-}
-
-# seed also draws the initial points of every experiment, so it is the one
-# builder argument that no experiment rejects
-_SCOPED_FIELDS = {field for args in BUILD_ARGS.values() for field in args} - {"seed"}
 
 
 def _build_cli_config(raw: dict) -> CliConfig:
@@ -193,12 +175,12 @@ def _build_cli_config(raw: dict) -> CliConfig:
         raise ConfigError("config key 'experiment' is required (sfp, cfp or weber)")
     values = {
         field: parse(key, raw[key])
-        for key, (field, parse, _) in KEYS.items()
+        for key, (field, parse, _, _) in KEYS.items()
         if raw.get(key) is not None
     }
     experiment = values["experiment"]
-    for key, (field, _, _) in KEYS.items():
-        if field in values and field in _SCOPED_FIELDS and field not in BUILD_ARGS[experiment]:
+    for key, (field, _, _, scope) in KEYS.items():
+        if field in values and scope not in (None, experiment):
             _fail(key, f"does not apply to experiment {experiment!r}")
     values.setdefault("algorithms", DEFAULT_ALGORITHMS[experiment])
     values.setdefault("output_dir", Path(os.environ.get(OUTPUT_DIR_ENV, "results")))
@@ -230,7 +212,7 @@ def _power_law(coeff: float):
 
 
 def _given(**updates) -> dict:
-    """The updates that were set, for a filtered ``replace``."""
+    """The keyword arguments that were set, for a filtered ``replace`` or builder call."""
     return {name: value for name, value in updates.items() if value is not None}
 
 
@@ -248,12 +230,12 @@ def _apply_schedule_overrides(sched: Schedules, cfg: CliConfig) -> Schedules:
 
 
 def _build_spec(cfg: CliConfig) -> ExperimentSpec:
-    kwargs = {}
-    for field, (keyword, convert) in BUILD_ARGS[cfg.experiment].items():
-        value = getattr(cfg, field)
-        if value is not None:
-            kwargs[keyword] = convert(value)
-    return build_experiment(cfg.experiment, **kwargs)
+    if cfg.experiment == "sfp":
+        return build_sfp(**_given(grid_points=cfg.grid, lam=cfg.lam, mode=cfg.sfp_projection))
+    if cfg.experiment == "cfp":
+        return build_cfp(**_given(dim=cfg.dim, num_balls=cfg.balls, seed=cfg.seed))
+    anchors = None if cfg.anchors_csv is None else AnchorSet.from_csv(cfg.anchors_csv)
+    return build_weber(**_given(anchors=anchors))
 
 
 def _run_with_retry(algorithm, operator, run_config, x0, perturb_rng, retries=3):
@@ -350,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fixed-point iteration benchmark suites (sfp, cfp, weber).",
     )
     parser.add_argument("--config", type=Path, help="flat YAML configuration file")
-    for key, (_, _, help_text) in KEYS.items():
+    for key, (_, _, help_text, _) in KEYS.items():
         flag = "--algo" if key == "algorithms" else f"--{key}"
         parser.add_argument(flag, dest=key, help=help_text)
     return parser

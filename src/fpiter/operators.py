@@ -138,23 +138,24 @@ class BallSet:
 class AnchorSet:
     """Weighted anchor points for the Weiszfeld map.
 
-    ``anchors`` has one point per row; ``weights`` are strictly positive.
+    ``anchors`` has one finite point per row; ``weights`` are finite and
+    strictly positive. Both arrays are copied and made read-only.
     """
 
     anchors: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        anchors = np.asarray(self.anchors, dtype=np.float64)
+        anchors = np.array(self.anchors, dtype=np.float64)
         if anchors.ndim != 2 or anchors.shape[0] < 1:
             raise ValueError("anchors must be a nonempty (m, dim) array")
         if not np.isfinite(anchors).all():
             raise ValueError("anchors must be finite")
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
         if weights.shape != (anchors.shape[0],):
             raise ValueError("need exactly one weight per anchor")
-        if not (weights > 0).all():
-            raise ValueError("anchor weights must be strictly positive")
+        if not (np.isfinite(weights) & (weights > 0)).all():
+            raise ValueError("anchor weights must be finite and strictly positive")
         anchors.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "anchors", anchors)

@@ -35,7 +35,6 @@ __all__ = [
     "InertiaDecayReport",
     "check_inertia_decay",
     "default_psi",
-    "default_nu",
     "default_xi",
     "inverse_linear",
 ]
@@ -47,16 +46,12 @@ def default_psi(n: int) -> float:
     return 1.0 / (100.0 * (n + 1) ** 2)
 
 
-def default_nu(n: int) -> float:
-    return 1.0 / (n + 1)
-
-
 def default_xi(n: int) -> float:
     return 10.0 / (n + 1) ** 2
 
 
 def inverse_linear(n: int) -> float:
-    """1/(n+1); the averaging weight used by the CQ and inertial Mann baselines."""
+    """1/(n+1): the default ``nu`` and the CQ and inertial Mann baselines' ``psi``."""
     return 1.0 / (n + 1)
 
 
@@ -71,7 +66,7 @@ class Schedules:
     """
 
     psi: Callable[[int], float] = default_psi
-    nu: Callable[[int], float] = default_nu
+    nu: Callable[[int], float] = inverse_linear
     xi: Callable[[int], float] = default_xi
     eta: float = 4.0
     delta_mode: str = "adaptive"
@@ -82,8 +77,8 @@ class Schedules:
             raise ValueError(f"eta must be >= 3, got {self.eta}")
         if self.delta_mode not in DELTA_MODES:
             raise ValueError(f"delta_mode must be one of {DELTA_MODES}, got {self.delta_mode!r}")
-        if not self.delta_value >= 0.0:
-            raise ValueError(f"delta_value must be nonnegative, got {self.delta_value}")
+        if not 0.0 <= self.delta_value < math.inf:
+            raise ValueError(f"delta_value must be finite and nonnegative, got {self.delta_value}")
 
     def psi_at(self, n: int) -> float:
         return self.psi(n)

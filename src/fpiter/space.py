@@ -16,9 +16,8 @@ vector starts, and arrays a caller passes in are never copied to align them.
 
 Spaces are immutable after construction and every public method is a pure
 function of its arguments, so instances can be shared freely across threads.
-A :class:`PeriodicGridSpace` also lends each thread two scratch vectors
-(see :meth:`PeriodicGridSpace._scratch`); they hold no state between
-calls.
+Every space also lends each thread two scratch vectors (see
+:meth:`InnerProductSpace._scratch`); they hold no state between calls.
 """
 
 from __future__ import annotations
@@ -46,8 +45,15 @@ def _aligned_empty(size: int) -> np.ndarray:
 class InnerProductSpace:
     """Weighted inner product ``<x, y> = sum_i w_i x_i y_i`` on ``size`` coordinates.
 
-    The weights are copied into aligned, read-only storage; the caller's
-    array is left as it was.
+    The weights must be finite and positive; they are copied into aligned,
+    read-only storage and the caller's array is left as it was.
+
+    Each thread gets two scratch vectors, made on its first use and held in
+    a ``threading.local``: :meth:`_inner` forms the weighted product ``w * x``
+    in the second, and callers such as the sfp residual metric may use the
+    first (:meth:`_scratch`). They hold nothing between calls, so the space
+    stays shareable across threads, and a wide space does not allocate (and
+    page-fault in) a fresh product on every inner product.
     """
 
     def __init__(self, size: int, weights: np.ndarray):
@@ -55,13 +61,14 @@ class InnerProductSpace:
         if size < 1:
             raise ValueError(f"space needs at least one coordinate, got {size}")
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (size,) or not (weights > 0).all():
-            raise ValueError("weights must be positive and match the coordinate count")
+        if weights.shape != (size,) or not (np.isfinite(weights) & (weights > 0)).all():
+            raise ValueError("weights must be finite, positive and match the coordinate count")
         stored = _aligned_empty(size)
         stored[:] = weights
         stored.setflags(write=False)
         self.size = size
         self.weights = stored
+        self._local = threading.local()
 
     def check(self, x) -> np.ndarray:
         """Validate that ``x`` belongs to this space and return it as float64.
@@ -93,10 +100,23 @@ class InnerProductSpace:
     # iteration engines use them inside a run, where every array is checked
     # once where it enters (start point, operator and contraction outputs).
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.dot(self.weights * x, y))
+        return float(np.dot(np.multiply(self.weights, x, self._scratch()[1]), y))
 
     def _norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self._inner(x, x), 0.0))
+
+    def _scratch(self):
+        """This thread's two scratch vectors; their contents are undefined.
+
+        :meth:`_inner` writes its product into the second, so a caller may
+        hold only the first across a call to it.
+        """
+        try:
+            return self._local.buffers
+        except AttributeError:
+            buffers = (_aligned_empty(self.size), _aligned_empty(self.size))
+            self._local.buffers = buffers
+            return buffers
 
     def zeros(self) -> np.ndarray:
         z = _aligned_empty(self.size)
@@ -112,7 +132,7 @@ class EuclideanSpace(InnerProductSpace):
 
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
         # the weights are all 1.0 and 1.0 * v is exact, so the plain dot
-        # product gives the base class's bits without the array multiply
+        # product gives the base class's bits without the multiply or scratch
         return float(np.dot(x, y))
 
     def __repr__(self):
@@ -131,22 +151,16 @@ class PeriodicGridSpace(InnerProductSpace):
 
     ``sin_nodes`` holds ``sin`` sampled at the nodes, computed once: it is
     the center of the ball constraint of the feasibility benchmark, which
-    the projections and the residual metric read on every call.
-
-    Each thread gets two scratch vectors, made on its first use and held in
-    a ``threading.local``: :meth:`_inner` forms the weighted product ``w * x``
-    in the second, and the residual metric forms ``x - sin`` in the first
-    (:meth:`_scratch`). They hold nothing between calls, so the space stays
-    shareable across threads, and a wide grid does not allocate (and
-    page-fault in) fresh temporaries on every iteration.
+    the projections and the residual metric read on every call. The
+    residual metric forms ``x - sin`` in the first scratch vector.
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
         num_points = int(num_points)
         if num_points < 2:
             raise ValueError(f"grid needs at least two nodes, got {num_points}")
-        if not interval_end > 0:
-            raise ValueError(f"interval end must be positive, got {interval_end}")
+        if not 0 < interval_end < math.inf:
+            raise ValueError(f"interval end must be finite and positive, got {interval_end}")
         h = interval_end / (num_points - 1)
         weights = np.full(num_points, h)
         weights[0] = weights[-1] = h / 2.0
@@ -157,7 +171,6 @@ class PeriodicGridSpace(InnerProductSpace):
         self.nodes.setflags(write=False)
         self.sin_nodes = np.sin(self.nodes, out=_aligned_empty(num_points))
         self.sin_nodes.setflags(write=False)
-        self._local = threading.local()
 
     def integrate(self, x) -> float:
         """Quadrature of ``x`` over [0, interval_end]."""
@@ -166,23 +179,6 @@ class PeriodicGridSpace(InnerProductSpace):
     def _integrate(self, x: np.ndarray) -> float:
         # unchecked form, like ``_inner``
         return float(np.dot(self.weights, x))
-
-    def _scratch(self):
-        """This thread's two scratch vectors; their contents are undefined.
-
-        :meth:`_inner` writes its product into the second, so a caller may
-        hold only the first across a call to it.
-        """
-        try:
-            return self._local.buffers
-        except AttributeError:
-            buffers = (_aligned_empty(self.size), _aligned_empty(self.size))
-            self._local.buffers = buffers
-            return buffers
-
-    def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        # the base class's product and dot, with the product in scratch
-        return float(np.dot(np.multiply(self.weights, x, self._scratch()[1]), y))
 
     def from_function(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Sample ``f`` at the grid nodes, into a fresh aligned vector."""

@@ -6,14 +6,64 @@ import numpy as np
 import pytest
 
 from fpiter.algorithms import IterationTrace, TerminalReason, run
-from fpiter.cli import KEYS, CliConfig, ConfigError, _write_trace, main, parse_config, run_suite
-from fpiter.experiments import build_experiment
+from fpiter.cli import (
+    KEYS,
+    CliConfig,
+    ConfigError,
+    _run_with_retry,
+    _write_trace,
+    main,
+    parse_config,
+    run_suite,
+)
+from fpiter.experiments import EXPERIMENTS, build_experiment
+from fpiter.operators import Operator, SingularityError
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = [line for line in fh if not line.startswith("#")]
     return list(csv.DictReader(rows))
+
+
+# config key -> (experiment, value text); a key that one experiment's builder
+# takes is set for that experiment
+KEY_SAMPLES = {
+    "experiment": ("weber", "cfp"),
+    "algorithms": ("weber", "mimva,cq"),
+    "seed": ("weber", "5"),
+    "out": ("weber", "runs/a"),
+    "repeat": ("weber", "3"),
+    "max-iter": ("weber", "25"),
+    "tol": ("weber", "1e-5"),
+    "grid": ("sfp", "64"),
+    "eta": ("weber", "4.5"),
+    "lambda": ("sfp", "1.5"),
+    "xi-coeff": ("weber", "2.5"),
+    "psi-coeff": ("weber", "0.25"),
+    "delta-mode": ("weber", "constant"),
+    "delta-value": ("weber", "0.5"),
+    "sfp-projection": ("sfp", "exact"),
+    "anchors-csv": ("weber", "anchors.csv"),
+    "dim": ("cfp", "8"),
+    "balls": ("cfp", "6"),
+}
+
+
+# the keys that only one experiment's builder takes, each set for an experiment
+# whose builder does not
+FOREIGN_KEYS = [
+    (other, key)
+    for key, (_, _, _, scope) in KEYS.items()
+    if scope is not None
+    for other in EXPERIMENTS
+    if other != scope
+]
+
+FLOAT_KEYS = [
+    key for key, (field, *_) in KEYS.items()
+    if CliConfig.__dataclass_fields__[field].type == "Optional[float]"
+]
 
 
 class TestParseConfig:
@@ -77,18 +127,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sfp-projection"):
             parse_config("experiment: sfp\nsfp-projection: verbatim\n")
 
-    @pytest.mark.parametrize(
-        "experiment, key, value",
-        [
-            ("weber", "grid", "64"),
-            ("weber", "balls", "9"),
-            ("weber", "lambda", "1.5"),
-            ("cfp", "sfp-projection", "exact"),
-            ("cfp", "anchors-csv", "anchors.csv"),
-            ("sfp", "dim", "8"),
-        ],
-    )
-    def test_key_of_another_experiment_rejected(self, experiment, key, value):
+    def test_scoped_keys_are_the_builder_keys(self):
+        assert len(FOREIGN_KEYS) == 12
+        assert {key for _, key in FOREIGN_KEYS} == {
+            "grid", "lambda", "sfp-projection", "dim", "balls", "anchors-csv"
+        }
+
+    @pytest.mark.parametrize("experiment, key", FOREIGN_KEYS)
+    def test_key_of_another_experiment_rejected(self, experiment, key):
+        value = KEY_SAMPLES[key][1]
         with pytest.raises(ConfigError, match=f"'{key}'.*'{experiment}'"):
             parse_config(f"experiment: {experiment}\n{key}: {value}\n")
 
@@ -101,6 +148,12 @@ class TestParseConfig:
     def test_nan_delta_value_rejected(self):
         with pytest.raises(ConfigError, match="delta-value"):
             parse_config("experiment: weber\ndelta-mode: constant\ndelta-value: .nan\n")
+        assert len(FLOAT_KEYS) == 6
+        for key in FLOAT_KEYS:
+            experiment = KEYS[key][3] or "weber"
+            for value in (".inf", "-.inf", ".nan"):
+                with pytest.raises(ConfigError, match=f"'{key}'"):
+                    parse_config(f"experiment: {experiment}\n{key}: {value}\n")
 
     def test_seed_applies_to_every_experiment(self):
         for experiment in ("sfp", "cfp", "weber"):
@@ -356,28 +409,62 @@ class TestRunSuite:
         assert (tmp_path / "out" / "weber_summary.csv").exists()
 
 
-# config key -> (experiment, value text); a key that one experiment's builder
-# takes is set for that experiment
-KEY_SAMPLES = {
-    "experiment": ("weber", "cfp"),
-    "algorithms": ("weber", "mimva,cq"),
-    "seed": ("weber", "5"),
-    "out": ("weber", "runs/a"),
-    "repeat": ("weber", "3"),
-    "max-iter": ("weber", "25"),
-    "tol": ("weber", "1e-5"),
-    "grid": ("sfp", "64"),
-    "eta": ("weber", "4.5"),
-    "lambda": ("sfp", "1.5"),
-    "xi-coeff": ("weber", "2.5"),
-    "psi-coeff": ("weber", "0.25"),
-    "delta-mode": ("weber", "constant"),
-    "delta-value": ("weber", "0.5"),
-    "sfp-projection": ("sfp", "exact"),
-    "anchors-csv": ("weber", "anchors.csv"),
-    "dim": ("cfp", "8"),
-    "balls": ("cfp", "6"),
-}
+def always_singular(space):
+    calls = []
+
+    def raise_singularity(x):
+        calls.append(1)
+        raise SingularityError("always undefined")
+
+    return Operator(space, raise_singularity, name="singular"), calls
+
+
+class TestSingularityRetry:
+    def test_start_on_an_anchor_retries_once_and_finishes(self, caplog):
+        spec = build_experiment("weber")
+        config = replace(spec.defaults, max_iterations=50)
+        corner = spec.details["anchors"].anchors[0]
+        assert run("mimva", spec.operator, config, corner).terminal_reason is (
+            TerminalReason.SINGULARITY
+        )
+        trace = _run_with_retry(
+            "mimva", spec.operator, config, corner, np.random.default_rng(0)
+        )
+        assert trace.terminal_reason is not TerminalReason.SINGULARITY
+        assert trace.iterations >= 1
+        assert caplog.messages == [
+            "mimva hit an operator singularity; retry 1 from a perturbed start"
+        ]
+
+    def test_operator_that_always_raises_gives_up_after_three_retries(self, caplog):
+        spec = build_experiment("weber")
+        operator, calls = always_singular(spec.space)
+        trace = _run_with_retry(
+            "mimva", operator, spec.defaults, np.ones(3), np.random.default_rng(0)
+        )
+        assert trace.terminal_reason is TerminalReason.SINGULARITY
+        assert len(calls) == 1 + 3
+        assert [m.split("; ")[1] for m in caplog.messages] == [
+            f"retry {k} from a perturbed start" for k in (1, 2, 3)
+        ]
+
+    def test_suite_with_a_singular_run_exits_1(self, tmp_path, monkeypatch):
+        import fpiter.cli as cli
+
+        def singular_weber(**kwargs):
+            spec = build_experiment("weber", **kwargs)
+            return replace(spec, operator=always_singular(spec.space)[0])
+
+        monkeypatch.setattr(cli, "build_weber", singular_weber)
+        cfg = CliConfig(
+            experiment="weber", algorithms=("mimha",), seed=1, output_dir=tmp_path
+        )
+        assert run_suite(cfg) == 1
+        rows = read_csv(tmp_path / "weber_summary.csv")
+        assert [(r["algorithm"], r["terminal_reason"]) for r in rows] == [
+            ("mimha", "singularity")
+        ]
+        assert len(read_csv(tmp_path / "weber_mimha_rand0.csv")) == 1
 
 
 class TestMain:

@@ -744,6 +744,30 @@ class TestAnchorSet:
         with pytest.raises(ValueError):
             AnchorSet(np.zeros((2, 2)), np.array([1.0]))
 
+    def test_arrays_are_read_only_copies(self):
+        points = np.zeros((2, 2))
+        weights = np.ones(2)
+        anchors = AnchorSet(points, weights)
+        assert points.flags.writeable and weights.flags.writeable
+        assert not np.shares_memory(anchors.anchors, points)
+        assert not np.shares_memory(anchors.weights, weights)
+        with pytest.raises(ValueError):
+            anchors.anchors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            anchors.weights[0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            AnchorSet(np.zeros((2, 2)), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        points = np.zeros((2, 2))
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="anchors must be finite"):
+            AnchorSet(points, np.ones(2))
+
     def test_from_csv_with_header(self, tmp_path):
         path = tmp_path / "anchors.csv"
         path.write_text("x,y,w\n0,0,1\n2,0,1\n")

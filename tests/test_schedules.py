@@ -4,9 +4,9 @@ import pytest
 from fpiter.schedules import (
     Schedules,
     check_inertia_decay,
-    default_nu,
     default_psi,
     default_xi,
+    inverse_linear,
 )
 
 
@@ -17,9 +17,9 @@ class TestDefaultSequences:
         assert default_psi(9) == pytest.approx(1e-4)
 
     def test_nu_values(self):
-        assert default_nu(0) == 1.0
-        assert default_nu(1) == 0.5
-        assert default_nu(99) == 0.01
+        assert inverse_linear(0) == 1.0
+        assert inverse_linear(1) == 0.5
+        assert inverse_linear(99) == 0.01
 
     def test_xi_values(self):
         assert default_xi(0) == 10.0
@@ -30,11 +30,11 @@ class TestDefaultSequences:
         assert sched.nu_at(0) == 1.0
         for n in (0, 1, 7, 250):
             assert sched.psi_at(n) == default_psi(n)
-            assert sched.nu_at(n) == default_nu(n)
+            assert sched.nu_at(n) == inverse_linear(n)
             assert sched.xi_at(n) == default_xi(n)
 
     def test_xi_over_nu_vanishes(self):
-        ratios = [default_xi(n) / default_nu(n) for n in range(200)]
+        ratios = [default_xi(n) / inverse_linear(n) for n in range(200)]
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 0.06
 
@@ -108,6 +108,8 @@ class TestDeltaModes:
             Schedules(delta_mode="constant", delta_value=-0.1)
         with pytest.raises(ValueError, match="delta_value"):
             Schedules(delta_mode="constant", delta_value=float("nan"))
+        with pytest.raises(ValueError, match="delta_value"):
+            Schedules(delta_mode="constant", delta_value=float("inf"))
 
 
 class TestInertiaDecayDiagnostic:

@@ -96,6 +96,11 @@ class TestPeriodicGrid:
         with pytest.raises(ValueError):
             PeriodicGridSpace(1)
 
+    @pytest.mark.parametrize("end", [0.0, -1.0, math.inf, math.nan])
+    def test_interval_end_must_be_finite_and_positive(self, end):
+        with pytest.raises(ValueError, match="interval end"):
+            PeriodicGridSpace(8, end)
+
 
 class TestCombine:
     def test_endpoints(self):
@@ -155,3 +160,10 @@ def test_weights_are_copied_and_the_callers_array_left_writeable():
     assert not np.shares_memory(space.weights, weights)
     weights[0] = 7.0
     assert space.inner([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_weights_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        InnerProductSpace(2, [1.0, bad])
+

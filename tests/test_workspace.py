@@ -25,7 +25,7 @@ import fpiter
 from fpiter.algorithms import ALGORITHMS, mann_step, mimha_step, mimva_step, run
 from fpiter.experiments import build_cfp, build_sfp
 from fpiter.operators import Operator, sfp_operator
-from fpiter.space import EuclideanSpace, PeriodicGridSpace, _aligned_empty
+from fpiter.space import EuclideanSpace, InnerProductSpace, PeriodicGridSpace, _aligned_empty
 
 SFP_ENGINES = ("mmha", "mimha", "mmva", "mimva")
 
@@ -212,6 +212,7 @@ def test_vectors_the_package_creates_start_on_a_cache_line():
     spec = build_sfp(1001)
     space = spec.space
     point = space.from_function(np.cos)
+    weighted = InnerProductSpace(7, np.arange(1.0, 8.0))
     with ThreadPoolExecutor(max_workers=1) as pool:
         other_thread = pool.submit(space._scratch).result(timeout=60)
     vectors = {
@@ -222,6 +223,8 @@ def test_vectors_the_package_creates_start_on_a_cache_line():
         "scratch 1": space._scratch()[1],
         "other thread's scratch 0": other_thread[0],
         "other thread's scratch 1": other_thread[1],
+        "weighted space's scratch 0": weighted._scratch()[0],
+        "weighted space's scratch 1": weighted._scratch()[1],
         "grid zeros": space.zeros(),
         "euclidean zeros": EuclideanSpace(7).zeros(),
         "from_function": point,
