@@ -273,7 +273,10 @@ def run(
     ``x_init_prev`` defaults to ``x_init`` (no momentum on the first step
     either way, since the inertia cap is zero at n = 0). ``anchor`` and
     ``contraction`` default to ``config.anchor_scale * x_init`` and
-    ``x -> config.contraction_rho * x``. A :class:`SingularityError` raised
+    ``x -> config.contraction_rho * x``. The blend term ``v(x_n)`` is chosen
+    once, before the loop, and the loop blends it in one place: the anchor
+    engines use the constant map ``p -> u`` (Halpern's iteration is the
+    viscosity iteration with ``f = u``) and the contraction engines ``f``. A :class:`SingularityError` raised
     by the operator ends the run with the corresponding terminal reason
     instead of propagating. Arrays are validated once, where they enter the
     iteration: the inputs on entry, and every operator and contraction
@@ -312,11 +315,15 @@ def run(
     def vector():
         return _aligned_empty(space.size)
 
-    if blend == "anchor" and u is None:
-        u = np.multiply(config.anchor_scale, x, vector())
-    if blend == "contraction" and contraction is None:
-        rho, f_buf = config.contraction_rho, vector()
-        contraction = lambda p: np.multiply(rho, p, f_buf)  # noqa: E731
+    if blend == "anchor":
+        if u is None:
+            u = np.multiply(config.anchor_scale, x, vector())
+        v = lambda p: u  # noqa: E731
+    elif blend == "contraction":
+        if contraction is None:
+            rho, f_buf = config.contraction_rho, vector()
+            contraction = lambda p: np.multiply(rho, p, f_buf)  # noqa: E731
+        v = lambda p: space.check(contraction(p))  # noqa: E731
     slots = (vector(), vector(), vector())
     scratch = vector()
     w_buf = vector() if inertial or cq else None
@@ -353,11 +360,8 @@ def run(
                 out = slots[n % 3]
                 w = _extrapolate(x, x_prev, delta, diff, w_buf) if inertial else x
                 x_next = _averaged(space, T, w, psi_n, out, scratch)
-                if blend == "anchor":
-                    x_next = _blend(sched.nu_at(n), u, x_next, out, scratch)
-                elif blend == "contraction":
-                    f_x = space.check(contraction(x))
-                    x_next = _blend(sched.nu_at(n), f_x, x_next, out, scratch)
+                if blend:
+                    x_next = _blend(sched.nu_at(n), v(x), x_next, out, scratch)
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break

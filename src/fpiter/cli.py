@@ -19,7 +19,6 @@ variable, falling back to ``./results``.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import math
 import os
@@ -291,8 +290,7 @@ def run_suite(cfg: CliConfig) -> int:
     summary_path = cfg.output_dir / f"{cfg.experiment}_summary.csv"
     ok = True
     with open(summary_path, "w", newline="") as summary:
-        writer = csv.writer(summary)
-        writer.writerow(["algorithm", "case", "iterations", "time_s", "terminal_reason", "seed"])
+        summary.write("algorithm,case,iterations,time_s,terminal_reason,seed\r\n")
         for algo_index, algorithm in enumerate(cfg.algorithms):
             schedules = _apply_schedule_overrides(spec.schedules_for(algorithm), cfg)
             algo_config = replace(run_config, schedules=schedules)
@@ -303,15 +301,9 @@ def run_suite(cfg: CliConfig) -> int:
                 _write_trace(trace_path, trace)
                 reason = trace.terminal_reason
                 ok = ok and reason is not TerminalReason.SINGULARITY
-                writer.writerow(
-                    [
-                        algorithm,
-                        case,
-                        trace.iterations,
-                        _format(trace.elapsed[-1]),
-                        reason.value,
-                        cfg.seed,
-                    ]
+                summary.write(
+                    f"{algorithm},{case},{trace.iterations},"
+                    f"{_format(trace.elapsed[-1])},{reason.value},{cfg.seed}\r\n"
                 )
                 summary.flush()
                 log.info(

@@ -72,9 +72,6 @@ __all__ = [
     "fermat_weber_point",
 ]
 
-EXPERIMENTS = ("sfp", "cfp", "weber")
-
-
 def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     """Half the squared residuals of both feasibility constraints.
 
@@ -279,47 +276,41 @@ _CUBE_CORNERS = np.array(
 ).T
 
 
-def fermat_weber_point(
-    space: InnerProductSpace,
-    anchors: AnchorSet,
-    tol: float = 1e-12,
-    max_iter: int = 20000,
-) -> np.ndarray:
+def fermat_weber_point(space: InnerProductSpace, anchors: AnchorSet) -> np.ndarray:
     """Weighted-median reference solution by plain fixed-point iteration.
 
     Starts from the weighted mean of the anchors and iterates the Weiszfeld
-    map until the step is below ``tol``. If the iteration runs into an
-    anchor the optimum is (numerically) that anchor and it is returned.
+    map until the step is at most 1e-12, for at most 20,000 steps. If the
+    iteration runs into an anchor the optimum is (numerically) that anchor
+    and it is returned.
     """
     weights = anchors.weights / anchors.weights.sum()
     x = weights @ anchors.anchors
-    for _ in range(max_iter):
+    for _ in range(20000):
         try:
             x_next = weiszfeld_map(space, anchors, x)
         except SingularityError:
             return x
-        if space.norm(x_next - x) <= tol:
+        if space.norm(x_next - x) <= 1e-12:
             return x_next
         x = x_next
     return x
 
 
-def build_weber(anchors: Optional[AnchorSet] = None, target=None) -> ExperimentSpec:
+def build_weber(anchors: Optional[AnchorSet] = None) -> ExperimentSpec:
     """Facility-location benchmark driven by the Weiszfeld map.
 
     Defaults to the 8 unit-weight anchors at the corners of [0, 10]^3,
     whose symmetry puts the optimum at (5, 5, 5). For a custom anchor set
-    the reference optimum is computed by :func:`fermat_weber_point` unless
-    ``target`` is given explicitly.
+    the reference optimum is computed by :func:`fermat_weber_point`.
     """
     if anchors is None:
         anchors = AnchorSet(anchors=_CUBE_CORNERS, weights=np.ones(8))
-        if target is None:
-            target = np.array([5.0, 5.0, 5.0])
-    space = EuclideanSpace(anchors.anchors.shape[1])
-    if target is None:
+        space = EuclideanSpace(3)
+        target = np.array([5.0, 5.0, 5.0])
+    else:
+        space = EuclideanSpace(anchors.anchors.shape[1])
         target = fermat_weber_point(space, anchors)
-    target = space.check(target)
     operator = Operator(
         space, lambda x: weiszfeld_map(space, anchors, x), name="weiszfeld"
     )
@@ -343,11 +334,14 @@ def build_weber(anchors: Optional[AnchorSet] = None, target=None) -> ExperimentS
     )
 
 
+_BUILDERS = {"sfp": build_sfp, "cfp": build_cfp, "weber": build_weber}
+EXPERIMENTS = tuple(_BUILDERS)
+
+
 def build_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
     """Dispatch to the builder for ``experiment_id`` with keyword overrides."""
-    builders = {"sfp": build_sfp, "cfp": build_cfp, "weber": build_weber}
-    if experiment_id not in builders:
+    if experiment_id not in _BUILDERS:
         raise ValueError(
             f"unknown experiment {experiment_id!r}, expected one of {EXPERIMENTS}"
         )
-    return builders[experiment_id](**overrides)
+    return _BUILDERS[experiment_id](**overrides)
