@@ -274,11 +274,11 @@ def run(
     either way, since the inertia cap is zero at n = 0). ``anchor`` and
     ``contraction`` default to ``config.anchor_scale * x_init`` and
     ``x -> config.contraction_rho * x``. The blend term ``v(x_n)`` is chosen
-    once, before the loop, and the loop blends it in one place: the anchor
-    engines use the constant map ``p -> u`` (Halpern's iteration is the
-    viscosity iteration with ``f = u``) and the contraction engines ``f``. A :class:`SingularityError` raised
-    by the operator ends the run with the corresponding terminal reason
-    instead of propagating. Arrays are validated once, where they enter the
+    once, before the loop: the anchor engines blend with the constant map
+    ``p -> u`` (Halpern's iteration is the viscosity iteration with
+    ``f = u``), the contraction engines with ``f``. A
+    :class:`SingularityError` raised by the operator ends the run with the
+    corresponding terminal reason instead of propagating. Arrays are validated once, where they enter the
     iteration: the inputs on entry, and every operator and contraction
     output, so a non-finite value there raises ``ValueError``.
 

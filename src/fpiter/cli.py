@@ -4,14 +4,15 @@ A suite is one experiment run for a list of algorithms over that
 experiment's initial cases. Every (algorithm, case) pair yields one trace
 CSV with columns ``n, E_n, delta_n, elapsed_s``; the suite writes one
 summary CSV mirroring a results-table layout (algorithm, case, iterations,
-time_s, terminal_reason, seed). All numeric CSV fields are written with
-shortest round-trip float formatting, so they parse back bit-exact; the
-elapsed-time columns are the only nondeterministic content.
+time_s, terminal_reason, seed). Both use one row format: fields joined by
+hand, rows ending in ``\r\n`` (the bytes of ``csv.writer``, as no field
+needs quoting), floats in shortest round-trip form, so they parse back
+bit-exact; the elapsed-time columns are the only nondeterministic content.
 
 Configuration is a flat YAML mapping whose keys are listed in ``KEYS``.
 Every key is also a ``--<key>`` flag (``--algo`` for ``algorithms``), and
-flags override file values. A key that only one experiment's builder takes
-(the last column of ``KEYS``) is rejected for the other experiments. The
+flags override file values. A key whose ``KEYS`` row names a tuple of
+experiments (``repeat``: cfp and weber) is rejected for the others. The
 default output directory comes from the ``FPITER_OUT`` environment
 variable, falling back to ``./results``.
 """
@@ -28,7 +29,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import yaml
 
 from .algorithms import ALGORITHMS, IterationTrace, TerminalReason, run
 from .experiments import EXPERIMENTS, ExperimentSpec, build_cfp, build_sfp, build_weber
@@ -86,7 +86,7 @@ def _as_int(minimum):
             out = int(value)
         except (TypeError, ValueError, OverflowError):
             _fail(key, f"expected an integer, got {value!r}")
-        if isinstance(value, float) and value != out:
+        if isinstance(value, bool) or isinstance(value, float) and value != out:
             _fail(key, f"expected an integer, got {value!r}")
         if out < minimum:
             _fail(key, f"must be >= {minimum}, got {out}")
@@ -101,8 +101,8 @@ def _as_float(accept, rule):
             out = float(value)
         except (TypeError, ValueError):
             _fail(key, f"expected a number, got {value!r}")
-        if not math.isfinite(out):
-            _fail(key, f"expected a finite number, got {out}")
+        if isinstance(value, bool) or not math.isfinite(out):
+            _fail(key, f"expected a finite number, got {value!r}")
         if not accept(out):
             _fail(key, f"{rule}, got {out}")
         return out
@@ -139,30 +139,30 @@ def _as_algorithms(key, value):
     return tuple(names)
 
 
-# key -> (CliConfig field, parser, flag help, experiment); values arrive from
+# key -> (CliConfig field, parser, flag help, experiments); values arrive from
 # YAML or flags. The range checks repeat some library checks on purpose: they
-# reject outside input by its key name before anything is built. experiment
-# is the one experiment whose builder takes the key, or None; seed is None
-# because it draws every experiment's initial points (it also seeds cfp's centers).
+# reject outside input by its key name before anything is built. experiments
+# is the tuple of experiments the key applies to (repeat: those with sampled
+# starts), or None for all; seed draws every experiment's initial points.
 KEYS = {
     "experiment": ("experiment", _as_choice(EXPERIMENTS), "experiment id", None),
     "algorithms": ("algorithms", _as_algorithms, "comma-separated algorithm names", None),
     "seed": ("seed", _as_int(0), "random seed (centers and initial points)", None),
     "out": ("output_dir", _as_path, f"output directory (default ${OUTPUT_DIR_ENV} or ./results)", None),
-    "repeat": ("repeat", _as_int(1), "number of random initial points", None),
+    "repeat": ("repeat", _as_int(1), "number of random initial points", ("cfp", "weber")),
     "max-iter": ("max_iter", _as_int(1), "iteration cap", None),
     "tol": ("tol", _as_float(lambda v: v > 0, "must be positive"), "stopping tolerance", None),
-    "grid": ("grid", _as_int(2), "grid nodes for the sfp experiment", "sfp"),
+    "grid": ("grid", _as_int(2), "grid nodes for the sfp experiment", ("sfp",)),
     "eta": ("eta", _as_float(lambda v: v >= 3, "must be >= 3"), "inertia cap shape parameter", None),
-    "lambda": ("lam", _as_float(lambda v: 0 < v < 2, "must lie in (0, 2)"), "sfp step", "sfp"),
+    "lambda": ("lam", _as_float(lambda v: 0 < v < 2, "must lie in (0, 2)"), "sfp step", ("sfp",)),
     "xi-coeff": ("xi_coeff", _as_float(lambda v: v > 0, "must be positive"), "c in xi_n = c/(n+1)^2", None),
     "psi-coeff": ("psi_coeff", _as_float(lambda v: 0 < v < 1, "must lie in (0, 1)"), "c in psi_n = c/(n+1)^2", None),
     "delta-mode": ("delta_mode", _as_choice(DELTA_MODES), "inertia rule", None),
     "delta-value": ("delta_value", _as_float(lambda v: v >= 0, "must be nonnegative"), "constant delta", None),
-    "sfp-projection": ("sfp_projection", _as_choice(PROJECTION_MODES), "sfp half-space projection", "sfp"),
-    "anchors-csv": ("anchors_csv", _as_path, "weber anchors CSV, weight in the last column", "weber"),
-    "dim": ("dim", _as_int(1), "cfp space dimension", "cfp"),
-    "balls": ("balls", _as_int(2), "cfp inner ball count", "cfp"),
+    "sfp-projection": ("sfp_projection", _as_choice(PROJECTION_MODES), "sfp half-space projection", ("sfp",)),
+    "anchors-csv": ("anchors_csv", _as_path, "weber anchors CSV, weight in the last column", ("weber",)),
+    "dim": ("dim", _as_int(1), "cfp space dimension", ("cfp",)),
+    "balls": ("balls", _as_int(2), "cfp inner ball count", ("cfp",)),
 }
 
 
@@ -179,7 +179,7 @@ def _build_cli_config(raw: dict) -> CliConfig:
     }
     experiment = values["experiment"]
     for key, (field, _, _, scope) in KEYS.items():
-        if field in values and scope not in (None, experiment):
+        if field in values and scope is not None and experiment not in scope:
             _fail(key, f"does not apply to experiment {experiment!r}")
     values.setdefault("algorithms", DEFAULT_ALGORITHMS[experiment])
     values.setdefault("output_dir", Path(os.environ.get(OUTPUT_DIR_ENV, "results")))
@@ -187,6 +187,7 @@ def _build_cli_config(raw: dict) -> CliConfig:
 
 
 def _load_mapping(text: str) -> dict:
+    import yaml  # only --config reads YAML, so a plain start does not load it
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -233,7 +234,10 @@ def _build_spec(cfg: CliConfig) -> ExperimentSpec:
         return build_sfp(**_given(grid_points=cfg.grid, lam=cfg.lam, mode=cfg.sfp_projection))
     if cfg.experiment == "cfp":
         return build_cfp(**_given(dim=cfg.dim, num_balls=cfg.balls, seed=cfg.seed))
-    anchors = None if cfg.anchors_csv is None else AnchorSet.from_csv(cfg.anchors_csv)
+    try:
+        anchors = None if cfg.anchors_csv is None else AnchorSet.from_csv(cfg.anchors_csv)
+    except ValueError as exc:
+        _fail("anchors-csv", str(exc))
     return build_weber(**_given(anchors=anchors))
 
 
@@ -343,9 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return run_suite(cfg)
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"fpiter: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -165,20 +165,28 @@ class AnchorSet:
     def from_csv(cls, path) -> "AnchorSet":
         """Load anchors from CSV: one anchor per row, weight in the last column.
 
-        A non-numeric first row is treated as a header and skipped.
+        Blank lines and the non-numeric rows before the first data row (a
+        header) are skipped. Every data row needs the first one's number of
+        cells, none empty (so no trailing comma), or ``ValueError`` names it.
         """
         rows = []
         with open(Path(path), newline="") as fh:
-            for raw in csv.reader(fh):
-                cells = [c.strip() for c in raw if c.strip() != ""]
-                if not cells:
+            reader = csv.reader(fh)
+            for raw in reader:
+                cells = [c.strip() for c in raw]
+                if not any(cells):
                     continue
+                where = f"{path}, line {reader.line_num}"
                 try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
+                    values = [float(c) for c in cells if c]
+                except ValueError as exc:
                     if rows:
-                        raise
+                        raise ValueError(f"{where}: {exc}") from None
                     continue  # header line
+                width = len(rows[0]) if rows else len(cells)
+                if len(values) != len(cells) or len(cells) != width:
+                    raise ValueError(f"{where}: expected {width} nonempty cells, got {raw}")
+                rows.append(values)
         if not rows:
             raise ValueError(f"no anchor rows found in {path}")
         data = np.asarray(rows, dtype=np.float64)

@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpiter.cli
 from fpiter.algorithms import IterationTrace, TerminalReason, run
 from fpiter.cli import (
     KEYS,
@@ -50,14 +54,14 @@ KEY_SAMPLES = {
 }
 
 
-# the keys that only one experiment's builder takes, each set for an experiment
-# whose builder does not
+# the keys that apply to some experiments only, each set for an experiment
+# that the key does not apply to
 FOREIGN_KEYS = [
     (other, key)
     for key, (_, _, _, scope) in KEYS.items()
     if scope is not None
     for other in EXPERIMENTS
-    if other != scope
+    if other not in scope
 ]
 
 FLOAT_KEYS = [
@@ -127,11 +131,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sfp-projection"):
             parse_config("experiment: sfp\nsfp-projection: verbatim\n")
 
+    def test_invalid_yaml_rejected(self):
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            parse_config("experiment: [weber\n")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    def test_empty_document_is_an_empty_mapping(self, text):
+        with pytest.raises(ConfigError, match="'experiment' is required"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("repeat", "2.5", "expected an integer"),
+            ("tol", "abc", "expected a number"),
+            ("algorithms", "3", "expected a name list"),
+            ("algorithms", "[]", "list is empty"),
+        ],
+    )
+    def test_malformed_value_named(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"'{key}': {message}"):
+            parse_config(f"experiment: weber\n{key}: {value}\n")
+
     def test_scoped_keys_are_the_builder_keys(self):
-        assert len(FOREIGN_KEYS) == 12
+        assert len(FOREIGN_KEYS) == 13
         assert {key for _, key in FOREIGN_KEYS} == {
-            "grid", "lambda", "sfp-projection", "dim", "balls", "anchors-csv"
+            "grid", "lambda", "sfp-projection", "dim", "balls", "anchors-csv", "repeat"
         }
+        assert [other for other, key in FOREIGN_KEYS if key == "repeat"] == ["sfp"]
 
     @pytest.mark.parametrize("experiment, key", FOREIGN_KEYS)
     def test_key_of_another_experiment_rejected(self, experiment, key):
@@ -142,16 +169,17 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", ["seed", "repeat", "max-iter", "grid", "dim", "balls"])
     def test_infinite_integer_rejected(self, key):
         experiment = {"grid": "sfp", "dim": "cfp", "balls": "cfp"}.get(key, "weber")
-        with pytest.raises(ConfigError, match=f"'{key}'.*integer"):
-            parse_config(f"experiment: {experiment}\n{key}: .inf\n")
+        for value in (".inf", "true"):
+            with pytest.raises(ConfigError, match=f"'{key}'.*integer"):
+                parse_config(f"experiment: {experiment}\n{key}: {value}\n")
 
     def test_nan_delta_value_rejected(self):
         with pytest.raises(ConfigError, match="delta-value"):
             parse_config("experiment: weber\ndelta-mode: constant\ndelta-value: .nan\n")
         assert len(FLOAT_KEYS) == 6
         for key in FLOAT_KEYS:
-            experiment = KEYS[key][3] or "weber"
-            for value in (".inf", "-.inf", ".nan"):
+            experiment = (KEYS[key][3] or ("weber",))[0]
+            for value in (".inf", "-.inf", ".nan", "true"):
                 with pytest.raises(ConfigError, match=f"'{key}'"):
                     parse_config(f"experiment: {experiment}\n{key}: {value}\n")
 
@@ -492,6 +520,26 @@ class TestMain:
         assert "'grid'" in err and "'weber'" in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "text",
+        ["10,,0,1\n", "0,0,1,\n", "0,0,1\n10,0\n", "x,y,w\n", "1\n2\n", "0,0,-1\n"],
+    )
+    def test_malformed_anchors_csv_exits_2(self, tmp_path, capsys, text):
+        anchors = tmp_path / "anchors.csv"
+        anchors.write_text(text)
+        out = tmp_path / "out"
+        argv = ["--experiment", "weber", "--anchors-csv", str(anchors), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("fpiter: config key 'anchors-csv': ")
+        assert not out.exists()
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        assert main(["--experiment", "weber", "--max-iter", "2", "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("fpiter: ")
+        assert taken.read_text() == "a file, not a directory"
+
     def test_flags_only(self, tmp_path):
         code = main(
             [
@@ -546,3 +594,29 @@ class TestMain:
         assert code == 0
         rows = read_csv(tmp_path / "sfp_summary.csv")
         assert len(rows) == 4
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    package_root = Path(fpiter.cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestEntryPoint:
+    def test_module_help(self):
+        result = run_python("-m", "fpiter", "--help")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: fpiter")
+        assert "--anchors-csv" in result.stdout
+
+    def test_cli_import_does_not_load_yaml(self):
+        result = run_python("-c", "import sys, fpiter.cli; print('yaml' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]

@@ -260,6 +260,22 @@ class TestWeberSpec:
         spec = build_weber(anchors=anchors)
         assert np.allclose(spec.details["target"], [0.5, 0.5], atol=1e-9)
 
+    def test_asymmetric_anchors_derive_the_weighted_median(self):
+        # no symmetry: the reference iteration leaves the weighted mean and
+        # stops where the weighted unit vectors to the anchors cancel
+        anchors = AnchorSet(
+            np.array([[0, 0, 0], [10, 0, 0], [0, 7, 0], [0, 0, 5], [3, 3, 9]], dtype=float),
+            np.array([1.0, 2.0, 1.0, 1.5, 1.0]),
+        )
+        spec = build_weber(anchors=anchors)
+        target = spec.details["target"]
+        mean = anchors.weights @ anchors.anchors / anchors.weights.sum()
+        assert np.linalg.norm(target - mean) > 1.0
+        diffs = target - anchors.anchors
+        units = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+        assert np.linalg.norm(anchors.weights @ units) < 1e-10
+        assert spec.defaults.error_metric(target) == 0.0
+
     def test_defaults(self, weber):
         assert weber.defaults.max_iterations == 1000
         assert weber.defaults.tolerance == 1e-4

@@ -687,6 +687,10 @@ class TestWeiszfeldMap:
         with pytest.raises(SingularityError):
             weiszfeld_map(space, CUBE_ANCHORS, np.array([1e-13, 0.0, 0.0]))
 
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="anchors have 3 coordinates, space has 2"):
+            weiszfeld_map(EuclideanSpace(2), CUBE_ANCHORS, np.array([1.0, 2.0]))
+
     def test_output_is_convex_combination_of_anchors(self):
         space = EuclideanSpace(3)
         rng = np.random.default_rng(33)
@@ -786,6 +790,36 @@ class TestAnchorSet:
         path = tmp_path / "anchors.csv"
         path.write_text("x,y,w\n")
         with pytest.raises(ValueError):
+            AnchorSet.from_csv(path)
+
+    def test_from_csv_skips_header_and_blank_lines(self, tmp_path):
+        path = tmp_path / "anchors.csv"
+        path.write_text("\nx, y, w\n\n0, 1, 2\n , ,\n3,4,5\n\n")
+        anchors = AnchorSet.from_csv(path)
+        assert np.array_equal(anchors.anchors, [[0.0, 1.0], [3.0, 4.0]])
+        assert np.array_equal(anchors.weights, [2.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("10,,0,1\n", 1),
+            ("x,y,w\n0,0,1\n1,,1\n", 3),
+            ("0,0,1\n0,1,1,\n", 2),  # trailing comma
+            ("0,0,1\n\n10,0\n", 3),  # ragged
+            ("0,0,1\n10,0,1,1\n", 2),
+            ("0,0,1\n1,one,1\n", 2),  # non-numeric after the data began
+        ],
+    )
+    def test_from_csv_malformed_row_named(self, tmp_path, text, line):
+        path = tmp_path / "anchors.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"anchors.csv, line {line}: "):
+            AnchorSet.from_csv(path)
+
+    def test_from_csv_one_column_rejected(self, tmp_path):
+        path = tmp_path / "anchors.csv"
+        path.write_text("1\n2\n")
+        with pytest.raises(ValueError, match="one coordinate plus a weight"):
             AnchorSet.from_csv(path)
 
 
