@@ -7,7 +7,9 @@ summary CSV mirroring a results-table layout (algorithm, case, iterations,
 time_s, terminal_reason, seed). Both use one row format: fields joined by
 hand, rows ending in ``\r\n`` (the bytes of ``csv.writer``, as no field
 needs quoting), floats in shortest round-trip form, so they parse back
-bit-exact; the elapsed-time columns are the only nondeterministic content.
+bit-exact; the elapsed-time columns are the only nondeterministic content
+at a fixed BLAS thread count (sfp grids of more than 10,000 nodes also
+depend on that count).
 
 Configuration is a flat YAML mapping whose keys are listed in ``KEYS``.
 Every key is also a ``--<key>`` flag (``--algo`` for ``algorithms``), and
@@ -121,7 +123,10 @@ def _as_choice(choices):
 
 
 def _as_path(key, value):
-    return Path(str(value))
+    # YAML reads `out: yes` as True and `out: 3` as 3; neither names a path
+    if not isinstance(value, str):
+        _fail(key, f"expected a path, got {value!r}")
+    return Path(value)
 
 
 def _as_algorithms(key, value):

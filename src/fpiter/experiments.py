@@ -86,8 +86,9 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     ``k^2 sum(w)``; and ``P_Q x - x = (4/sqrt(b) - 1)(x - sin)`` when
     ``b > 16``, with squared norm ``(4/sqrt(b) - 1)^2 b``. A term is 0 where
     its constraint holds. The two forms agree to rounding, not bit for bit.
-    ``x - sin`` and its weighted product are formed in the space's
-    per-thread scratch vectors, so a call allocates nothing of grid size.
+    ``x - sin`` is formed in the space's first per-thread scratch vector
+    and the grid's inner product forms no product vector, so a call
+    allocates nothing of grid size.
     """
     _check_grid(space)
     _check_mode(mode)

@@ -134,6 +134,14 @@ class BallSet:
         object.__setattr__(self, "radii", radii)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class AnchorSet:
     """Weighted anchor points for the Weiszfeld map.
@@ -165,11 +173,12 @@ class AnchorSet:
     def from_csv(cls, path) -> "AnchorSet":
         """Load anchors from CSV: one anchor per row, weight in the last column.
 
-        Blank lines and the non-numeric rows before the first data row (a
-        header) are skipped. Every data row needs the first one's number of
-        cells, none empty (so no trailing comma), or ``ValueError`` names it.
+        Blank lines are skipped, and so is the first nonblank line if none
+        of its cells is a number (a header). Every other row is a data row:
+        it needs the first one's number of cells, all numeric and none empty
+        (so no trailing comma), or ``ValueError`` names its line.
         """
-        rows = []
+        rows, header = [], False
         with open(Path(path), newline="") as fh:
             reader = csv.reader(fh)
             for raw in reader:
@@ -180,9 +189,12 @@ class AnchorSet:
                 try:
                     values = [float(c) for c in cells if c]
                 except ValueError as exc:
-                    if rows:
+                    # a second non-numeric line, or a first one with a
+                    # number in it ("0,O,1"), is a broken row, not a header
+                    if rows or header or any(map(_is_number, cells)):
                         raise ValueError(f"{where}: {exc}") from None
-                    continue  # header line
+                    header = True
+                    continue
                 width = len(rows[0]) if rows else len(cells)
                 if len(values) != len(cells) or len(cells) != width:
                     raise ValueError(f"{where}: expected {width} nonempty cells, got {raw}")

@@ -49,10 +49,11 @@ class InnerProductSpace:
     read-only storage and the caller's array is left as it was.
 
     Each thread gets two scratch vectors, made on its first use and held in
-    a ``threading.local``: :meth:`_inner` forms the weighted product ``w * x``
-    in the second, and callers such as the sfp residual metric may use the
-    first (:meth:`_scratch`). They hold nothing between calls, so the space
-    stays shareable across threads, and a wide space does not allocate (and
+    a ``threading.local``: this :meth:`_inner` forms the weighted product
+    ``w * x`` in the second (the two subclasses make one pass and write
+    neither), and callers such as the sfp residual metric may use the first
+    (:meth:`_scratch`). They hold nothing between calls, so the space stays
+    shareable across threads, and a wide space does not allocate (and
     page-fault in) a fresh product on every inner product.
     """
 
@@ -108,8 +109,8 @@ class InnerProductSpace:
     def _scratch(self):
         """This thread's two scratch vectors; their contents are undefined.
 
-        :meth:`_inner` writes its product into the second, so a caller may
-        hold only the first across a call to it.
+        The base :meth:`_inner` writes its product into the second, so a
+        caller may hold only the first across a call to it.
         """
         try:
             return self._local.buffers
@@ -153,6 +154,13 @@ class PeriodicGridSpace(InnerProductSpace):
     the center of the ball constraint of the feasibility benchmark, which
     the projections and the residual metric read on every call. The
     residual metric forms ``x - sin`` in the first scratch vector.
+
+    The inner product makes one pass and writes no scratch vector: the
+    weights equal ``h = w_1`` at every node but the two ends, so
+    ``<x, y> = h dot(x, y) + (w_0 - h) x_0 y_0 + (w_last - h) x_last y_last``.
+    It reads the three weights at call time, so it holds for any weights
+    with equal interior entries, and it differs from ``dot(w * x, y)`` by a
+    few ulps.
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
@@ -176,8 +184,17 @@ class PeriodicGridSpace(InnerProductSpace):
         """Quadrature of ``x`` over [0, interval_end]."""
         return self._integrate(self.check(x))
 
+    def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        w = self.weights
+        h = w.item(1)
+        return (
+            h * float(np.dot(x, y))
+            + (w.item(0) - h) * x.item(0) * y.item(0)
+            + (w.item(-1) - h) * x.item(-1) * y.item(-1)
+        )
+
     def _integrate(self, x: np.ndarray) -> float:
-        # unchecked form, like ``_inner``
+        # unchecked form, like ``_inner``; np.dot is already one pass
         return float(np.dot(self.weights, x))
 
     def from_function(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -153,6 +153,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{key}': {message}"):
             parse_config(f"experiment: weber\n{key}: {value}\n")
 
+    @pytest.mark.parametrize("value", ["yes", "3", "1.5", "[a, b]", "{a: 1}"])
+    @pytest.mark.parametrize("key", ["out", "anchors-csv"])
+    def test_path_key_needs_a_string(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}': expected a path, got"):
+            parse_config(f"experiment: weber\n{key}: {value}\n")
+
     def test_scoped_keys_are_the_builder_keys(self):
         assert len(FOREIGN_KEYS) == 13
         assert {key for _, key in FOREIGN_KEYS} == {
@@ -522,7 +528,16 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "text",
-        ["10,,0,1\n", "0,0,1,\n", "0,0,1\n10,0\n", "x,y,w\n", "1\n2\n", "0,0,-1\n"],
+        [
+            "10,,0,1\n",
+            "0,0,1,\n",
+            "0,0,1\n10,0\n",
+            "x,y,w\n",
+            "1\n2\n",
+            "0,0,-1\n",
+            "0,O,1\n10,0,1\n",
+            "x,y,w\n0,O,1\n10,0,1\n",
+        ],
     )
     def test_malformed_anchors_csv_exits_2(self, tmp_path, capsys, text):
         anchors = tmp_path / "anchors.csv"
@@ -532,6 +547,17 @@ class TestMain:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("fpiter: config key 'anchors-csv': ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["out", "anchors-csv"])
+    def test_path_key_that_yaml_reads_as_a_boolean_exits_2(
+        self, key, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.yaml"
+        config.write_text(f"experiment: weber\n{key}: yes\n")
+        assert main(["--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"fpiter: config key '{key}': ")
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         taken = tmp_path / "taken"

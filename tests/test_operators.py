@@ -808,6 +808,9 @@ class TestAnchorSet:
             ("0,0,1\n\n10,0\n", 3),  # ragged
             ("0,0,1\n10,0,1,1\n", 2),
             ("0,0,1\n1,one,1\n", 2),  # non-numeric after the data began
+            ("0,O,1\n10,0,1\n", 1),  # a typo in the first row is no header
+            ("x,y,w\n0,O,1\n10,0,1\n", 2),  # only the first line may be a header
+            ("x,y,w\n\nx,y,w\n0,0,1\n", 3),
         ],
     )
     def test_from_csv_malformed_row_named(self, tmp_path, text, line):

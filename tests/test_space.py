@@ -102,6 +102,49 @@ class TestPeriodicGrid:
             PeriodicGridSpace(8, end)
 
 
+def rectangle_grid(num_points):
+    """A grid whose weights are replaced after construction by ``h`` everywhere."""
+    space = PeriodicGridSpace(num_points)
+    weights = np.full(num_points, space.interval_end / (num_points - 1))
+    weights.setflags(write=False)
+    space.weights = weights
+    return space
+
+
+class TestOnePassGridProduct:
+    """The grid's ``h dot(x, y)`` plus two endpoint terms against ``dot(w * x, y)``."""
+
+    @pytest.mark.parametrize("num_points", [2, 3, 4, 1024, 32768])
+    @pytest.mark.parametrize(
+        "make", [PeriodicGridSpace, rectangle_grid], ids=["trapezoid", "rectangle"]
+    )
+    def test_matches_the_weighted_dot_to_a_few_ulps(self, make, num_points):
+        # the two forms round differently; each error is a few ulps of the
+        # terms' absolute sum, and of the norm itself (no cancellation)
+        space = make(num_points)
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            x, y = rng.normal(size=space.size), rng.normal(size=space.size)
+            want = float(np.dot(space.weights * x, y))
+            scale = float(np.dot(space.weights, np.abs(x * y)))
+            assert abs(space._inner(x, y) - want) <= 8 * eps * scale
+            norm = math.sqrt(np.dot(space.weights * x, x))
+            assert abs(space._norm(x) - norm) <= 8 * eps * norm
+            assert space.inner(x, y) == space._inner(x, y)
+
+    def test_inner_writes_no_scratch_vector(self):
+        space = PeriodicGridSpace(1024)
+        scratch = space._scratch()
+        for v in scratch:
+            v.fill(-7.0)
+        rng = np.random.default_rng(42)
+        x, y = rng.normal(size=space.size), rng.normal(size=space.size)
+        space._inner(x, y)
+        space._norm(x)
+        assert all((v == -7.0).all() for v in scratch)
+
+
 class TestCombine:
     def test_endpoints(self):
         space = EuclideanSpace(2)

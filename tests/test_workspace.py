@@ -176,6 +176,44 @@ def test_wide_sfp_iterations_do_not_fault_in_fresh_pages(algorithm):
     assert float(result.stdout.split()[-1]) <= 8
 
 
+DIGEST_SCRIPT = """
+import hashlib
+
+import numpy as np
+
+from fpiter.algorithms import run
+from fpiter.experiments import build_sfp
+
+spec = build_sfp(4096)
+x0 = spec.initial_cases[0][1]
+digest = hashlib.sha256()
+for algorithm in ("mmha", "mimha", "mmva", "mimva"):
+    trace = run(algorithm, spec.operator, spec.defaults, x0)
+    digest.update(np.array(trace.errors).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_traces_do_not_depend_on_the_blas_thread_count_at_4096_nodes():
+    # OpenBLAS sums a dot of more than 10,000 elements on several threads,
+    # in an order that depends on their count; below that every reduction
+    # of a 4,096-node grid runs on one thread, so the E_n bits agree
+    package_root = Path(fpiter.__file__).resolve().parents[1]
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(package_root), OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-c", DIGEST_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1
+
+
 def test_zero_inertia_forms_no_difference(monkeypatch):
     # "zero" delta mode extrapolates by nothing, so the inertial engines
     # neither form x_n - x_{n-1} nor take its norm
