@@ -138,9 +138,12 @@ def _as_algorithms(key, value):
         _fail(key, f"expected a name list, got {value!r}")
     if not names:
         _fail(key, "list is empty")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ALGORITHMS:
             _fail(key, f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+        # each run writes its trace to a file named after its algorithm
+        if name in names[:i]:
+            _fail(key, f"algorithm {name!r} is listed twice")
     return tuple(names)
 
 

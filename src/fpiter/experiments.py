@@ -86,7 +86,7 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     ``k^2 sum(w)``; and ``P_Q x - x = (4/sqrt(b) - 1)(x - sin)`` when
     ``b > 16``, with squared norm ``(4/sqrt(b) - 1)^2 b``. A term is 0 where
     its constraint holds. The two forms agree to rounding, not bit for bit.
-    ``x - sin`` is formed in the space's first per-thread scratch vector
+    ``x - sin`` is formed in the space's per-thread scratch vector
     and the grid's inner product forms no product vector, so a call
     allocates nothing of grid size.
     """
@@ -99,7 +99,7 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     def metric(x):
         x = space.check(x)
         a = space._integrate(x)
-        r = np.subtract(x, center, space._scratch()[0])
+        r = np.subtract(x, center, space._scratch())
         b = space._inner(r, r)
         c_sq = q_sq = 0.0
         if a > 1.0:
@@ -115,7 +115,7 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
 
 def sup_norm(x) -> float:
     """Largest coordinate magnitude."""
-    return float(np.max(np.abs(x)))
+    return float(np.maximum.reduce(np.abs(x)))
 
 
 def distance_metric(space: InnerProductSpace, target):

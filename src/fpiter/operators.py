@@ -8,16 +8,18 @@ from them (forward-projection sweep, averaged ball projections, Weiszfeld
 step) are the fixed-point maps the solvers iterate. A :class:`BallSet`
 holds the balls of the averaged-projection operator as one ``(m, dim)``
 center array, so :func:`cfp_operator` projects onto all of them in one
-array pass.
+array pass, built in place in its difference array.
 
 The half-space projections used by the CQ step and the two projections
 of the sfp sweep come in two layers: the public functions validate their
 arguments and call private kernels that take validated arrays, use the
 unchecked ``space._inner``/``_norm``/``_integrate`` and check at most the
 arrays they create (the CQ normals and projected points; the sfp kernels
-check nothing). ``algorithms`` reaches the CQ half-space pair only through
-its kernels, since a run has already validated its iterates, and
-:func:`sfp_operator` checks its point once and then calls the sfp kernels.
+check nothing). The CQ pair kernel decides its active set from six Gram
+scalars and forms, and checks, only the point it returns. ``algorithms``
+reaches the CQ half-space pair only through its kernels, since a run has
+already validated its iterates, and :func:`sfp_operator` checks its point
+once and then calls the sfp kernels.
 The kernels take optional ``out`` vectors (a run's workspace, or the
 result :func:`sfp_operator` builds in place); without them, as the public
 wrappers call them, every result is fresh.
@@ -229,8 +231,12 @@ def _within(hs, normal_norm, au, u_norm) -> bool:
     return au <= hs.offset + 1e-12 * (1.0 + abs(hs.offset) + normal_norm * u_norm)
 
 
-def _satisfied(space, hs, normal_norm, u) -> bool:
-    return _within(hs, normal_norm, space._inner(hs.normal, u), space._norm(u))
+def _single_scalars(t, ax, sq, bx, g12, xx, x_norm):
+    # <b, p> and ||p|| of the single projection p = x - t a (p = x when t is
+    # None), from <a, x>, <a, a>, <b, x>, <a, b>, ||x||^2 and ||x||
+    if t is None:
+        return bx, x_norm
+    return bx - t * g12, math.sqrt(max(xx - 2.0 * t * ax + t * t * sq, 0.0))
 
 
 def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
@@ -246,17 +252,24 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
     return _project_halfspace(space, hs, space._inner(a, a), x, space._inner(a, x))
 
 
-def _project_halfspace(space, hs, sq, x, ax, out=None):
-    # sq is <a, a> and ax is <a, x>, which the pair projection has already
-    # computed; ``out`` (neither x nor a) receives the projected point
-    a = hs.normal
+def _multiplier(hs, sq, ax):
+    # t of the single projection x - t a, or None when x is feasible; sq is
+    # <a, a> and ax is <a, x>
     if ax <= hs.offset:
-        return x
+        return None
     if sq == 0.0:
         raise InfeasibleSetError(
             "half-space with zero normal and negative offset is empty"
         )
-    return space.check(np.subtract(x, np.multiply(a, (ax - hs.offset) / sq, out), out))
+    return (ax - hs.offset) / sq
+
+
+def _project_halfspace(space, hs, sq, x, ax, out=None):
+    # ``out`` (neither x nor a) receives the projected point
+    t = _multiplier(hs, sq, ax)
+    if t is None:
+        return x
+    return space.check(np.subtract(x, np.multiply(hs.normal, t, out), out))
 
 
 def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
@@ -352,36 +365,42 @@ def project_halfspace_pair(
     multipliers from the 2x2 Gram system. If no case produces a feasible
     point with nonnegative multipliers the intersection is empty and
     :class:`InfeasibleSetError` is raised.
+
+    The cases are decided from six scalars, ``<a_i, a_j>``, ``<a_i, x>``
+    and ``||x||^2``: the single projection ``p1 = x - t a1`` has
+    ``<a2, p1> = <a2, x> - t <a1, a2>`` and
+    ``||p1||^2 = ||x||^2 - 2 t <a1, x> + t^2 ||a1||^2``, and likewise for
+    ``p2``. Only the returned point is formed as a vector and checked.
     """
     x = space.check(x)
     return _project_halfspace_pair(space, _checked_halfspace(space, h1), _checked_halfspace(space, h2), x)
 
 
 def _project_halfspace_pair(space, h1, h2, x, out=None, scratch=None):
-    # ``out`` receives the projected point (a single projection may be
-    # formed there and then discarded) and ``scratch`` the second product of
-    # the two-active case; neither may be x or a normal
+    # ``out`` receives the projected point and ``scratch`` the second product
+    # of the two-active case; neither may be x or a normal
     a1, a2 = h1.normal, h2.normal
     g11 = space._inner(a1, a1)
     g22 = space._inner(a2, a2)
-    # the same bits as space._norm(a1), space._norm(a2)
-    n1 = math.sqrt(max(g11, 0.0))
-    n2 = math.sqrt(max(g22, 0.0))
-    # <a_i, x> and ||x|| are taken once: the feasibility test, the single
-    # projections and the Gram system below all read them
+    g12 = space._inner(a1, a2)
     ax1 = space._inner(a1, x)
     ax2 = space._inner(a2, x)
-    x_norm = space._norm(x)
+    xx = space._inner(x, x)
+    # the same bits as space._norm(a1), space._norm(a2) and space._norm(x)
+    n1 = math.sqrt(max(g11, 0.0))
+    n2 = math.sqrt(max(g22, 0.0))
+    x_norm = math.sqrt(max(xx, 0.0))
     if _within(h1, n1, ax1, x_norm) and _within(h2, n2, ax2, x_norm):
         return x
-    p1 = _project_halfspace(space, h1, g11, x, ax1, out)
-    if _satisfied(space, h2, n2, p1):
-        return p1
-    p2 = _project_halfspace(space, h2, g22, x, ax2, out)
-    if _satisfied(space, h1, n1, p2):
-        return p2
+    # a single projection p1 = x - t1 a1 that meets h2 is optimal; its test
+    # reads <a2, p1> = <a2, x> - t1 g12 and ||p1||, then the same for p2
+    t1 = _multiplier(h1, g11, ax1)
+    if _within(h2, n2, *_single_scalars(t1, ax1, g11, ax2, g12, xx, x_norm)):
+        return _project_halfspace(space, h1, g11, x, ax1, out)
+    t2 = _multiplier(h2, g22, ax2)
+    if _within(h1, n1, *_single_scalars(t2, ax2, g22, ax1, g12, xx, x_norm)):
+        return _project_halfspace(space, h2, g22, x, ax2, out)
 
-    g12 = space._inner(a1, a2)
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
         # parallel (or degenerate) normals that the single projections could
@@ -463,12 +482,14 @@ def cfp_operator(
     hence nonexpansive; fixes any common point of all the balls. ``balls``
     is a :class:`BallSet` or a sequence of :class:`Ball` (turned into one
     here). The inner projections are one pass over the ``(m, dim)``
-    difference array: a weighted row-norm per ball, ``x`` kept where a
-    ball contains it and the radial pull elsewhere. Each row-norm is the
-    same dot product as :func:`project_ball` computes, so the result
-    equals the per-ball loop bit for bit. Only ``x`` is validated here: a
-    point so large that ``x - center`` overflows gives a non-finite
-    result, which :func:`fpiter.algorithms.run` rejects.
+    difference array: a weighted row-norm per ball, then the projections
+    are built in place in that array, the radial pull ``c + s (x - c)``
+    on every row and ``x`` written over the rows whose ball contains it.
+    Each row-norm is the same dot product as :func:`project_ball`
+    computes, so the result equals the per-ball loop bit for bit. Only
+    ``x`` is validated here: a point so large that ``x - center``
+    overflows gives a non-finite result, which
+    :func:`fpiter.algorithms.run` rejects.
     """
     if not isinstance(balls, BallSet):
         balls = list(balls)
@@ -480,13 +501,14 @@ def cfp_operator(
         )
     x = space.check(x)
     diffs = x - centers
-    # a stack of (1, dim) @ (dim, 1) products sums each row in the order that
-    # np.dot does in space._inner; (diffs * diffs) @ w and einsum do not
-    dists = np.sqrt(((space.weights * diffs)[:, None, :] @ diffs[:, :, None])[:, 0, 0])
+    dists = np.sqrt(space._row_inners(diffs))
     # inside rows take x; np.maximum keeps their unused scale finite
     scale = radii / np.maximum(dists, radii)
-    proj = np.where((dists <= radii)[:, None], x, centers + scale[:, None] * diffs)
-    avg = proj.sum(axis=0) / len(radii)
+    # c + scale d, built in the difference array; then x on the inside rows
+    proj = np.multiply(diffs, scale[:, None], diffs)
+    proj += centers
+    proj[dists <= radii] = x
+    avg = np.add.reduce(proj, 0) / len(radii)
     return _project_ball(space, balls.centers[0], balls.radii[0], avg)
 
 

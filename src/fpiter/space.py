@@ -8,16 +8,16 @@ a space validates membership (length and finiteness) and supplies the
 inner product, norm and affine combinations.
 
 Every point-sized vector the package creates (weights, cached samples,
-scratch vectors, ``zeros``, the run workspace, the sfp operator's result)
-comes from :func:`_aligned_empty` and starts on a 64-byte boundary, one
-cache line: glibc places large arrays 16-48 bytes off it, where each wide
-load of a streaming ufunc splits a line. Results do not depend on where a
+scratch and product vectors, ``zeros``, the run workspace, the sfp
+operator's result) comes from :func:`_aligned_empty` and starts on a
+64-byte boundary, one cache line: glibc places large arrays 16-48 bytes off
+it, where each wide load of a streaming ufunc splits a line. Results do not depend on where a
 vector starts, and arrays a caller passes in are never copied to align them.
 
 Spaces are immutable after construction and every public method is a pure
 function of its arguments, so instances can be shared freely across threads.
-Every space also lends each thread two scratch vectors (see
-:meth:`InnerProductSpace._scratch`); they hold no state between calls.
+Every space also lends each thread a scratch vector (see
+:meth:`InnerProductSpace._scratch`); it holds no state between calls.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ class InnerProductSpace:
     The weights must be finite and positive; they are copied into aligned,
     read-only storage and the caller's array is left as it was.
 
-    Each thread gets two scratch vectors, made on its first use and held in
-    a ``threading.local``: this :meth:`_inner` forms the weighted product
-    ``w * x`` in the second (the two subclasses make one pass and write
-    neither), and callers such as the sfp residual metric may use the first
-    (:meth:`_scratch`). They hold nothing between calls, so the space stays
-    shareable across threads, and a wide space does not allocate (and
-    page-fault in) a fresh product on every inner product.
+    Each thread gets its own vectors, each made on its first use and held in
+    a ``threading.local``: callers such as the sfp residual metric may use
+    the scratch vector (:meth:`_scratch`), and this :meth:`_inner` forms the
+    weighted product ``w * x`` in a product vector (the two subclasses make
+    one pass and never make it). They hold nothing between calls, so the
+    space stays shareable across threads, and a wide space does not allocate
+    (and page-fault in) a fresh product on every inner product.
     """
 
     def __init__(self, size: int, weights: np.ndarray):
@@ -101,23 +101,33 @@ class InnerProductSpace:
     # iteration engines use them inside a run, where every array is checked
     # once where it enters (start point, operator and contraction outputs).
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.dot(np.multiply(self.weights, x, self._scratch()[1]), y))
+        return float(np.dot(np.multiply(self.weights, x, self._local_vector("product")), y))
 
     def _norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self._inner(x, x), 0.0))
 
-    def _scratch(self):
-        """This thread's two scratch vectors; their contents are undefined.
+    def _row_inners(self, rows: np.ndarray) -> np.ndarray:
+        # <r, r> for each row of an (m, size) array: a stack of (1, size) @
+        # (size, 1) products sums each row in the order that np.dot does in
+        # the base _inner; (rows * rows) @ w and einsum do not
+        return ((self.weights * rows)[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
-        The base :meth:`_inner` writes its product into the second, so a
-        caller may hold only the first across a call to it.
+    def _scratch(self) -> np.ndarray:
+        """This thread's scratch vector; its contents are undefined.
+
+        No method of the space writes it, so a caller may hold it across
+        calls to them.
         """
+        return self._local_vector("scratch")
+
+    def _local_vector(self, name: str) -> np.ndarray:
+        # this thread's vector called ``name``, made on its first use
         try:
-            return self._local.buffers
+            return getattr(self._local, name)
         except AttributeError:
-            buffers = (_aligned_empty(self.size), _aligned_empty(self.size))
-            self._local.buffers = buffers
-            return buffers
+            vector = _aligned_empty(self.size)
+            setattr(self._local, name, vector)
+            return vector
 
     def zeros(self) -> np.ndarray:
         z = _aligned_empty(self.size)
@@ -133,8 +143,13 @@ class EuclideanSpace(InnerProductSpace):
 
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
         # the weights are all 1.0 and 1.0 * v is exact, so the plain dot
-        # product gives the base class's bits without the multiply or scratch
+        # product gives the base class's bits without the multiply or its
+        # product vector
         return float(np.dot(x, y))
+
+    def _row_inners(self, rows: np.ndarray) -> np.ndarray:
+        # the base class's bits without the unit-weight product, as in _inner
+        return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
     def __repr__(self):
         return f"EuclideanSpace(dim={self.size})"
@@ -153,9 +168,9 @@ class PeriodicGridSpace(InnerProductSpace):
     ``sin_nodes`` holds ``sin`` sampled at the nodes, computed once: it is
     the center of the ball constraint of the feasibility benchmark, which
     the projections and the residual metric read on every call. The
-    residual metric forms ``x - sin`` in the first scratch vector.
+    residual metric forms ``x - sin`` in the scratch vector.
 
-    The inner product makes one pass and writes no scratch vector: the
+    The inner product makes one pass and makes no product vector: the
     weights equal ``h = w_1`` at every node but the two ends, so
     ``<x, y> = h dot(x, y) + (w_0 - h) x_0 y_0 + (w_last - h) x_last y_last``.
     It reads the three weights at call time, so it holds for any weights

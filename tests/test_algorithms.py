@@ -423,7 +423,7 @@ class TestValidationCount:
 
     @pytest.mark.parametrize(
         "algorithm, limit",
-        [("cq", 7), ("inertial-mann", 3), ("mmva", 3), ("mimva", 3)],
+        [("cq", 5), ("inertial-mann", 3), ("mmva", 3), ("mimva", 3)],
     )
     def test_space_checks_per_cfp_iteration(self, algorithm, limit, monkeypatch):
         spec = build_cfp(seed=0)

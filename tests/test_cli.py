@@ -111,6 +111,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="algorithms"):
             parse_config("experiment: sfp\nalgorithms: adamw\n")
 
+    @pytest.mark.parametrize("value", ["mimva, cq, mimva", "[mimva, cq, mimva]"])
+    def test_repeated_algorithm_rejected(self, value):
+        with pytest.raises(ConfigError, match="'algorithms': algorithm 'mimva' is listed twice"):
+            parse_config(f"experiment: weber\nalgorithms: {value}\n")
+
     def test_experiment_required(self):
         with pytest.raises(ConfigError, match="experiment"):
             parse_config("seed: 3\n")
@@ -519,6 +524,15 @@ class TestMain:
         from_flags, from_yaml = seen
         assert from_flags == from_yaml
         assert from_flags != parse_config(f"experiment: {experiment}\n")
+
+    def test_repeated_algorithm_exits_2_before_any_run(self, tmp_path, capsys):
+        # two mimva runs would write one trace file, the second over the first
+        out = tmp_path / "out"
+        argv = ["--experiment", "weber", "--algo", "mimva,mimva", "--repeat", "1",
+                "--max-iter", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("fpiter: config key 'algorithms': ")
+        assert not out.exists()
 
     def test_key_of_another_experiment_exits_2(self, tmp_path, capsys):
         assert main(["--experiment", "weber", "--grid", "64", "--out", str(tmp_path)]) == 2

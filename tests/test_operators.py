@@ -333,6 +333,9 @@ class TestCqKernelsMatchWrappers:
             return inner(u, v)
 
         monkeypatch.setattr(space, "_inner", counted)
+        check = space.check
+        checks = []
+        monkeypatch.setattr(space, "check", lambda u: checks.append(1) or check(u))
         both_active = 0
         for _ in range(200):
             a1, a2, z = rng.normal(size=30), rng.normal(size=30), rng.normal(size=30)
@@ -341,6 +344,7 @@ class TestCqKernelsMatchWrappers:
             x = z + rng.normal(size=30) * 2.0
             grams.clear()
             calls.clear()
+            checks.clear()
             out = _project_halfspace_pair(space, h1, h2, x)
             assert sum(u is a1 for u in grams) == 1
             assert sum(u is a2 for u in grams) == 1
@@ -350,9 +354,10 @@ class TestCqKernelsMatchWrappers:
                 or same_bits(out, project_halfspace(plain, h2, x))
             ):
                 both_active += 1
-                # <a_i, a_i>, <a_i, x> and ||x|| once each, one feasibility
-                # test per single projection (<a_j, p_i> and ||p_i||), <a_1, a_2>
-                assert len(calls) == 10
+                # <a_i, a_i>, <a_i, x>, <a_1, a_2> and ||x|| once each; the
+                # single projections are tested from these, never formed
+                assert len(calls) == 6
+                assert len(checks) == 1
         assert both_active > 0
 
     def test_cq_sets_of_a_cfp_step(self):
@@ -375,6 +380,164 @@ INF2 = np.array([0.0, np.inf])
 WRONG = np.zeros(3)
 BAD_ARRAYS = pytest.mark.parametrize("bad", [NAN2, INF2, WRONG], ids=["nan", "inf", "shape"])
 H = HalfSpace(np.array([1.0, 0.0]), 0.0)
+
+
+def reference_pair_projection(space, h1, h2, x):
+    """The trial-projection procedure: form each single projection as a
+    vector and test it against the other constraint with two more inner
+    products; then solve the 2x2 Gram system."""
+
+    def within(hs, u):
+        slack = 1e-12 * (1.0 + abs(hs.offset) + space.norm(hs.normal) * space.norm(u))
+        return space.inner(hs.normal, u) <= hs.offset + slack
+
+    if within(h1, x) and within(h2, x):
+        return x
+    p1 = project_halfspace(space, h1, x)
+    if within(h2, p1):
+        return p1
+    p2 = project_halfspace(space, h2, x)
+    if within(h1, p2):
+        return p2
+    a1, a2 = h1.normal, h2.normal
+    g11, g22, g12 = space.inner(a1, a1), space.inner(a2, a2), space.inner(a1, a2)
+    det = g11 * g22 - g12 * g12
+    if det <= 1e-14 * g11 * g22:
+        raise InfeasibleSetError("half-space intersection is empty")
+    r1 = space.inner(a1, x) - h1.offset
+    r2 = space.inner(a2, x) - h2.offset
+    mu1 = (g22 * r1 - g12 * r2) / det
+    mu2 = (g11 * r2 - g12 * r1) / det
+    tol = 1e-12 * (1.0 + abs(mu1) + abs(mu2))
+    if mu1 < -tol or mu2 < -tol:
+        raise InfeasibleSetError("half-space intersection is empty")
+    return space.check((x - a1 * max(mu1, 0.0)) - a2 * max(mu2, 0.0))
+
+
+def pair_outcome(projection, space, h1, h2, x):
+    """The returned bits, or the raised error's type and message."""
+    try:
+        return projection(space, h1, h2, x).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestPairProjectionMatchesTrialProjections:
+    """Deciding the active set from Gram scalars returns the trial-projection
+    procedure's bits, or raises its error, on every case and border."""
+
+    SPACES = pytest.mark.parametrize(
+        "space", [R30, WEIGHTED30, PeriodicGridSpace(30)], ids=["euclidean", "weighted", "grid"]
+    )
+
+    @staticmethod
+    def branch(space, h1, h2, x):
+        out = _project_halfspace_pair(space, h1, h2, x)
+        if out is x:
+            return "x"
+        if same_bits(out, project_halfspace(space, h1, x)):
+            return "p1"
+        return "p2" if same_bits(out, project_halfspace(space, h2, x)) else "both"
+
+    def assert_same(self, space, h1, h2, x):
+        want = pair_outcome(reference_pair_projection, space, h1, h2, x)
+        assert pair_outcome(_project_halfspace_pair, space, h1, h2, x) == want
+        assert pair_outcome(project_halfspace_pair, space, h1, h2, x) == want
+
+    @SPACES
+    def test_each_active_set(self, space):
+        rng = np.random.default_rng(31)
+        a1, a2 = rng.normal(size=30), rng.normal(size=30)
+        a2 -= a1 * (space.inner(a1, a2) / space.inner(a1, a1))  # <a1, a2> = 0
+        z = rng.normal(size=30)
+        cases = {
+            "x": (z, 1.0, 1.0),
+            "p1": (z + a1, 0.5, 1.0),
+            "p2": (z + a2, 1.0, 0.5),
+            "both": (z + a1 + a2, 0.5, 0.5),
+        }
+        for branch, (x, s1, s2) in cases.items():
+            h1 = HalfSpace(a1, space.inner(a1, z) + s1 * space.inner(a1, a1))
+            h2 = HalfSpace(a2, space.inner(a2, z) + s2 * space.inner(a2, a2))
+            assert self.branch(space, h1, h2, x) == branch
+            self.assert_same(space, h1, h2, x)
+
+    @SPACES
+    def test_single_projection_on_the_other_boundary(self, space):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            a1, x = rng.normal(size=30), rng.normal(size=30) * 3.0
+            h1 = HalfSpace(a1, space.inner(a1, x) - rng.uniform(0.1, 2.0))
+            p1 = project_halfspace(space, h1, x)
+            # <a1, a2> > 0 puts x outside h2 while p1 lies on its boundary
+            a2 = a1 + rng.normal(size=30) * 0.5
+            h2 = HalfSpace(a2, space.inner(a2, p1))
+            assert space.inner(a2, x) > h2.offset
+            assert self.branch(space, h1, h2, x) == "p1"
+            self.assert_same(space, h1, h2, x)
+            self.assert_same(space, h2, h1, x)
+
+    def test_single_projection_within_the_slack_of_the_other_boundary(self):
+        # p1 = (0, 5) overshoots h2 by 1e-11, inside the slack
+        # 1e-12 (1 + |b2| + ||a2|| ||p1||) ~ 1.3e-11 only with ||p1|| = 5
+        x = np.array([10.0, 5.0])
+        h1 = HalfSpace(np.array([1.0, 0.0]), 0.0)
+        h2 = HalfSpace(np.array([1.0, 1.0]), 5.0 - 1e-11)
+        assert self.branch(R2, h1, h2, x) == "p1"
+        self.assert_same(R2, h1, h2, x)
+        self.assert_same(R2, h2, h1, x)
+
+    @SPACES
+    def test_point_on_a_boundary(self, space):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            a1, a2, x = rng.normal(size=30), rng.normal(size=30), rng.normal(size=30)
+            on = HalfSpace(a1, space.inner(a1, x))
+            other = HalfSpace(a2, space.inner(a2, x) + rng.uniform(-2.0, 1.0))
+            self.assert_same(space, on, other, x)
+            self.assert_same(space, other, on, x)
+
+    @SPACES
+    def test_opposing_parallel_normals(self, space):
+        rng = np.random.default_rng(34)
+        seen = set()
+        for _ in range(200):
+            a, x = rng.normal(size=30), rng.normal(size=30)
+            ax = space.inner(a, x)
+            # the slab {ax + lo <= <a, u> <= ax + hi}, empty when lo > hi
+            lo, hi = rng.uniform(-2.0, 2.0, 2)
+            c = rng.uniform(0.5, 2.0)
+            h1 = HalfSpace(a, ax + hi)
+            h2 = HalfSpace(-c * a, -c * (ax + lo))
+            seen.add(pair_outcome(reference_pair_projection, space, h1, h2, x)[0])
+            self.assert_same(space, h1, h2, x)
+            self.assert_same(space, h2, h1, x)
+        assert InfeasibleSetError in seen and len(seen) > 1
+
+    @SPACES
+    def test_zero_normal(self, space):
+        rng = np.random.default_rng(35)
+        zero = np.zeros(30)
+        for _ in range(50):
+            a, x = rng.normal(size=30), rng.normal(size=30)
+            for h0 in (HalfSpace(zero, -1.0), HalfSpace(zero, 0.0)):
+                h = HalfSpace(a, space.inner(a, x) + rng.uniform(-2.0, 2.0))
+                self.assert_same(space, h0, h, x)
+                self.assert_same(space, h, h0, x)
+        with pytest.raises(InfeasibleSetError, match="zero normal"):
+            _project_halfspace_pair(space, HalfSpace(zero, -1.0), HalfSpace(zero, 0.0), x)
+
+    @SPACES
+    def test_random_pairs(self, space):
+        rng = np.random.default_rng(36)
+        for _ in range(500):
+            a1, a2, z = rng.normal(size=30), rng.normal(size=30), rng.normal(size=30)
+            if rng.uniform() < 0.2:
+                a2 = a1 * rng.uniform(-2.0, 2.0)
+            h1 = HalfSpace(a1, space.inner(a1, z) + rng.uniform(-1.0, 3.0))
+            h2 = HalfSpace(a2, space.inner(a2, z) + rng.uniform(-1.0, 3.0))
+            x = z + rng.normal(size=30) * rng.uniform(0.1, 5.0)
+            self.assert_same(space, h1, h2, x)
 
 
 class TestCqWrappersValidate:

@@ -136,13 +136,14 @@ class TestOnePassGridProduct:
     def test_inner_writes_no_scratch_vector(self):
         space = PeriodicGridSpace(1024)
         scratch = space._scratch()
-        for v in scratch:
-            v.fill(-7.0)
+        scratch.fill(-7.0)
         rng = np.random.default_rng(42)
         x, y = rng.normal(size=space.size), rng.normal(size=space.size)
         space._inner(x, y)
         space._norm(x)
-        assert all((v == -7.0).all() for v in scratch)
+        assert (scratch == -7.0).all()
+        # only the base class's inner product makes a product vector
+        assert not hasattr(space._local, "product")
 
 
 class TestCombine:

@@ -251,18 +251,17 @@ def test_vectors_the_package_creates_start_on_a_cache_line():
     space = spec.space
     point = space.from_function(np.cos)
     weighted = InnerProductSpace(7, np.arange(1.0, 8.0))
+    weighted.inner(np.ones(7), np.ones(7))  # makes this thread's product vector
     with ThreadPoolExecutor(max_workers=1) as pool:
         other_thread = pool.submit(space._scratch).result(timeout=60)
     vectors = {
         "grid weights": space.weights,
         "euclidean weights": EuclideanSpace(7).weights,
         "sin_nodes": space.sin_nodes,
-        "scratch 0": space._scratch()[0],
-        "scratch 1": space._scratch()[1],
-        "other thread's scratch 0": other_thread[0],
-        "other thread's scratch 1": other_thread[1],
-        "weighted space's scratch 0": weighted._scratch()[0],
-        "weighted space's scratch 1": weighted._scratch()[1],
+        "scratch": space._scratch(),
+        "other thread's scratch": other_thread,
+        "weighted space's scratch": weighted._scratch(),
+        "weighted space's product vector": weighted._local.product,
         "grid zeros": space.zeros(),
         "euclidean zeros": EuclideanSpace(7).zeros(),
         "from_function": point,
