@@ -352,7 +352,7 @@ def run(
             break
         if n == last:
             break
-        psi_n = sched.psi_at(n)
+        psi_n = sched.psi(n)
         try:
             if cq:
                 x_next = _cq(space, T, x, x0, psi_n, slots[n % 3], w_buf, q_buf, scratch)
@@ -361,7 +361,7 @@ def run(
                 w = _extrapolate(x, x_prev, delta, diff, w_buf) if inertial else x
                 x_next = _averaged(space, T, w, psi_n, out, scratch)
                 if blend:
-                    x_next = _blend(sched.nu_at(n), v(x), x_next, out, scratch)
+                    x_next = _blend(sched.nu(n), v(x), x_next, out, scratch)
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break

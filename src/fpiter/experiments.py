@@ -87,7 +87,7 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     ``b > 16``, with squared norm ``(4/sqrt(b) - 1)^2 b``. A term is 0 where
     its constraint holds. The two forms agree to rounding, not bit for bit.
     ``x - sin`` is formed in the space's per-thread scratch vector
-    and the grid's inner product forms no product vector, so a call
+    and the grid's inner product forms no weighted product, so a call
     allocates nothing of grid size.
     """
     _check_grid(space)

@@ -222,6 +222,8 @@ class Operator:
 
 
 def _checked_halfspace(space, hs: HalfSpace) -> HalfSpace:
+    if not math.isfinite(hs.offset):
+        raise ValueError(f"half-space offset must be finite, got {hs.offset}")
     return HalfSpace(space.check(hs.normal), hs.offset)
 
 
@@ -283,12 +285,14 @@ def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
     return space.check(_project_ball(space, space.check(ball.center), ball.radius, x))
 
 
-def _project_ball(space, c, r, x):
-    d = x - c
+def _project_ball(space, c, r, x, out=None):
+    # ``out`` (neither x nor c) receives ``x - c`` and then the pulled-in
+    # point ``c + (r/||x - c||)(x - c)``; an inside ``x`` comes back as is
+    d = np.subtract(x, c, out)
     dist = space._norm(d)
     if dist <= r:
         return x
-    return c + (r / dist) * d
+    return np.add(c, np.multiply(d, r / dist, d), d)
 
 
 def _check_grid(space) -> None:
@@ -339,18 +343,7 @@ def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
     mapped to ``sin + 4 (x - sin)/sqrt(b)``.
     """
     _check_grid(space)
-    return _project_l2_ball(space, space.check(x))
-
-
-def _project_l2_ball(space, x, out=None):
-    # ``out`` receives ``x - sin`` and then the pulled-in point; an inside
-    # ``x`` comes back as is
-    center = space.sin_nodes
-    r = np.subtract(x, center, out)
-    b = space._inner(r, r)
-    if b <= 16.0:
-        return x
-    return np.add(center, np.multiply(r, 4.0 / np.sqrt(b), r), r)
+    return _project_ball(space, space.sin_nodes, 4.0, space.check(x))
 
 
 def project_halfspace_pair(
@@ -451,10 +444,11 @@ def sfp_operator(
 ) -> np.ndarray:
     """One forward-projection sweep ``x -> P_C(x - lam (x - P_Q x))``.
 
-    ``P_Q`` is the sin-centered ball projection and ``P_C`` the integral
-    half-space projection (see above); the linear map between the two
-    constraint spaces is the identity, which has unit norm, so the sweep is
-    nonexpansive exactly when ``0 < lam < 2``. ``lam``, ``mode`` and ``x``
+    ``P_Q`` is the sin-centered ball projection (the ball kernel of
+    :func:`project_ball`, center ``sin_nodes``, radius 4) and ``P_C`` the
+    integral half-space projection (see above); the linear map between the
+    two constraint spaces is the identity, which has unit norm, so the sweep
+    is nonexpansive exactly when ``0 < lam < 2``. ``lam``, ``mode`` and ``x``
     are checked once, then both projections run unchecked; the result is
     bit-identical to composing :func:`project_l2_ball` and
     :func:`project_integral_halfspace`. A point so large that the sweep
@@ -466,7 +460,7 @@ def sfp_operator(
     _check_sfp_args(space, lam, mode)
     x = space.check(x)
     z = _aligned_empty(space.size)
-    p_q = _project_l2_ball(space, x, z)
+    p_q = _project_ball(space, space.sin_nodes, 4.0, x, z)
     # z = x - lam (x - P_Q x); the subtraction also covers p_q being x
     np.subtract(x, np.multiply(np.subtract(x, p_q, z), lam, z), z)
     return _project_integral_halfspace(space, z, mode, z)
@@ -482,14 +476,14 @@ def cfp_operator(
     hence nonexpansive; fixes any common point of all the balls. ``balls``
     is a :class:`BallSet` or a sequence of :class:`Ball` (turned into one
     here). The inner projections are one pass over the ``(m, dim)``
-    difference array: a weighted row-norm per ball, then the projections
-    are built in place in that array, the radial pull ``c + s (x - c)``
-    on every row and ``x`` written over the rows whose ball contains it.
-    Each row-norm is the same dot product as :func:`project_ball`
-    computes, so the result equals the per-ball loop bit for bit. Only
-    ``x`` is validated here: a point so large that ``x - center``
-    overflows gives a non-finite result, which
-    :func:`fpiter.algorithms.run` rejects.
+    difference array: the space's row norms (``space._row_inners``), then
+    the projections are built in place in that array, the radial pull
+    ``c + s (x - c)`` on every row and ``x`` written over the rows whose
+    ball contains it. Each row norm has the bits of the space's norm of
+    that row, which :func:`project_ball` takes, so in every space the
+    result equals the per-ball loop bit for bit. Only ``x`` is validated
+    here: a point so large that ``x - center`` overflows gives a
+    non-finite result, which :func:`fpiter.algorithms.run` rejects.
     """
     if not isinstance(balls, BallSet):
         balls = list(balls)
@@ -516,9 +510,10 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
     """Weighted-harmonic-mean step toward the weighted-median of the anchors.
 
     ``T(x) = (sum_i w_i a_i / d_i) / (sum_i w_i / d_i)`` with
-    ``d_i = ||x - a_i||``, computed for all anchors at once as one weighted
-    row-norm of the ``(m, dim)`` difference array. Undefined at the anchors
-    themselves: points within ``1e-12`` of an anchor raise
+    ``d_i = ||x - a_i||``, computed for all anchors at once as the space's
+    row norms (``space._row_inners``) of the ``(m, dim)`` difference array,
+    with the bits of ``space.norm`` of each difference. Undefined at the
+    anchors themselves: points within ``1e-12`` of an anchor raise
     :class:`SingularityError` and the caller decides the perturbation
     policy. The output is a convex combination of the anchors with
     coefficients proportional to ``w_i / d_i``.
@@ -530,7 +525,7 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
             f"anchors have {points.shape[1]} coordinates, space has {space.size}"
         )
     diffs = x - points
-    dists = np.sqrt((diffs * diffs) @ space.weights)
+    dists = np.sqrt(space._row_inners(diffs))
     # one reduction with the verdict of (dists <= tol).any(): fmin skips a
     # NaN distance where np.minimum would return it and hide a singular one
     if np.fmin.reduce(dists) <= ANCHOR_SINGULARITY_TOL:

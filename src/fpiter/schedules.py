@@ -80,15 +80,6 @@ class Schedules:
         if not 0.0 <= self.delta_value < math.inf:
             raise ValueError(f"delta_value must be finite and nonnegative, got {self.delta_value}")
 
-    def psi_at(self, n: int) -> float:
-        return self.psi(n)
-
-    def nu_at(self, n: int) -> float:
-        return self.nu(n)
-
-    def xi_at(self, n: int) -> float:
-        return self.xi(n)
-
     def delta_bar(self, n: int, diff_norm: float) -> float:
         """Largest admissible inertia coefficient at step ``n``.
 
@@ -102,7 +93,7 @@ class Schedules:
         if cap <= 0.0:
             return 0.0
         if diff_norm > 0.0:
-            xi_n = self.xi_at(n)
+            xi_n = self.xi(n)
             d = min(xi_n / diff_norm, cap)
             # rounding in the division can overshoot the budget by an ulp;
             # the bound must hold exactly

@@ -5,10 +5,14 @@ with the dot product, and real functions on an interval [0, L] sampled on a
 uniform grid, where the inner product is the composite-trapezoid quadrature
 of f*g (default L = 2*pi). Points are plain one-dimensional numpy arrays;
 a space validates membership (length and finiteness) and supplies the
-inner product, norm and affine combinations.
+inner product, norm and affine combinations. Each space states its inner
+product once for points (``_inner``) and once for the rows of an
+``(m, size)`` stack (``_row_inners``, ``np.vecdot`` on the last axis, equal
+bit for bit to ``_inner`` of each row with itself); the ball sweep and the
+Weiszfeld map take their distances from it.
 
 Every point-sized vector the package creates (weights, cached samples,
-scratch and product vectors, ``zeros``, the run workspace, the sfp
+scratch vectors, ``zeros``, the run workspace, the sfp
 operator's result) comes from :func:`_aligned_empty` and starts on a
 64-byte boundary, one cache line: glibc places large arrays 16-48 bytes off
 it, where each wide load of a streaming ufunc splits a line. Results do not depend on where a
@@ -48,13 +52,11 @@ class InnerProductSpace:
     The weights must be finite and positive; they are copied into aligned,
     read-only storage and the caller's array is left as it was.
 
-    Each thread gets its own vectors, each made on its first use and held in
-    a ``threading.local``: callers such as the sfp residual metric may use
-    the scratch vector (:meth:`_scratch`), and this :meth:`_inner` forms the
-    weighted product ``w * x`` in a product vector (the two subclasses make
-    one pass and never make it). They hold nothing between calls, so the
-    space stays shareable across threads, and a wide space does not allocate
-    (and page-fault in) a fresh product on every inner product.
+    Each thread gets its own scratch vector (:meth:`_scratch`), made on its
+    first use and held in a ``threading.local``, for callers such as the sfp
+    residual metric. It holds nothing between calls, so the space stays
+    shareable across threads. This :meth:`_inner` forms ``w * x`` as a
+    temporary; the two subclasses make one pass and form none.
     """
 
     def __init__(self, size: int, weights: np.ndarray):
@@ -101,16 +103,15 @@ class InnerProductSpace:
     # iteration engines use them inside a run, where every array is checked
     # once where it enters (start point, operator and contraction outputs).
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.dot(np.multiply(self.weights, x, self._local_vector("product")), y))
+        return float(np.dot(self.weights * x, y))
 
     def _norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self._inner(x, x), 0.0))
 
     def _row_inners(self, rows: np.ndarray) -> np.ndarray:
-        # <r, r> for each row of an (m, size) array: a stack of (1, size) @
-        # (size, 1) products sums each row in the order that np.dot does in
-        # the base _inner; (rows * rows) @ w and einsum do not
-        return ((self.weights * rows)[:, None, :] @ rows[:, :, None])[:, 0, 0]
+        # <r, r> for each row of an (m, size) array; np.vecdot sums each row
+        # in the order that np.dot does in _inner, (rows * rows) @ w does not
+        return np.vecdot(self.weights * rows, rows)
 
     def _scratch(self) -> np.ndarray:
         """This thread's scratch vector; its contents are undefined.
@@ -118,15 +119,10 @@ class InnerProductSpace:
         No method of the space writes it, so a caller may hold it across
         calls to them.
         """
-        return self._local_vector("scratch")
-
-    def _local_vector(self, name: str) -> np.ndarray:
-        # this thread's vector called ``name``, made on its first use
         try:
-            return getattr(self._local, name)
+            return self._local.scratch
         except AttributeError:
-            vector = _aligned_empty(self.size)
-            setattr(self._local, name, vector)
+            self._local.scratch = vector = _aligned_empty(self.size)
             return vector
 
     def zeros(self) -> np.ndarray:
@@ -143,13 +139,12 @@ class EuclideanSpace(InnerProductSpace):
 
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
         # the weights are all 1.0 and 1.0 * v is exact, so the plain dot
-        # product gives the base class's bits without the multiply or its
-        # product vector
+        # product gives the base class's bits without the multiply
         return float(np.dot(x, y))
 
     def _row_inners(self, rows: np.ndarray) -> np.ndarray:
         # the base class's bits without the unit-weight product, as in _inner
-        return (rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+        return np.vecdot(rows, rows)
 
     def __repr__(self):
         return f"EuclideanSpace(dim={self.size})"
@@ -170,12 +165,12 @@ class PeriodicGridSpace(InnerProductSpace):
     the projections and the residual metric read on every call. The
     residual metric forms ``x - sin`` in the scratch vector.
 
-    The inner product makes one pass and makes no product vector: the
+    The inner product makes one pass and forms no weighted product: the
     weights equal ``h = w_1`` at every node but the two ends, so
     ``<x, y> = h dot(x, y) + (w_0 - h) x_0 y_0 + (w_last - h) x_last y_last``.
     It reads the three weights at call time, so it holds for any weights
     with equal interior entries, and it differs from ``dot(w * x, y)`` by a
-    few ulps.
+    few ulps. The row form adds the same terms in the same order.
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
@@ -206,6 +201,16 @@ class PeriodicGridSpace(InnerProductSpace):
             h * float(np.dot(x, y))
             + (w.item(0) - h) * x.item(0) * y.item(0)
             + (w.item(-1) - h) * x.item(-1) * y.item(-1)
+        )
+
+    def _row_inners(self, rows: np.ndarray) -> np.ndarray:
+        w = self.weights
+        h = w.item(1)
+        first, last = rows[:, 0], rows[:, -1]
+        return (
+            h * np.vecdot(rows, rows)
+            + (w.item(0) - h) * first * first
+            + (w.item(-1) - h) * last * last
         )
 
     def _integrate(self, x: np.ndarray) -> float:

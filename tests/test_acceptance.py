@@ -381,11 +381,11 @@ def test_criterion_6_property_suites():
     for n in range(400):
         diff = weber.space.norm(x - x_prev)
         delta = sched.delta(n, diff)
-        if diff > 0 and delta * diff > sched.xi_at(n):
+        if diff > 0 and delta * diff > sched.xi(n):
             failures.append(f"budget:weber:n={n}")
             break
         x_next = mimva_step(weber.space, weber.operator, x, x_prev, f, delta,
-                            sched.psi_at(n), sched.nu_at(n))
+                            sched.psi(n), sched.nu(n))
         x_prev, x = x, x_next
 
     report(6, "property suites", not failures, "; ".join(failures) or "all held")

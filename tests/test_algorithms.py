@@ -331,7 +331,7 @@ class TestRun:
             if n == config.max_iterations:
                 break
             x_next = mimva_step(
-                space, T, x, x_prev, lambda p: rho * p, delta, sched.psi_at(n), sched.nu_at(n)
+                space, T, x, x_prev, lambda p: rho * p, delta, sched.psi(n), sched.nu(n)
             )
             x_prev, x = x, x_next
 

@@ -40,9 +40,9 @@ def weber():
 class TestSfpSpec:
     def test_benchmark_constants(self, sfp):
         sched = sfp.defaults.schedules
-        assert sched.psi_at(0) == 0.01
-        assert sched.nu_at(0) == 1.0
-        assert sched.xi_at(0) == 10.0
+        assert sched.psi(0) == 0.01
+        assert sched.nu(0) == 1.0
+        assert sched.xi(0) == 10.0
         assert sched.eta == 4.0
         assert sfp.details["lam"] == 0.25
         assert sfp.defaults.tolerance == 1e-3
@@ -204,13 +204,13 @@ class TestCfpSpec:
             assert (x0 >= 0).all() and (x0 < 10).all()
 
     def test_baseline_schedules(self, cfp):
-        assert cfp.schedules_for("cq").psi_at(0) == 1.0
-        assert cfp.schedules_for("cq").psi_at(9) == pytest.approx(0.1)
+        assert cfp.schedules_for("cq").psi(0) == 1.0
+        assert cfp.schedules_for("cq").psi(9) == pytest.approx(0.1)
         imann = cfp.schedules_for("inertial-mann")
         assert imann.delta_mode == "constant"
         assert imann.delta_value == 0.5
         # everything else keeps the default schedules
-        assert cfp.schedules_for("mimva").psi_at(0) == 0.01
+        assert cfp.schedules_for("mimva").psi(0) == 0.01
         assert cfp.defaults.contraction_rho == 0.1
 
     def test_metric_is_sup_norm(self, cfp):

@@ -23,10 +23,10 @@ from fpiter.operators import (
 )
 from fpiter.operators import (
     _cq_halfspaces,
+    _project_ball,
     _project_halfspace,
     _project_halfspace_pair,
     _project_integral_halfspace,
-    _project_l2_ball,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
 
@@ -35,6 +35,11 @@ GRID = PeriodicGridSpace(1024)
 R30 = EuclideanSpace(30)
 # non-uniform weights, so a row-norm that ignored them would show
 WEIGHTED30 = InnerProductSpace(30, np.random.default_rng(7).uniform(0.2, 3.0, 30))
+# a one-pass inner product, so a row-norm in the base class's form would show
+GRID30 = PeriodicGridSpace(30)
+ROW_NORM_SPACES = pytest.mark.parametrize(
+    "space", [R30, WEIGHTED30, GRID30], ids=["euclidean", "weighted", "grid"]
+)
 
 
 def same_bits(a, b) -> bool:
@@ -557,6 +562,18 @@ class TestCqWrappersValidate:
         with pytest.raises(ValueError):
             project_halfspace_pair(R2, H, HalfSpace(bad, 0.0), np.ones(2))
 
+    @pytest.mark.parametrize("offset", [math.nan, -math.inf, math.inf], ids=["nan", "-inf", "inf"])
+    def test_non_finite_offset_rejected(self, offset):
+        bad = HalfSpace(np.array([1.0, 0.0]), offset)
+        x = np.ones(2)
+        for project in (
+            lambda: project_halfspace(R2, bad, x),
+            lambda: project_halfspace_pair(R2, bad, H, x),
+            lambda: project_halfspace_pair(R2, H, bad, x),
+        ):
+            with pytest.raises(ValueError, match="offset must be finite"):
+                project()
+
     def test_list_normal_accepted(self):
         out = project_halfspace(R2, HalfSpace([1.0, 0.0], 0.0), [2.0, 1.0])
         assert np.array_equal(out, [0.0, 1.0])
@@ -616,7 +633,7 @@ class TestSfpKernelsMatchWrappers:
         branches = set()
         for x in self.points():
             out = project_l2_ball(GRID, x)
-            assert same_bits(out, _project_l2_ball(GRID, x))
+            assert same_bits(out, _project_ball(GRID, GRID.sin_nodes, 4.0, x))
             assert same_bits(out, self.sin_ball_before_caching(GRID, x))
             branches.add(out is x)
         assert branches == {True, False}
@@ -760,7 +777,7 @@ def cfp_case(space, kind, rng):
 
 
 class TestCfpOperatorMatchesPerBallLoop:
-    @pytest.mark.parametrize("space", [R30, WEIGHTED30], ids=["euclidean", "weighted"])
+    @ROW_NORM_SPACES
     @pytest.mark.parametrize("kind", ["inside", "boundary", "outside", "mixed"])
     def test_bitwise_equal(self, space, kind):
         rng = np.random.default_rng(11)
@@ -771,7 +788,7 @@ class TestCfpOperatorMatchesPerBallLoop:
             assert same_bits(cfp_operator(space, ball_set, x), expected)
             assert same_bits(cfp_operator(space, balls, x), expected)
 
-    @pytest.mark.parametrize("space", [R30, WEIGHTED30], ids=["euclidean", "weighted"])
+    @ROW_NORM_SPACES
     def test_paper_balls_along_a_run(self, space):
         balls = TestCfpOperator().paper_balls()
         x = np.random.default_rng(4).uniform(0.0, 10.0, 30)
@@ -866,19 +883,30 @@ class TestWeiszfeldMap:
             assert np.sum(lams) == pytest.approx(1.0, abs=1e-10)
             assert np.allclose(out, lams @ CUBE_ANCHORS.anchors, atol=1e-10)
 
-    def test_matches_per_anchor_loop_in_a_weighted_space(self):
-        # the row-norm sums in another order than space.norm, so allow a
-        # few ulps, fixed from the dtype
-        space = PeriodicGridSpace(4, interval_end=3.0)  # weights 0.5, 1, 1, 0.5
+    @pytest.mark.parametrize(
+        "space, anchors",
+        [
+            (EuclideanSpace(3), CUBE_ANCHORS),
+            (
+                InnerProductSpace(4, [0.3, 1.7, 1.0, 2.5]),
+                AnchorSet(np.random.default_rng(36).normal(size=(6, 4)), np.arange(1.0, 7.0)),
+            ),
+            (
+                PeriodicGridSpace(4, interval_end=3.0),  # weights 0.5, 1, 1, 0.5
+                AnchorSet(np.random.default_rng(37).normal(size=(6, 4)), np.arange(1.0, 7.0)),
+            ),
+        ],
+        ids=["euclidean-cube", "weighted", "grid"],
+    )
+    def test_matches_per_anchor_norm_loop_bit_for_bit(self, space, anchors):
+        # each distance is the space's own norm of x - a_i
         rng = np.random.default_rng(35)
-        anchors = AnchorSet(rng.normal(size=(6, 4)), rng.uniform(0.5, 2.0, 6))
         for _ in range(200):
-            x = rng.normal(size=4) * 3
+            x = rng.uniform(-1.0, 9.5, space.size)
             dists = np.array([space.norm(x - a) for a in anchors.anchors])
             coef = anchors.weights / dists
             expected = (coef @ anchors.anchors) / coef.sum()
-            out = weiszfeld_map(space, anchors, x)
-            assert np.allclose(out, expected, rtol=64 * np.finfo(float).eps, atol=0)
+            assert same_bits(weiszfeld_map(space, anchors, x), expected)
 
     def test_not_globally_nonexpansive(self):
         # the map expands radially near anchors; frozen counterexample

@@ -27,11 +27,11 @@ class TestDefaultSequences:
 
     def test_default_evaluates_formulas_as_written(self):
         sched = Schedules()
-        assert sched.nu_at(0) == 1.0
+        assert sched.nu(0) == 1.0
         for n in (0, 1, 7, 250):
-            assert sched.psi_at(n) == default_psi(n)
-            assert sched.nu_at(n) == inverse_linear(n)
-            assert sched.xi_at(n) == default_xi(n)
+            assert sched.psi(n) == default_psi(n)
+            assert sched.nu(n) == inverse_linear(n)
+            assert sched.xi(n) == default_xi(n)
 
     def test_xi_over_nu_vanishes(self):
         ratios = [default_xi(n) / inverse_linear(n) for n in range(200)]
@@ -61,7 +61,7 @@ class TestDeltaBar:
         for _ in range(1000):
             n = int(rng.integers(1, 500))
             diff = float(rng.uniform(1e-12, 1e3))
-            assert sched.delta_bar(n, diff) * diff <= sched.xi_at(n)
+            assert sched.delta_bar(n, diff) * diff <= sched.xi(n)
 
     def test_monotone_in_diff_norm(self):
         sched = Schedules()
@@ -125,7 +125,7 @@ class TestInertiaDecayDiagnostic:
         for n in range(1, 2000):
             diff = 1.0 / (n + 1)  # decaying but nonzero steps
             delta = sched.delta_bar(n, diff)
-            entries.append((delta, sched.nu_at(n), diff))
+            entries.append((delta, sched.nu(n), diff))
         report = check_inertia_decay(entries, tolerance=1e-2)
         # each ratio is bounded by xi_n / nu_n = 10/(n+1)
         for n, ratio in zip(range(1, 2000), report.ratios):

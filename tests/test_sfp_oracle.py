@@ -94,9 +94,9 @@ def oracle(space, x0, algorithm, lam, mode, config):
         if n == config.max_iterations:
             break
         w = c + delta * (c - c_prev)
-        psi = sched.psi_at(n)
+        psi = sched.psi(n)
         y = psi * w + (1.0 - psi) * operator(w)
-        nu = sched.nu_at(n)
+        nu = sched.nu(n)
         v = anchor if algorithm in ("mmha", "mimha") else config.contraction_rho * c
         c_prev, c = c, nu * v + (1.0 - nu) * y
     return errors, deltas, TerminalReason.MAX_ITERATIONS

@@ -142,8 +142,27 @@ class TestOnePassGridProduct:
         space._inner(x, y)
         space._norm(x)
         assert (scratch == -7.0).all()
-        # only the base class's inner product makes a product vector
-        assert not hasattr(space._local, "product")
+
+
+@pytest.mark.parametrize("num_points", [2, 3, 17, 30, 1025, 4099])
+@pytest.mark.parametrize(
+    "make",
+    [
+        EuclideanSpace,
+        lambda n: InnerProductSpace(n, np.random.default_rng(n).uniform(0.2, 3.0, n)),
+        PeriodicGridSpace,
+    ],
+    ids=["euclidean", "weighted", "grid"],
+)
+def test_row_inners_match_inner_bit_for_bit(make, num_points):
+    # the ball sweep and the Weiszfeld map take their distances from the row
+    # form and promise the bits of the per-point norm; rows of one stack
+    # start at every offset, the per-point copies on fresh storage
+    space = make(num_points)
+    rows = np.random.default_rng(43).normal(size=(9, num_points))
+    got = space._row_inners(rows)
+    want = [space._inner(row.copy(), row.copy()) for row in rows]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestCombine:

@@ -216,17 +216,32 @@ def test_traces_do_not_depend_on_the_blas_thread_count_at_4096_nodes():
 
 def test_zero_inertia_forms_no_difference(monkeypatch):
     # "zero" delta mode extrapolates by nothing, so the inertial engines
-    # neither form x_n - x_{n-1} nor take its norm
+    # neither form x_n - x_{n-1} nor take its norm: each takes exactly as
+    # many norms (the operator's ball projection takes one per step) as its
+    # non-inertial twin
     spec = build_sfp(256)
     config = replace(spec.defaults, schedules=replace(spec.defaults.schedules, delta_mode="zero"))
+    space = spec.space
+    norm = space._norm
+    calls = []
 
-    def no_norm(x):
-        raise AssertionError("inertia norm taken in zero mode")
+    def counted_norm(x):
+        calls.append(None)
+        return norm(x)
 
-    monkeypatch.setattr(spec.space, "_norm", no_norm)
-    for algorithm in ("inertial-mann", "mimha", "mimva"):
+    monkeypatch.setattr(space, "_norm", counted_norm)
+
+    def norm_calls(algorithm):
+        calls.clear()
         trace = run(algorithm, spec.operator, config, spec.initial_cases[0][1])
+        return trace, len(calls)
+
+    for inertial, plain in (("inertial-mann", "mann"), ("mimha", "mmha"), ("mimva", "mmva")):
+        trace, inertial_calls = norm_calls(inertial)
         assert set(trace.deltas) == {0.0}
+        twin, plain_calls = norm_calls(plain)
+        assert trace.errors == twin.errors
+        assert inertial_calls == plain_calls > 0
 
 
 def offset(a):
@@ -251,7 +266,6 @@ def test_vectors_the_package_creates_start_on_a_cache_line():
     space = spec.space
     point = space.from_function(np.cos)
     weighted = InnerProductSpace(7, np.arange(1.0, 8.0))
-    weighted.inner(np.ones(7), np.ones(7))  # makes this thread's product vector
     with ThreadPoolExecutor(max_workers=1) as pool:
         other_thread = pool.submit(space._scratch).result(timeout=60)
     vectors = {
@@ -261,7 +275,6 @@ def test_vectors_the_package_creates_start_on_a_cache_line():
         "scratch": space._scratch(),
         "other thread's scratch": other_thread,
         "weighted space's scratch": weighted._scratch(),
-        "weighted space's product vector": weighted._local.product,
         "grid zeros": space.zeros(),
         "euclidean zeros": EuclideanSpace(7).zeros(),
         "from_function": point,
