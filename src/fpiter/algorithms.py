@@ -29,7 +29,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import index
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -41,7 +40,7 @@ from .operators import (
     _project_halfspace_pair,
 )
 from .schedules import Schedules
-from .space import InnerProductSpace, _aligned_empty
+from .space import InnerProductSpace, _aligned_empty, _index
 
 __all__ = [
     "ALGORITHMS",
@@ -140,12 +139,7 @@ class RunConfig:
     contraction_rho: float = 0.9
 
     def __post_init__(self):
-        try:
-            index(self.max_iterations)
-        except TypeError:
-            raise ValueError(
-                f"max_iterations must be an integer, got {self.max_iterations!r}"
-            ) from None
+        _index(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.tolerance > 0:

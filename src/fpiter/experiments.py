@@ -9,9 +9,9 @@ sfp
     ``integral x <= 1`` and ``||x - sin|| <= 4``. Operator: the
     forward-projection sweep with ``lam = 0.25``. Metric:
     ``0.5 ||P_C x - x||^2 + 0.5 ||P_Q x - x||^2``, tolerance 1e-3,
-    computed from two reductions (``integral x`` and ``||x - sin||^2``)
-    without forming either projection. Four fixed starting functions:
-    t2 = t^2/10, exp = e^(t/2)/3, pow2 = 2^t/16, sin2 = 3 sin(2t).
+    computed from ``integral x`` and three reductions for ``||x - sin||^2``
+    without forming either projection or ``x - sin``. Four fixed starting
+    functions: t2 = t^2/10, exp = e^(t/2)/3, pow2 = 2^t/16, sin2 = 3 sin(2t).
 
 cfp
     Intersection of ``m + 1`` unit balls in R^N (default N = m = 30):
@@ -57,7 +57,7 @@ from .operators import (
     weiszfeld_map,
 )
 from .schedules import Schedules, inverse_linear
-from .space import EuclideanSpace, InnerProductSpace, PeriodicGridSpace
+from .space import EuclideanSpace, InnerProductSpace, PeriodicGridSpace, _index
 
 __all__ = [
     "EXPERIMENTS",
@@ -86,21 +86,23 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     ``k^2 sum(w)``; and ``P_Q x - x = (4/sqrt(b) - 1)(x - sin)`` when
     ``b > 16``, with squared norm ``(4/sqrt(b) - 1)^2 b``. A term is 0 where
     its constraint holds. The two forms agree to rounding, not bit for bit.
-    ``x - sin`` is formed in the space's per-thread scratch vector
-    and the grid's inner product forms no weighted product, so a call
-    allocates nothing of grid size.
+    ``b`` is expanded as ``<x, x> - 2 <x, sin> + <sin, sin>``, the last
+    term computed once here, and the grid's inner product forms no
+    weighted product, so a call writes no vector of grid size.
     """
     _check_grid(space)
     _check_mode(mode)
     divisor = _integral_divisor(space, mode)
     weight_sum = float(space.weights.sum())
     center = space.sin_nodes
+    center_sq = space._inner(center, center)
 
     def metric(x):
         x = space.check(x)
         a = space._integrate(x)
-        r = np.subtract(x, center, space._scratch())
-        b = space._inner(r, r)
+        # near x = sin, b can come out a few ulps below zero; that is
+        # harmless, since only b > 16.0 reads it
+        b = space._inner(x, x) - 2.0 * space._inner(x, center) + center_sq
         c_sq = q_sq = 0.0
         if a > 1.0:
             k = (1.0 - a) / divisor
@@ -223,11 +225,10 @@ def build_cfp(
     the tolerance is an unreachable sentinel so runs go the full
     1000-iteration budget.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    space = EuclideanSpace(dim)
+    num_balls = _index(num_balls, "num_balls")
     if num_balls < 2:
         raise ValueError(f"need at least two inner balls, got {num_balls}")
-    space = EuclideanSpace(dim)
     rng = np.random.default_rng(seed)
     centers = np.zeros((num_balls + 1, dim))
     centers[1, 0] = 1.0

@@ -92,16 +92,42 @@ class HalfSpace:
     offset: float
 
 
+def _check_positive(values, name) -> None:
+    # the one rule for radii and weights: finite and strictly positive
+    if not (np.isfinite(values) & (values > 0)).all():
+        raise ValueError(f"{name} must be finite and strictly positive")
+
+
+def _row_set(rows, values, rows_name, values_name, min_rows, shape_error):
+    """Read-only float64 copies of ``(m, d)`` rows and their ``(m,)`` values.
+
+    Rows that are not two-dimensional or fewer than ``min_rows`` raise
+    ``shape_error``; the rows must be finite and the values pass
+    :func:`_check_positive`.
+    """
+    rows = np.array(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < min_rows:
+        raise ValueError(shape_error)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{rows_name} must be finite")
+    values = np.array(values, dtype=np.float64)
+    if values.shape != rows.shape[:1]:
+        raise ValueError(f"{values_name} need shape {rows.shape[:1]}, got {values.shape}")
+    _check_positive(values, values_name)
+    rows.setflags(write=False)
+    values.setflags(write=False)
+    return rows, values
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """Closed ball ``{u : ||u - center|| <= radius}``."""
+    """Closed ball ``{u : ||u - center|| <= radius}``; the radius is finite and > 0."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        _check_positive(self.radius, "ball radius")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,20 +144,10 @@ class BallSet:
     radii: np.ndarray
 
     def __post_init__(self):
-        centers = np.array(self.centers, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[0] < 2:
-            raise ValueError(
-                "need an outer ball plus at least one inner ball as an (m, dim) center array"
-            )
-        if not np.isfinite(centers).all():
-            raise ValueError("ball centers must be finite")
-        radii = np.array(self.radii, dtype=np.float64)
-        if radii.shape != (centers.shape[0],):
-            raise ValueError("need exactly one radius per center")
-        if not (np.isfinite(radii) & (radii > 0)).all():
-            raise ValueError("ball radii must be finite and strictly positive")
-        centers.setflags(write=False)
-        radii.setflags(write=False)
+        centers, radii = _row_set(
+            self.centers, self.radii, "ball centers", "ball radii", 2,
+            "need an outer ball plus at least one inner ball as an (m, dim) center array",
+        )
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
 
@@ -156,18 +172,10 @@ class AnchorSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        anchors = np.array(self.anchors, dtype=np.float64)
-        if anchors.ndim != 2 or anchors.shape[0] < 1:
-            raise ValueError("anchors must be a nonempty (m, dim) array")
-        if not np.isfinite(anchors).all():
-            raise ValueError("anchors must be finite")
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.shape != (anchors.shape[0],):
-            raise ValueError("need exactly one weight per anchor")
-        if not (np.isfinite(weights) & (weights > 0)).all():
-            raise ValueError("anchor weights must be finite and strictly positive")
-        anchors.setflags(write=False)
-        weights.setflags(write=False)
+        anchors, weights = _row_set(
+            self.anchors, self.weights, "anchors", "anchor weights", 1,
+            "anchors must be a nonempty (m, dim) array",
+        )
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "weights", weights)
 
@@ -466,6 +474,18 @@ def sfp_operator(
     return _project_integral_halfspace(space, z, mode, z)
 
 
+def _row_distances(space, x, rows, rows_name):
+    # the checked x, the (m, size) differences x - rows and their space norms,
+    # each with the bits of space.norm of that difference
+    x = space.check(x)
+    if rows.shape[1] != space.size:
+        raise ValueError(
+            f"{rows_name} have {rows.shape[1]} coordinates, space has {space.size}"
+        )
+    diffs = x - rows
+    return x, diffs, np.sqrt(space._row_inners(diffs))
+
+
 def cfp_operator(
     space: InnerProductSpace, balls: BallSet | Sequence[Ball], x
 ) -> np.ndarray:
@@ -489,13 +509,7 @@ def cfp_operator(
         balls = list(balls)
         balls = BallSet([b.center for b in balls], [b.radius for b in balls])
     centers, radii = balls.centers[1:], balls.radii[1:]
-    if centers.shape[1] != space.size:
-        raise ValueError(
-            f"ball centers have {centers.shape[1]} coordinates, space has {space.size}"
-        )
-    x = space.check(x)
-    diffs = x - centers
-    dists = np.sqrt(space._row_inners(diffs))
+    x, diffs, dists = _row_distances(space, x, centers, "ball centers")
     # inside rows take x; np.maximum keeps their unused scale finite
     scale = radii / np.maximum(dists, radii)
     # c + scale d, built in the difference array; then x on the inside rows
@@ -518,14 +532,8 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
     policy. The output is a convex combination of the anchors with
     coefficients proportional to ``w_i / d_i``.
     """
-    x = space.check(x)
     points = anchors.anchors
-    if points.shape[1] != space.size:
-        raise ValueError(
-            f"anchors have {points.shape[1]} coordinates, space has {space.size}"
-        )
-    diffs = x - points
-    dists = np.sqrt(space._row_inners(diffs))
+    _, _, dists = _row_distances(space, x, points, "anchors")
     # one reduction with the verdict of (dists <= tol).any(): fmin skips a
     # NaN distance where np.minimum would return it and hide a singular one
     if np.fmin.reduce(dists) <= ANCHOR_SINGULARITY_TOL:

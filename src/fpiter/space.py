@@ -12,22 +12,21 @@ bit for bit to ``_inner`` of each row with itself); the ball sweep and the
 Weiszfeld map take their distances from it.
 
 Every point-sized vector the package creates (weights, cached samples,
-scratch vectors, ``zeros``, the run workspace, the sfp
-operator's result) comes from :func:`_aligned_empty` and starts on a
-64-byte boundary, one cache line: glibc places large arrays 16-48 bytes off
-it, where each wide load of a streaming ufunc splits a line. Results do not depend on where a
-vector starts, and arrays a caller passes in are never copied to align them.
+``zeros``, the run workspace, the sfp operator's result) comes from
+:func:`_aligned_empty` and starts on a 64-byte boundary, one cache line:
+glibc places large arrays 16-48 bytes off it, where each wide load of a
+streaming ufunc splits a line. Results do not depend on where a vector
+starts, and arrays a caller passes in are never copied to align them.
 
-Spaces are immutable after construction and every public method is a pure
-function of its arguments, so instances can be shared freely across threads.
-Every space also lends each thread a scratch vector (see
-:meth:`InnerProductSpace._scratch`); it holds no state between calls.
+Spaces are immutable after construction, hold no scratch storage, and every
+method is a pure function of its arguments, so instances can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from operator import index
 from typing import Callable
 
 import numpy as np
@@ -37,6 +36,14 @@ __all__ = ["InnerProductSpace", "EuclideanSpace", "PeriodicGridSpace", "TWO_PI"]
 TWO_PI = 2.0 * math.pi
 
 _ALIGN_BYTES = 64
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``; ``ValueError`` if it is not an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -49,18 +56,15 @@ def _aligned_empty(size: int) -> np.ndarray:
 class InnerProductSpace:
     """Weighted inner product ``<x, y> = sum_i w_i x_i y_i`` on ``size`` coordinates.
 
-    The weights must be finite and positive; they are copied into aligned,
-    read-only storage and the caller's array is left as it was.
-
-    Each thread gets its own scratch vector (:meth:`_scratch`), made on its
-    first use and held in a ``threading.local``, for callers such as the sfp
-    residual metric. It holds nothing between calls, so the space stays
-    shareable across threads. This :meth:`_inner` forms ``w * x`` as a
-    temporary; the two subclasses make one pass and form none.
+    ``size`` must be an integer (``operator.index``; a float or a string
+    raises ``ValueError``, it is not truncated). The weights must be finite
+    and positive; they are copied into aligned, read-only storage and the
+    caller's array is left as it was. This :meth:`_inner` forms ``w * x``
+    as a temporary; the two subclasses make one pass and form none.
     """
 
     def __init__(self, size: int, weights: np.ndarray):
-        size = int(size)
+        size = _index(size, "size")
         if size < 1:
             raise ValueError(f"space needs at least one coordinate, got {size}")
         weights = np.asarray(weights, dtype=np.float64)
@@ -71,7 +75,6 @@ class InnerProductSpace:
         stored.setflags(write=False)
         self.size = size
         self.weights = stored
-        self._local = threading.local()
 
     def check(self, x) -> np.ndarray:
         """Validate that ``x`` belongs to this space and return it as float64.
@@ -113,18 +116,6 @@ class InnerProductSpace:
         # in the order that np.dot does in _inner, (rows * rows) @ w does not
         return np.vecdot(self.weights * rows, rows)
 
-    def _scratch(self) -> np.ndarray:
-        """This thread's scratch vector; its contents are undefined.
-
-        No method of the space writes it, so a caller may hold it across
-        calls to them.
-        """
-        try:
-            return self._local.scratch
-        except AttributeError:
-            self._local.scratch = vector = _aligned_empty(self.size)
-            return vector
-
     def zeros(self) -> np.ndarray:
         z = _aligned_empty(self.size)
         z.fill(0.0)
@@ -135,7 +126,8 @@ class EuclideanSpace(InnerProductSpace):
     """R^dim with the standard dot product."""
 
     def __init__(self, dim: int):
-        super().__init__(dim, np.ones(int(dim)))
+        dim = _index(dim, "dim")
+        super().__init__(dim, np.ones(dim))
 
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
         # the weights are all 1.0 and 1.0 * v is exact, so the plain dot
@@ -162,8 +154,7 @@ class PeriodicGridSpace(InnerProductSpace):
 
     ``sin_nodes`` holds ``sin`` sampled at the nodes, computed once: it is
     the center of the ball constraint of the feasibility benchmark, which
-    the projections and the residual metric read on every call. The
-    residual metric forms ``x - sin`` in the scratch vector.
+    the projections and the residual metric read on every call.
 
     The inner product makes one pass and forms no weighted product: the
     weights equal ``h = w_1`` at every node but the two ends, so
@@ -174,7 +165,7 @@ class PeriodicGridSpace(InnerProductSpace):
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
-        num_points = int(num_points)
+        num_points = _index(num_points, "num_points")
         if num_points < 2:
             raise ValueError(f"grid needs at least two nodes, got {num_points}")
         if not 0 < interval_end < math.inf:

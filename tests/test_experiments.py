@@ -107,7 +107,7 @@ def vector_metric(space, mode, x):
 
 
 class TestSfpResidualMetric:
-    """The two-reduction metric against the projected-vector formula."""
+    """The metric from scalar reductions against the projected-vector formula."""
 
     SPACES = pytest.mark.parametrize(
         "space", [PeriodicGridSpace(1024), RectangleGrid(257)], ids=["trapezoid", "rectangle"]

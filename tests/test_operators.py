@@ -116,6 +116,14 @@ class TestBallProjection:
         with pytest.raises(ValueError):
             Ball(np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_ball_and_ball_set_share_the_radius_rule(self, bad):
+        # an infinite radius used to pass Ball and fail only in a BallSet
+        with pytest.raises(ValueError, match="ball radius must be finite and strictly positive"):
+            Ball(np.zeros(2), bad)
+        with pytest.raises(ValueError, match="ball radii must be finite and strictly positive"):
+            BallSet(np.zeros((3, 2)), [1.0, bad, 1.0])
+
 
 class TestIntegralHalfspaceProjection:
     def test_feasible_function_unchanged(self):

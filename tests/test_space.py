@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fpiter.experiments import build_cfp, build_sfp
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
 
 
@@ -133,16 +134,6 @@ class TestOnePassGridProduct:
             assert abs(space._norm(x) - norm) <= 8 * eps * norm
             assert space.inner(x, y) == space._inner(x, y)
 
-    def test_inner_writes_no_scratch_vector(self):
-        space = PeriodicGridSpace(1024)
-        scratch = space._scratch()
-        scratch.fill(-7.0)
-        rng = np.random.default_rng(42)
-        x, y = rng.normal(size=space.size), rng.normal(size=space.size)
-        space._inner(x, y)
-        space._norm(x)
-        assert (scratch == -7.0).all()
-
 
 @pytest.mark.parametrize("num_points", [2, 3, 17, 30, 1025, 4099])
 @pytest.mark.parametrize(
@@ -230,3 +221,39 @@ def test_weights_must_be_finite_and_positive(bad):
     with pytest.raises(ValueError, match="weights must be finite"):
         InnerProductSpace(2, [1.0, bad])
 
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        EuclideanSpace,
+        PeriodicGridSpace,
+        lambda size: InnerProductSpace(size, np.ones(3)),
+    ],
+    ids=["euclidean", "grid", "weighted"],
+)
+@pytest.mark.parametrize("size", [1024.7, 3.0, "12"])
+def test_sizes_must_be_integers(make, size):
+    # operator.index, not int(): a float or a string is not truncated
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(size)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_sfp(grid_points=64.5),
+        lambda: build_cfp(dim=3.5),
+        lambda: build_cfp(num_balls=2.5),
+    ],
+    ids=["sfp-grid", "cfp-dim", "cfp-balls"],
+)
+def test_builders_reject_non_integer_sizes(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_integer_sizes_of_any_index_type_are_accepted():
+    assert EuclideanSpace(np.int64(3)).size == 3
+    grid = PeriodicGridSpace(np.int32(12))
+    assert grid.num_points == grid.size == 12
+    assert type(grid.size) is int

@@ -1,12 +1,13 @@
 """The run workspace and the in-place sfp kernels.
 
-``run`` writes its iterates into a workspace it allocates once per run, and
-the sfp operator and metric form their intermediates in place. These tests
-pin what that must not change: the caller's arrays are never written, the
-public steps and the operator return fresh arrays, concurrent runs on one
-spec give the serial traces, and a wide sfp iteration stops faulting in
-fresh pages. The vectors the package creates start on a 64-byte boundary,
-and no result depends on where a vector starts.
+``run`` writes its iterates into a workspace it allocates once per run, the
+sfp operator forms its intermediates in place, and the sfp metric forms
+none. These tests pin what that must not change: the caller's arrays are
+never written, the public steps and the operator return fresh arrays,
+concurrent runs on one spec give the serial traces, and a wide sfp
+iteration stops faulting in fresh pages. The vectors the package creates
+start on a 64-byte boundary, and no result depends on where a vector
+starts.
 """
 
 import os
@@ -14,6 +15,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +27,7 @@ import fpiter
 from fpiter.algorithms import ALGORITHMS, mann_step, mimha_step, mimva_step, run
 from fpiter.experiments import build_cfp, build_sfp
 from fpiter.operators import Operator, sfp_operator
-from fpiter.space import EuclideanSpace, InnerProductSpace, PeriodicGridSpace, _aligned_empty
+from fpiter.space import EuclideanSpace, PeriodicGridSpace, _aligned_empty
 
 SFP_ENGINES = ("mmha", "mimha", "mmva", "mimva")
 
@@ -116,6 +118,20 @@ def test_threads_sharing_one_spec_give_the_serial_traces():
         assert other.errors == one.errors, algorithm
         assert other.deltas == one.deltas, algorithm
         assert other.terminal_reason is one.terminal_reason, algorithm
+
+
+def test_the_sfp_metric_forms_no_grid_vector():
+    # ||x - sin||^2 comes from three reductions, so not even the first call
+    # on a fresh spec makes a vector of grid size
+    spec = build_sfp(32768)
+    x = spec.initial_cases[0][1]
+    tracemalloc.start()
+    try:
+        spec.defaults.error_metric(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
 
 
 FAULT_SCRIPT = """
@@ -265,16 +281,10 @@ def test_vectors_the_package_creates_start_on_a_cache_line():
     spec = build_sfp(1001)
     space = spec.space
     point = space.from_function(np.cos)
-    weighted = InnerProductSpace(7, np.arange(1.0, 8.0))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        other_thread = pool.submit(space._scratch).result(timeout=60)
     vectors = {
         "grid weights": space.weights,
         "euclidean weights": EuclideanSpace(7).weights,
         "sin_nodes": space.sin_nodes,
-        "scratch": space._scratch(),
-        "other thread's scratch": other_thread,
-        "weighted space's scratch": weighted._scratch(),
         "grid zeros": space.zeros(),
         "euclidean zeros": EuclideanSpace(7).zeros(),
         "from_function": point,
