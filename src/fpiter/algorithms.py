@@ -129,6 +129,11 @@ class RunConfig:
     is passed to :func:`run`. Only the inertial engines (``inertial-mann``,
     ``mimha``, ``mimva``) read the inertia rule of ``schedules``; the others
     record ``delta_n = 0`` whatever it says.
+
+    Like the operator and a contraction, the metric gets points that
+    :func:`run` formed from validated arrays, and it need not check them;
+    a non-finite value still ends the run in ``ValueError`` at the next
+    operator output.
     """
 
     error_metric: Callable[[np.ndarray], float]
@@ -272,9 +277,15 @@ def run(
     ``p -> u`` (Halpern's iteration is the viscosity iteration with
     ``f = u``), the contraction engines with ``f``. A
     :class:`SingularityError` raised by the operator ends the run with the
-    corresponding terminal reason instead of propagating. Arrays are validated once, where they enter the
-    iteration: the inputs on entry, and every operator and contraction
-    output, so a non-finite value there raises ``ValueError``.
+    corresponding terminal reason instead of propagating.
+
+    ``run`` is the one place that validates inside a run. It checks the
+    caller's arrays on entry, every operator output ``T(w)`` and every
+    output of a caller's contraction, and a non-finite value there raises
+    ``ValueError``. Its callbacks (``T``, the metric, a contraction) get
+    points that the run formed from validated arrays, and they need not
+    check them. The default contraction's ``rho x_n`` goes unchecked: it is
+    finite whenever ``x_n`` is.
 
     The run allocates its workspace once, as 64-byte-aligned vectors (see
     :mod:`fpiter.space`), and only what the engine reads: three iterate
@@ -315,9 +326,11 @@ def run(
         v = lambda p: u  # noqa: E731
     elif blend == "contraction":
         if contraction is None:
+            # rho x is finite for a finite x and 0 <= rho < 1: no check
             rho, f_buf = config.contraction_rho, vector()
-            contraction = lambda p: np.multiply(rho, p, f_buf)  # noqa: E731
-        v = lambda p: space.check(contraction(p))  # noqa: E731
+            v = lambda p: np.multiply(rho, p, f_buf)  # noqa: E731
+        else:
+            v = lambda p: space.check(contraction(p))  # noqa: E731
     slots = (vector(), vector(), vector())
     scratch = vector()
     w_buf = vector() if inertial or cq else None

@@ -244,7 +244,7 @@ def _build_spec(cfg: CliConfig) -> ExperimentSpec:
         return build_cfp(**_given(dim=cfg.dim, num_balls=cfg.balls, seed=cfg.seed))
     try:
         anchors = None if cfg.anchors_csv is None else AnchorSet.from_csv(cfg.anchors_csv)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         _fail("anchors-csv", str(exc))
     return build_weber(**_given(anchors=anchors))
 
@@ -347,10 +347,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     config = args.pop("config")
     try:
-        raw = {} if config is None else _load_mapping(config.read_text())
+        raw = {} if config is None else _load_mapping(config.read_text(encoding="utf-8"))
         raw.update((key, value) for key, value in args.items() if value is not None)
         cfg = _build_cli_config(raw)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"fpiter: {exc}", file=sys.stderr)
         return 2
     try:

@@ -51,9 +51,10 @@ from .operators import (
     _check_grid,
     _check_mode,
     _check_sfp_args,
+    _cfp_sweep,
     _integral_divisor,
-    cfp_operator,
-    sfp_operator,
+    _sfp_sweep,
+    _weiszfeld,
     weiszfeld_map,
 )
 from .schedules import Schedules, inverse_linear
@@ -68,7 +69,6 @@ __all__ = [
     "build_experiment",
     "sfp_residual_metric",
     "sup_norm",
-    "distance_metric",
     "fermat_weber_point",
 ]
 
@@ -78,7 +78,8 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     ``E(x) = 0.5 ||P_C x - x||^2 + 0.5 ||P_Q x - x||^2``; zero exactly on
     the intersection. ``mode`` selects the integral-halfspace variant and
     should match the operator being iterated; a bad ``mode`` or a non-grid
-    space is rejected here, not at the first call.
+    space is rejected here, not at the first call, and a bad point when
+    the metric is called.
 
     Neither projection is formed. With ``a = integral x`` and
     ``b = ||x - sin||^2``, ``P_C x - x`` is the constant ``k = (1 - a)/d``
@@ -90,6 +91,12 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     term computed once here, and the grid's inner product forms no
     weighted product, so a call writes no vector of grid size.
     """
+    metric = _sfp_residual(space, mode)
+    return lambda x: metric(space.check(x))
+
+
+def _sfp_residual(space, mode):
+    # sfp_residual_metric without the point check, for the sfp spec's runs
     _check_grid(space)
     _check_mode(mode)
     divisor = _integral_divisor(space, mode)
@@ -98,7 +105,6 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     center_sq = space._inner(center, center)
 
     def metric(x):
-        x = space.check(x)
         a = space._integrate(x)
         # near x = sin, b can come out a few ulps below zero; that is
         # harmless, since only b > 16.0 reads it
@@ -120,16 +126,6 @@ def sup_norm(x) -> float:
     return float(np.maximum.reduce(np.abs(x)))
 
 
-def distance_metric(space: InnerProductSpace, target):
-    """Space-norm distance to a fixed target point."""
-    target = space.check(target)
-
-    def metric(x):
-        return space._norm(space.check(x) - target)
-
-    return metric
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
     """A benchmark instance: space, operator, run defaults, initials.
@@ -142,6 +138,10 @@ class ExperimentSpec:
     ``algorithm_schedules`` carries per-algorithm schedule overrides;
     anything not listed uses ``defaults.schedules``. ``details`` records
     the constants the instance was built from.
+
+    The operator and the metric are unchecked kernels that take the points
+    of a run as given (see :func:`fpiter.algorithms.run`); they do not
+    reject a bad point.
     """
 
     id: str
@@ -181,9 +181,7 @@ def build_sfp(
     """
     space = PeriodicGridSpace(grid_points)
     _check_sfp_args(space, lam, mode)
-    operator = Operator(
-        space, lambda x: sfp_operator(space, x, lam=lam, mode=mode), name="sfp-sweep"
-    )
+    operator = Operator(space, lambda x: _sfp_sweep(space, x, lam, mode), name="sfp-sweep")
     cases = (
         ("t2", space.from_function(lambda t: t**2 / 10.0)),
         ("exp", space.from_function(lambda t: np.exp(t / 2.0) / 3.0)),
@@ -191,7 +189,7 @@ def build_sfp(
         ("sin2", space.from_function(lambda t: 3.0 * np.sin(2.0 * t))),
     )
     defaults = RunConfig(
-        error_metric=sfp_residual_metric(space, mode),
+        error_metric=_sfp_residual(space, mode),
         max_iterations=10000,
         tolerance=1e-3,
         schedules=Schedules(),
@@ -238,7 +236,7 @@ def build_cfp(
         centers[3:] = rng.uniform(-bound, bound, size=(num_balls - 2, dim))
     balls = BallSet(centers, np.ones(num_balls + 1))
     operator = Operator(
-        space, lambda x: cfp_operator(space, balls, x), name="cfp-averaged-projections"
+        space, lambda x: _cfp_sweep(space, balls, x), name="cfp-averaged-projections"
     )
     defaults = RunConfig(
         error_metric=sup_norm,
@@ -313,13 +311,11 @@ def build_weber(anchors: Optional[AnchorSet] = None) -> ExperimentSpec:
     else:
         space = EuclideanSpace(anchors.anchors.shape[1])
         target = fermat_weber_point(space, anchors)
-    operator = Operator(
-        space, lambda x: weiszfeld_map(space, anchors, x), name="weiszfeld"
-    )
+    operator = Operator(space, lambda x: _weiszfeld(space, anchors, x), name="weiszfeld")
     lo = float(anchors.anchors.min())
     hi = float(anchors.anchors.max())
     defaults = RunConfig(
-        error_metric=distance_metric(space, target),
+        error_metric=lambda x: space._norm(x - target),
         max_iterations=1000,
         tolerance=1e-4,
         schedules=Schedules(),

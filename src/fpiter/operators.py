@@ -10,16 +10,22 @@ holds the balls of the averaged-projection operator as one ``(m, dim)``
 center array, so :func:`cfp_operator` projects onto all of them in one
 array pass, built in place in its difference array.
 
-The half-space projections used by the CQ step and the two projections
-of the sfp sweep come in two layers: the public functions validate their
-arguments and call private kernels that take validated arrays, use the
-unchecked ``space._inner``/``_norm``/``_integrate`` and check at most the
-arrays they create (the CQ normals and projected points; the sfp kernels
+The projections and the three composite maps come in two layers: the
+public functions validate their arguments and call private kernels that
+take validated arrays, use the unchecked
+``space._inner``/``_norm``/``_integrate``/``_row_inners`` and check at
+most the arrays they create (the CQ normals and projected points; the
+sweep and map kernels ``_sfp_sweep``, ``_cfp_sweep`` and ``_weiszfeld``
 check nothing). The CQ pair kernel decides its active set from six Gram
-scalars and forms, and checks, only the point it returns. ``algorithms``
-reaches the CQ half-space pair only through its kernels, since a run has
-already validated its iterates, and :func:`sfp_operator` checks its point
-once and then calls the sfp kernels.
+scalars and forms, and checks, only the point it returns.
+
+One rule decides who validates inside a run: a callback of
+:func:`fpiter.algorithms.run` gets points that the run formed from
+validated arrays, and it need not check them. So ``algorithms`` reaches
+the CQ half-space pair only through its kernels, and the experiment specs
+build their operators from the sweep and map kernels. A non-finite value
+that a kernel makes still ends the run in ``ValueError``, at the run's
+check of the next operator output.
 The kernels take optional ``out`` vectors (a run's workspace, or the
 result :func:`sfp_operator` builds in place); without them, as the public
 wrappers call them, every result is fresh.
@@ -219,7 +225,13 @@ class AnchorSet:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A self-map of ``space`` with a display name, callable on points."""
+    """A self-map of ``space`` with a display name, callable on points.
+
+    :func:`fpiter.algorithms.run` calls ``func`` on points that the run
+    formed from validated arrays, so ``func`` need not check its input; the
+    run checks its output, and a non-finite one ends the run in
+    ``ValueError``.
+    """
 
     space: InnerProductSpace
     func: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -466,24 +478,16 @@ def sfp_operator(
     size is made.
     """
     _check_sfp_args(space, lam, mode)
-    x = space.check(x)
+    return _sfp_sweep(space, space.check(x), lam, mode)
+
+
+def _sfp_sweep(space, x, lam, mode):
+    # the sweep of sfp_operator on a validated x, with lam and mode checked
     z = _aligned_empty(space.size)
     p_q = _project_ball(space, space.sin_nodes, 4.0, x, z)
     # z = x - lam (x - P_Q x); the subtraction also covers p_q being x
     np.subtract(x, np.multiply(np.subtract(x, p_q, z), lam, z), z)
     return _project_integral_halfspace(space, z, mode, z)
-
-
-def _row_distances(space, x, rows, rows_name):
-    # the checked x, the (m, size) differences x - rows and their space norms,
-    # each with the bits of space.norm of that difference
-    x = space.check(x)
-    if rows.shape[1] != space.size:
-        raise ValueError(
-            f"{rows_name} have {rows.shape[1]} coordinates, space has {space.size}"
-        )
-    diffs = x - rows
-    return x, diffs, np.sqrt(space._row_inners(diffs))
 
 
 def cfp_operator(
@@ -501,15 +505,27 @@ def cfp_operator(
     ``c + s (x - c)`` on every row and ``x`` written over the rows whose
     ball contains it. Each row norm has the bits of the space's norm of
     that row, which :func:`project_ball` takes, so in every space the
-    result equals the per-ball loop bit for bit. Only ``x`` is validated
-    here: a point so large that ``x - center`` overflows gives a
-    non-finite result, which :func:`fpiter.algorithms.run` rejects.
+    result equals the per-ball loop bit for bit. Only ``x`` and the width
+    of the centers are validated here: a point so large that
+    ``x - center`` overflows gives a non-finite result, which
+    :func:`fpiter.algorithms.run` rejects.
     """
     if not isinstance(balls, BallSet):
         balls = list(balls)
         balls = BallSet([b.center for b in balls], [b.radius for b in balls])
+    x = space.check(x)
+    if balls.centers.shape[1] != space.size:
+        raise ValueError(
+            f"ball centers have {balls.centers.shape[1]} coordinates, space has {space.size}"
+        )
+    return _cfp_sweep(space, balls, x)
+
+
+def _cfp_sweep(space, balls, x):
+    # the sweep of cfp_operator on a validated x and centers of the space's width
     centers, radii = balls.centers[1:], balls.radii[1:]
-    x, diffs, dists = _row_distances(space, x, centers, "ball centers")
+    diffs = x - centers
+    dists = np.sqrt(space._row_inners(diffs))
     # inside rows take x; np.maximum keeps their unused scale finite
     scale = radii / np.maximum(dists, radii)
     # c + scale d, built in the difference array; then x on the inside rows
@@ -532,8 +548,18 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
     policy. The output is a convex combination of the anchors with
     coefficients proportional to ``w_i / d_i``.
     """
+    x = space.check(x)
+    if anchors.anchors.shape[1] != space.size:
+        raise ValueError(
+            f"anchors have {anchors.anchors.shape[1]} coordinates, space has {space.size}"
+        )
+    return _weiszfeld(space, anchors, x)
+
+
+def _weiszfeld(space, anchors, x):
+    # the map of weiszfeld_map on a validated x and anchors of the space's width
     points = anchors.anchors
-    _, _, dists = _row_distances(space, x, points, "anchors")
+    dists = np.sqrt(space._row_inners(x - points))
     # one reduction with the verdict of (dists <= tol).any(): fmin skips a
     # NaN distance where np.minimum would return it and hide a singular one
     if np.fmin.reduce(dists) <= ANCHOR_SINGULARITY_TOL:

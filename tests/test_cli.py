@@ -562,6 +562,15 @@ class TestMain:
         assert capsys.readouterr().err.startswith("fpiter: config key 'anchors-csv': ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_anchors_csv_exits_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        anchors = tmp_path / name
+        argv = ["--experiment", "weber", "--anchors-csv", str(anchors), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("fpiter: config key 'anchors-csv': ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["out", "anchors-csv"])
     def test_path_key_that_yaml_reads_as_a_boolean_exits_2(
         self, key, tmp_path, capsys, monkeypatch
@@ -617,6 +626,12 @@ class TestMain:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.yaml"
+        config.write_bytes(b"\xff\xfe")
+        assert main(["--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("fpiter: 'utf-8' codec can't decode")
 
     def test_grid_override_reaches_sfp(self, tmp_path):
         code = main(

@@ -24,7 +24,10 @@ def test_every_export_is_the_modules_object():
 
 
 def test_deleted_names_stay_gone():
-    for name in ("cq_step", "inertial_mann_step", "halfspace_from_cq_sets", "default_nu"):
+    gone = (
+        "cq_step", "inertial_mann_step", "halfspace_from_cq_sets", "default_nu", "distance_metric"
+    )
+    for name in gone:
         assert not hasattr(fpiter, name), name
         assert all(not hasattr(module, name) for module in MODULES), name
     assert not hasattr(fpiter.Schedules(), "index_offset")
