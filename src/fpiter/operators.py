@@ -3,12 +3,12 @@
 Closed convex sets come in three flavors here: half-spaces
 ``{u : <a, u> <= b}``, balls ``{u : ||u - c|| <= r}``, and the two
 integral-constrained sets of the discretized function-space benchmark.
-Their metric projections are closed-form; the composite operators built
-from them (forward-projection sweep, averaged ball projections, Weiszfeld
-step) are the fixed-point maps the solvers iterate. A :class:`BallSet`
-holds the balls of the averaged-projection operator as one ``(m, dim)``
-center array, so :func:`cfp_operator` projects onto all of them in one
-array pass, built in place in its difference array.
+Their metric projections are closed-form. The fixed-point maps the solvers
+iterate are built from them: the forward-projection sweep (one closed form,
+which agrees with composing its two projections to rounding, not bit for
+bit), the averaged projections onto a :class:`BallSet`, one ``(m, dim)``
+center array that :func:`cfp_operator` projects onto in one array pass
+built in place, and the Weiszfeld step.
 
 The projections and the three composite maps come in two layers: the
 public functions validate their arguments and call private kernels that
@@ -27,8 +27,7 @@ build their operators from the sweep and map kernels. A non-finite value
 that a kernel makes still ends the run in ``ValueError``, at the run's
 check of the next operator output.
 The kernels take optional ``out`` vectors (a run's workspace, or the
-result :func:`sfp_operator` builds in place); without them, as the public
-wrappers call them, every result is fresh.
+sweep's result); without them, as the wrappers call them, results are fresh.
 
 All functions are pure; the small dataclasses are frozen. A note on
 nonexpansiveness: every projection here, and the half-space/ball
@@ -305,10 +304,9 @@ def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
     return space.check(_project_ball(space, space.check(ball.center), ball.radius, x))
 
 
-def _project_ball(space, c, r, x, out=None):
-    # ``out`` (neither x nor c) receives ``x - c`` and then the pulled-in
-    # point ``c + (r/||x - c||)(x - c)``; an inside ``x`` comes back as is
-    d = np.subtract(x, c, out)
+def _project_ball(space, c, r, x):
+    # x if inside, else c + (r/||x - c||)(x - c), built in the difference
+    d = x - c
     dist = space._norm(d)
     if dist <= r:
         return x
@@ -359,8 +357,8 @@ def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
     """Projection onto ``{x : integral of |x(t) - sin(t)|^2 dt <= 16}``.
 
     The set is the radius-4 quadrature-norm ball centered at ``sin``;
-    points inside (``b <= 16``) are returned unchanged, outside points are
-    mapped to ``sin + 4 (x - sin)/sqrt(b)``.
+    points with ``||x - sin|| <= 4`` are returned unchanged, outside points
+    are mapped to ``sin + 4 (x - sin)/||x - sin||``.
     """
     _check_grid(space)
     return _project_ball(space, space.sin_nodes, 4.0, space.check(x))
@@ -464,29 +462,31 @@ def sfp_operator(
 ) -> np.ndarray:
     """One forward-projection sweep ``x -> P_C(x - lam (x - P_Q x))``.
 
-    ``P_Q`` is the sin-centered ball projection (the ball kernel of
-    :func:`project_ball`, center ``sin_nodes``, radius 4) and ``P_C`` the
-    integral half-space projection (see above); the linear map between the
-    two constraint spaces is the identity, which has unit norm, so the sweep
-    is nonexpansive exactly when ``0 < lam < 2``. ``lam``, ``mode`` and ``x``
-    are checked once, then both projections run unchecked; the result is
-    bit-identical to composing :func:`project_l2_ball` and
-    :func:`project_integral_halfspace`. A point so large that the sweep
-    overflows gives a non-finite result, which :func:`fpiter.algorithms.run`
-    rejects. The result is one fresh 64-byte-aligned array, which every
-    stage of the sweep is written into in place; no other temporary of grid
-    size is made.
+    ``P_Q`` is :func:`project_l2_ball` and ``P_C`` is
+    :func:`project_integral_halfspace`; the linear map between their spaces
+    is the identity, so the sweep is nonexpansive exactly when
+    ``0 < lam < 2``. With ``d = x - sin`` the inner step is ``x`` when
+    ``||d|| <= 4`` and ``sin + (1 - lam + lam 4/||d||) d`` otherwise: three
+    grid passes where forming ``P_Q x`` takes six. That equals the composed
+    projections inside the ball and agrees with them to rounding outside,
+    not bit for bit. ``lam``, ``mode`` and ``x`` are checked once; a point so
+    large that the sweep overflows gives a non-finite result, which
+    :func:`fpiter.algorithms.run` rejects. ``d``, the step and ``P_C``'s
+    shift are written into one fresh 64-byte-aligned result; no other
+    temporary of grid size is made.
     """
     _check_sfp_args(space, lam, mode)
     return _sfp_sweep(space, space.check(x), lam, mode)
 
 
 def _sfp_sweep(space, x, lam, mode):
-    # the sweep of sfp_operator on a validated x, with lam and mode checked
-    z = _aligned_empty(space.size)
-    p_q = _project_ball(space, space.sin_nodes, 4.0, x, z)
-    # z = x - lam (x - P_Q x); the subtraction also covers p_q being x
-    np.subtract(x, np.multiply(np.subtract(x, p_q, z), lam, z), z)
+    # sfp_operator's sweep on a checked x, lam and mode; z holds x - sin, then the step
+    z = np.subtract(x, space.sin_nodes, _aligned_empty(space.size))
+    dist = space._norm(z)
+    if dist <= 4.0:
+        np.copyto(z, x)
+    else:
+        np.add(space.sin_nodes, np.multiply(z, 1.0 - lam + lam * (4.0 / dist), z), z)
     return _project_integral_halfspace(space, z, mode, z)
 
 

@@ -87,7 +87,7 @@ class Schedules:
         and satisfies ``delta_bar * diff_norm <= xi(n)`` exactly; a negative
         cap (n = 0) clamps to 0, so the first step never extrapolates.
         """
-        if diff_norm < 0.0:
+        if not diff_norm >= 0.0:
             raise ValueError(f"diff_norm must be nonnegative, got {diff_norm}")
         cap = (n - 1.0) / (n + self.eta - 1.0)
         if cap <= 0.0:

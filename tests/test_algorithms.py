@@ -17,7 +17,7 @@ from fpiter.algorithms import (
     run,
 )
 from fpiter.experiments import build_cfp, build_sfp, build_weber, sup_norm
-from fpiter.operators import Ball, Operator, SingularityError, project_ball
+from fpiter.operators import PROJECTION_MODES, Ball, Operator, SingularityError, project_ball
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace
 
@@ -187,6 +187,27 @@ class TestFejerMonotonicity:
                 x_next = mann_step(space, T, x, 1.0 / (n + 2))
                 assert space.norm(x_next - p) <= space.norm(x - p) + 1e-10
                 x = x_next
+
+    @pytest.mark.parametrize("mode", PROJECTION_MODES)
+    def test_cq_never_moves_toward_its_start_on_sfp(self, mode):
+        # Nakajo-Takahashi: x_n is the projection of x_0 onto the cut Q_n, and
+        # x_{n+1} its projection onto a subset of Q_n, so it is no nearer x_0
+        spec = build_sfp(1024, mode=mode)
+        space = spec.space
+        config = replace(spec.defaults, schedules=spec.schedules_for("cq"))
+        for name, x0 in spec.initial_cases:
+            # the cq step hands x_n to T, and run reuses x_n's storage
+            iterates = []
+
+            def copying(x):
+                iterates.append(x.copy())
+                return spec.operator(x)
+
+            trace = run("cq", Operator(space, copying), config, x0)
+            assert trace.terminal_reason is TerminalReason.TOLERANCE_MET, name
+            assert len(iterates) == trace.iterations, name
+            dists = [space.norm(x - x0) for x in iterates]
+            assert all(a <= b for a, b in zip(dists, dists[1:])), name
 
 
 def contracting_operator(space, rate=0.5):

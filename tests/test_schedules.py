@@ -84,6 +84,14 @@ class TestDeltaBar:
         with pytest.raises(ValueError):
             Schedules().delta_bar(3, -1.0)
 
+    def test_nan_diff_rejected(self):
+        # a NaN norm used to get the full cap, beyond the xi budget
+        for n in (0, 5):
+            with pytest.raises(ValueError, match="diff_norm must be nonnegative"):
+                Schedules().delta_bar(n, float("nan"))
+            with pytest.raises(ValueError, match="diff_norm must be nonnegative"):
+                Schedules(delta_mode="adaptive").delta(n, float("nan"))
+
 
 class TestDeltaModes:
     def test_zero_mode(self):

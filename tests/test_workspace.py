@@ -134,6 +134,21 @@ def test_the_sfp_metric_forms_no_grid_vector():
     assert peak < x.nbytes
 
 
+@pytest.mark.parametrize("where", ["outside", "inside"])
+def test_the_sfp_sweep_forms_no_grid_vector_besides_its_result(where):
+    # the sweep writes x - sin, then its result, into the one vector it
+    # returns; 0 lies inside the sin ball, the t2 start outside it
+    spec = build_sfp(32768)
+    x = spec.initial_cases[0][1] if where == "outside" else spec.space.zeros()
+    tracemalloc.start()
+    try:
+        spec.operator(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+
+
 FAULT_SCRIPT = """
 import resource
 import sys
