@@ -170,13 +170,14 @@ def _check_unit(name: str, value: float) -> None:
 # kernels, so a run and a sequence of public steps produce the same bits.
 #
 # ``out`` receives the result and ``scratch`` the second product; both are
-# run workspace vectors, and ``out`` may be the ``diff`` or ``y`` argument.
+# run workspace vectors. ``out`` may be the ``diff`` or ``y`` argument and
+# ``scratch`` the ``w`` or ``v`` one: each is read before it is overwritten.
 # Without them (the public steps) every result is a fresh array.
 
 
 def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
     """``x + delta (x - x_prev)``; ``diff`` is ``x - x_prev`` if already formed."""
-    if delta_n < 0.0:
+    if not delta_n >= 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta_n}")
     if delta_n == 0.0:
         # short-circuit keeps the no-inertia reductions bitwise identical
@@ -288,21 +289,18 @@ def run(
     finite whenever ``x_n`` is.
 
     The run allocates its workspace once, as 64-byte-aligned vectors (see
-    :mod:`fpiter.space`), and only what the engine reads: three iterate
-    slots and a product scratch vector always; the extrapolated point for
-    the inertial engines and CQ; the default anchor for the anchor engines;
-    the default contraction's result for the contraction engines; and CQ's
-    second cut normal. ``x_{n+1}`` is written into slot ``n % 3``, so
-    ``x_{n-1}``, ``x_n`` and ``x_{n+1}`` never share memory; the
-    extrapolated point holds ``x_n - x_{n-1}`` until it becomes ``w`` (for
-    CQ: ``y``, then the first cut normal); and the second product of each
-    combination goes to the scratch vector. The step arithmetic therefore
-    allocates no vector inside the loop; only the operator and a caller's
+    :mod:`fpiter.space`), and only what the engine reads: two iterate slots
+    and a work vector always, the default anchor for the anchor engines, and
+    CQ's second cut normal and product scratch. ``x_{n+1}`` goes into slot
+    ``n % 2``, over ``x_{n-1}``, which no step reads once ``x_n - x_{n-1}``
+    is formed in the work vector. That vector then holds ``w``, the second
+    product of each combination and the default contraction's ``rho x_n``
+    (for CQ: ``y``, then the first cut normal). So the step arithmetic
+    allocates no vector in the loop; only the operator and a caller's
     contraction return fresh ones. The caller's ``x_init``, ``x_init_prev``
-    and ``anchor`` are only read, never written or copied. An iterate
-    handed to ``T``, the metric or the contraction is a workspace vector
-    that later iterations overwrite, so a callback must copy any point it
-    keeps.
+    and ``anchor`` are only read, never written or copied. An iterate handed
+    to ``T``, the metric or the contraction is a workspace vector that later
+    iterations overwrite: a callback must copy any point it keeps.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -320,6 +318,7 @@ def run(
     def vector():
         return _aligned_empty(space.size)
 
+    work = vector()  # allocated first: a wide run then faults in fewer fresh pages
     if blend == "anchor":
         if u is None:
             u = np.multiply(config.anchor_scale, x, vector())
@@ -327,14 +326,12 @@ def run(
     elif blend == "contraction":
         if contraction is None:
             # rho x is finite for a finite x and 0 <= rho < 1: no check
-            rho, f_buf = config.contraction_rho, vector()
-            v = lambda p: np.multiply(rho, p, f_buf)  # noqa: E731
+            rho = config.contraction_rho
+            v = lambda p: np.multiply(rho, p, work)  # noqa: E731
         else:
             v = lambda p: space.check(contraction(p))  # noqa: E731
-    slots = (vector(), vector(), vector())
-    scratch = vector()
-    w_buf = vector() if inertial or cq else None
-    q_buf = vector() if cq else None
+    slots = (vector(), vector())
+    q_buf, scratch = (vector(), vector()) if cq else (None, None)
 
     metric = config.error_metric
     tolerance = config.tolerance
@@ -349,7 +346,7 @@ def run(
         err = float(metric(x))
         if inertial:
             # one difference serves the inertia cap and the extrapolation
-            diff = np.subtract(x, x_prev, w_buf)
+            diff = np.subtract(x, x_prev, work)
             delta = sched.delta(n, space._norm(diff) if adaptive else 0.0)
         errors.append(err)
         deltas.append(delta)
@@ -361,14 +358,14 @@ def run(
             break
         psi_n = sched.psi(n)
         try:
+            out = slots[n % 2]
             if cq:
-                x_next = _cq(space, T, x, x0, psi_n, slots[n % 3], w_buf, q_buf, scratch)
+                x_next = _cq(space, T, x, x0, psi_n, out, work, q_buf, scratch)
             else:
-                out = slots[n % 3]
-                w = _extrapolate(x, x_prev, delta, diff, w_buf) if inertial else x
-                x_next = _averaged(space, T, w, psi_n, out, scratch)
+                w = _extrapolate(x, x_prev, delta, diff, work) if inertial else x
+                x_next = _averaged(space, T, w, psi_n, out, work)
                 if blend:
-                    x_next = _blend(sched.nu(n), v(x), x_next, out, scratch)
+                    x_next = _blend(sched.nu(n), v(x), x_next, out, work)
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break

@@ -94,6 +94,8 @@ class Schedules:
             return 0.0
         if diff_norm > 0.0:
             xi_n = self.xi(n)
+            if not xi_n >= 0.0:
+                raise ValueError(f"xi({n}) must be nonnegative, got {xi_n}")
             d = min(xi_n / diff_norm, cap)
             # rounding in the division can overshoot the budget by an ulp;
             # the bound must hold exactly

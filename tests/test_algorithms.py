@@ -91,6 +91,17 @@ class TestInertialMannStep:
         with pytest.raises(ValueError, match="delta"):
             _extrapolate(arr(1.0), arr(0.0), -0.1)
 
+    @pytest.mark.parametrize("algorithm", ["mimha", "mimva"])
+    def test_nan_inertia_rejected(self, algorithm):
+        # the zero map drops the NaN that w carries, so no operator check
+        # sees it: the step returned a NaN point
+        x, x_prev, nan = arr(2.0, 1.0), arr(1.0, 0.0), float("nan")
+        with pytest.raises(ValueError, match="delta must be nonnegative, got nan"):
+            if algorithm == "mimha":
+                mimha_step(R2, ZERO_MAP_2D, x, x_prev, arr(0.0, 0.0), nan, 0.5, 0.5)
+            else:
+                mimva_step(R2, ZERO_MAP_2D, x, x_prev, lambda p: 0.5 * p, nan, 0.5, 0.5)
+
 
 class TestCqStep:
     # _cq takes validated arrays, as run passes them
@@ -409,6 +420,13 @@ class TestRunValidatesWhereArraysEnter:
                 arr(1.0, 2.0),
                 contraction=lambda x: np.full(2, bad),
             )
+
+    def test_nan_inertia_budget_raises_by_name(self):
+        # xi(n) is first read at n = 2; a NaN budget made delta_2 NaN, and
+        # the run died one step later on a NaN diff_norm
+        config = replace(self.CONFIG, schedules=Schedules(xi=lambda n: float("nan")))
+        with pytest.raises(ValueError, match=r"xi\(2\) must be nonnegative, got nan"):
+            run("mimha", ZERO_MAP_2D, config, arr(1.0, 2.0), x_init_prev=arr(0.0, 0.0))
 
     def test_non_finite_start_raises(self):
         with pytest.raises(ValueError, match="finite"):

@@ -92,6 +92,15 @@ class TestDeltaBar:
             with pytest.raises(ValueError, match="diff_norm must be nonnegative"):
                 Schedules(delta_mode="adaptive").delta(n, float("nan"))
 
+    @pytest.mark.parametrize("xi_n", [float("nan"), -1.0])
+    def test_bad_xi_rejected_by_name(self, xi_n):
+        # a NaN budget gave a NaN delta, a negative one a negative delta
+        sched = Schedules(xi=lambda n: xi_n)
+        with pytest.raises(ValueError, match=r"xi\(5\) must be nonnegative"):
+            sched.delta_bar(5, 1.0)
+        with pytest.raises(ValueError, match=r"xi\(5\) must be nonnegative"):
+            sched.delta(5, 1.0)
+
 
 class TestDeltaModes:
     def test_zero_mode(self):

@@ -3,9 +3,10 @@
 ``run`` writes its iterates into a workspace it allocates once per run, the
 sfp operator forms its intermediates in place, and the sfp metric forms
 none. These tests pin what that must not change: the caller's arrays are
-never written, the public steps and the operator return fresh arrays,
-concurrent runs on one spec give the serial traces, and a wide sfp
-iteration stops faulting in fresh pages. The vectors the package creates
+never written, the public steps and the operator return fresh arrays, the
+reused iterate slots give the iterates of the public steps, concurrent runs
+on one spec give the serial traces, and a wide sfp iteration holds few
+vectors and stops faulting in fresh pages. The vectors the package creates
 start on a 64-byte boundary, and no result depends on where a vector
 starts.
 """
@@ -25,8 +26,9 @@ import pytest
 
 import fpiter
 from fpiter.algorithms import ALGORITHMS, mann_step, mimha_step, mimva_step, run
-from fpiter.experiments import build_cfp, build_sfp
+from fpiter.experiments import build_cfp, build_sfp, build_weber
 from fpiter.operators import Operator, sfp_operator
+from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace, PeriodicGridSpace, _aligned_empty
 
 SFP_ENGINES = ("mmha", "mimha", "mmva", "mimva")
@@ -337,10 +339,10 @@ def test_run_hands_aligned_iterates_to_every_callback(algorithm):
 
 @pytest.mark.parametrize(
     "algorithm, vectors",
-    # three iterate slots and a product scratch, plus the extrapolated point
-    # (inertial engines; cq's y), cq's second normal, the default anchor or
-    # the default contraction's result
-    [("mann", 4), ("inertial-mann", 5), ("cq", 6), ("mmha", 5), ("mimha", 6), ("mmva", 5), ("mimva", 6)],
+    # two iterate slots and a work vector (x_n - x_{n-1}, w, the second
+    # product, the default contraction's result; cq's y), plus the default
+    # anchor, or cq's second normal and product scratch
+    [("mann", 3), ("inertial-mann", 3), ("cq", 5), ("mmha", 4), ("mimha", 4), ("mmva", 3), ("mimva", 3)],
 )
 def test_run_allocates_only_what_the_engine_reads(algorithm, vectors, monkeypatch):
     spec = build_sfp(256)
@@ -354,6 +356,92 @@ def test_run_allocates_only_what_the_engine_reads(algorithm, vectors, monkeypatc
     config = replace(spec.defaults, max_iterations=3, schedules=spec.schedules_for(algorithm))
     run(algorithm, spec.operator, config, spec.initial_cases[0][1])
     assert made == [spec.space.size] * vectors
+
+
+@pytest.mark.parametrize("algorithm, bound", [("mimva", 4.5), ("mimha", 5.5)])
+def test_a_wide_sfp_run_holds_few_grid_vectors_at_once(algorithm, bound):
+    # the workspace (3 and 4 vectors) and the sweep's one result: at 32,768
+    # nodes the per-element passes slow down once the vectors live at once
+    # outgrow a 2 MiB L2
+    spec = build_sfp(32768)
+    x0 = spec.initial_cases[0][1]
+    config = replace(spec.defaults, max_iterations=5, tolerance=1e-300)
+    tracemalloc.start()
+    try:
+        trace = run(algorithm, spec.operator, config, x0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == 5
+    assert peak < bound * x0.nbytes
+
+
+def reference_iterates(algorithm, spec, config, x0):
+    """The iterates of ``run`` rebuilt from the public steps, each a fresh array.
+
+    Inertia-free steps take ``x`` itself as ``w``, as ``_extrapolate`` does
+    for ``delta = 0``.
+    """
+    space, T, sched = spec.space, spec.operator, config.schedules
+    inertial = algorithm in ("inertial-mann", "mimha", "mimva")
+    adaptive = sched.delta_mode == "adaptive"
+    u = config.anchor_scale * x0
+    rho = config.contraction_rho
+    x = x_prev = x0
+    iterates, deltas = [], []
+    for n in range(config.max_iterations + 1):
+        iterates.append(x)
+        delta = 0.0
+        if inertial:
+            delta = sched.delta(n, space.norm(x - x_prev) if adaptive else 0.0)
+        deltas.append(delta)
+        if config.error_metric(x) < config.tolerance or n == config.max_iterations:
+            break
+        psi_n, nu_n = sched.psi(n), sched.nu(n)
+        if algorithm == "mann":
+            x_next = mann_step(space, T, x, psi_n)
+        elif algorithm == "inertial-mann":
+            w = x if delta == 0.0 else x + delta * (x - x_prev)
+            x_next = mann_step(space, T, w, psi_n)
+        elif algorithm in ("mmha", "mimha"):
+            x_next = mimha_step(space, T, x, x_prev, u, delta, psi_n, nu_n)
+        else:
+            x_next = mimva_step(space, T, x, x_prev, lambda p: rho * p, delta, psi_n, nu_n)
+        x_prev, x = x, x_next
+    return iterates, deltas
+
+
+SLOT_SUITES = {
+    "sfp-adaptive": lambda: (build_sfp(1024), None, 300),
+    "sfp-constant": lambda: (build_sfp(1024), Schedules(delta_mode="constant", delta_value=0.3), 300),
+    "cfp": lambda: (build_cfp(), None, 200),
+    "weber": lambda: (build_weber(), None, 300),
+}
+
+
+@pytest.mark.parametrize("suite", SLOT_SUITES)
+@pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "cq"])
+def test_run_equals_the_public_steps_on_fresh_arrays(algorithm, suite):
+    # run writes x_{n+1} over x_{n-1} and reuses one work vector for the
+    # difference, w, the products and the default contraction; its iterates
+    # must keep the bits of steps that share no memory
+    spec, schedules, cap = SLOT_SUITES[suite]()
+    rng = np.random.default_rng(11)
+    starts = [x0 for _, x0 in spec.make_initials(rng, count=3)]
+    config = replace(
+        spec.defaults,
+        max_iterations=cap,
+        schedules=schedules or spec.schedules_for(algorithm),
+    )
+    metric = config.error_metric
+    for x0 in starts:
+        seen = []
+        recorded = replace(config, error_metric=lambda p: seen.append(p.copy()) or metric(p))
+        trace = run(algorithm, spec.operator, recorded, x0)
+        iterates, deltas = reference_iterates(algorithm, spec, config, x0)
+        assert [p.tobytes() for p in seen] == [p.tobytes() for p in iterates]
+        assert trace.deltas == tuple(deltas)
+        assert trace.errors == tuple(float(metric(p)) for p in iterates)
 
 
 def trace_bits(trace):
