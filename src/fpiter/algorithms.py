@@ -165,7 +165,7 @@ def _check_unit(name: str, value: float) -> None:
 # The private kernels below take arrays that are already validated and check
 # only what enters from outside: the operator's and the contraction's
 # outputs, where non-finite values first appear (the CQ kernels of
-# ``operators`` also check the normals and points they create). The public
+# ``operators`` also check the points they project to). The public
 # step functions validate their array arguments once and call the same
 # kernels, so a run and a sequence of public steps produce the same bits.
 #
@@ -200,14 +200,14 @@ def _blend(nu_n, v, y, out=None, scratch=None):
     return np.add(np.multiply(v, nu_n, scratch), np.multiply(y, 1.0 - nu_n, out), out)
 
 
-def _cq(space, T, x, x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None):
+def _cq(space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None):
     # psi = 1 is accepted: the 1/(n+1) schedule starts there (y = x, the first
     # cut is the whole space); the two cuts always meet while T has a fixed point.
     # y is formed in y_buf, which then holds the first normal x - y; q_buf
-    # holds the second normal and out the projected point
+    # holds the second normal and out the projected point; x0x0 is <x0, x0>
     y = _averaged(space, T, x, psi_n, y_buf, scratch)
-    c_set, q_set = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
-    return _project_halfspace_pair(space, c_set, q_set, x0, out, scratch)
+    c_set, q_set, g11, g22 = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
+    return _project_halfspace_pair(space, c_set, q_set, g11, g22, x0, x0x0, out, scratch)
 
 
 def mann_step(space: InnerProductSpace, T, x, psi_n: float) -> np.ndarray:
@@ -332,6 +332,7 @@ def run(
             v = lambda p: space.check(contraction(p))  # noqa: E731
     slots = (vector(), vector())
     q_buf, scratch = (vector(), vector()) if cq else (None, None)
+    x0x0 = space._inner(x0, x0) if cq else None
 
     metric = config.error_metric
     tolerance = config.tolerance
@@ -360,7 +361,7 @@ def run(
         try:
             out = slots[n % 2]
             if cq:
-                x_next = _cq(space, T, x, x0, psi_n, out, work, q_buf, scratch)
+                x_next = _cq(space, T, x, x0, x0x0, psi_n, out, work, q_buf, scratch)
             else:
                 w = _extrapolate(x, x_prev, delta, diff, work) if inertial else x
                 x_next = _averaged(space, T, w, psi_n, out, work)

@@ -14,10 +14,11 @@ The projections and the three composite maps come in two layers: the
 public functions validate their arguments and call private kernels that
 take validated arrays, use the unchecked
 ``space._inner``/``_norm``/``_integrate``/``_row_inners`` and check at
-most the arrays they create (the CQ normals and projected points; the
-sweep and map kernels ``_sfp_sweep``, ``_cfp_sweep`` and ``_weiszfeld``
-check nothing). The CQ pair kernel decides its active set from six Gram
-scalars and forms, and checks, only the point it returns.
+most the points they project to; the CQ cut step certifies its normals by
+the squared norms it forms anyway, and the sweep and map kernels
+``_sfp_sweep``, ``_cfp_sweep`` and ``_weiszfeld`` check nothing. The CQ
+pair kernel decides its active set from six Gram scalars (three formed by
+its caller) and forms, and checks, only the point it returns.
 
 One rule decides who validates inside a run: a callback of
 :func:`fpiter.algorithms.run` gets points that the run formed from
@@ -384,19 +385,19 @@ def project_halfspace_pair(
     ``p2``. Only the returned point is formed as a vector and checked.
     """
     x = space.check(x)
-    return _project_halfspace_pair(space, _checked_halfspace(space, h1), _checked_halfspace(space, h2), x)
+    h1, h2 = _checked_halfspace(space, h1), _checked_halfspace(space, h2)
+    g11, g22 = space._inner(h1.normal, h1.normal), space._inner(h2.normal, h2.normal)
+    return _project_halfspace_pair(space, h1, h2, g11, g22, x, space._inner(x, x))
 
 
-def _project_halfspace_pair(space, h1, h2, x, out=None, scratch=None):
-    # ``out`` receives the projected point and ``scratch`` the second product
-    # of the two-active case; neither may be x or a normal
+def _project_halfspace_pair(space, h1, h2, g11, g22, x, xx, out=None, scratch=None):
+    # the caller forms g11 = <a1, a1>, g22 = <a2, a2> and xx = <x, x>; ``out``
+    # receives the projected point and ``scratch`` the second product of the
+    # two-active case; neither may be x or a normal
     a1, a2 = h1.normal, h2.normal
-    g11 = space._inner(a1, a1)
-    g22 = space._inner(a2, a2)
     g12 = space._inner(a1, a2)
     ax1 = space._inner(a1, x)
     ax2 = space._inner(a2, x)
-    xx = space._inner(x, x)
     # the same bits as space._norm(a1), space._norm(a2) and space._norm(x)
     n1 = math.sqrt(max(g11, 0.0))
     n2 = math.sqrt(max(g22, 0.0))
@@ -437,16 +438,22 @@ def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
     ``{u : <x - u, x - x0> <= 0}`` rewrites as
     ``{u : <x0 - x, u> <= <x0 - x, x>}``. Degenerate inputs (``y = x`` or
     ``x0 = x``) give zero normals with offset 0, i.e. the whole space.
-    A normal that overflows to infinity raises ``ValueError``.
+    Also returns ``<c, c>`` and ``<q, q>`` for the pair kernel, formed first:
+    a normal with an inf or NaN entry, or whose squared norm overflows, has a
+    non-finite one and raises ``ValueError`` before another reduction reads it.
 
     ``c_out`` and ``q_out`` receive the two normals; ``c_out`` may be the
     storage of ``y_n``, which is read before the normal overwrites it.
     """
     c_offset = 0.5 * (space._inner(x_n, x_n) - space._inner(y_n, y_n))
-    c_normal = space.check(np.subtract(x_n, y_n, c_out))
-    q_normal = space.check(np.subtract(x_0, x_n, q_out))
+    c_normal = np.subtract(x_n, y_n, c_out)
+    q_normal = np.subtract(x_0, x_n, q_out)
+    g11 = space._inner(c_normal, c_normal)
+    g22 = space._inner(q_normal, q_normal)
+    if not (math.isfinite(g11) and math.isfinite(g22)):
+        raise ValueError("CQ cut normals must have finite squared norms")
     q_offset = space._inner(q_normal, x_n)
-    return HalfSpace(c_normal, c_offset), HalfSpace(q_normal, q_offset)
+    return HalfSpace(c_normal, c_offset), HalfSpace(q_normal, q_offset), g11, g22
 
 
 def _check_sfp_args(space, lam, mode) -> None:

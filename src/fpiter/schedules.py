@@ -126,7 +126,8 @@ def check_inertia_decay(
 ) -> InertiaDecayReport:
     """Evaluate ``delta_n * ||x_n - x_{n-1}|| / nu_n`` along a run.
 
-    ``entries`` is a sequence of ``(delta_n, nu_n, diff_norm)`` triples.
+    ``entries`` is a sequence of ``(delta_n, nu_n, diff_norm)`` triples;
+    a ``nu_n`` that is not finite and positive raises ``ValueError``.
     The verdict is heuristic: the sequence must end below ``tolerance``
     and must not be still growing, i.e. the last ratio is no larger than
     the first or strictly below the peak (adaptive runs start at ratio 0,
@@ -135,6 +136,9 @@ def check_inertia_decay(
     rows = list(entries)
     if not rows:
         raise ValueError("need at least one (delta, nu, diff_norm) entry")
+    for n, (_, nu, _) in enumerate(rows):
+        if not (math.isfinite(nu) and nu > 0.0):
+            raise ValueError(f"nu_n must be finite and positive, got {nu} at entry {n}")
     ratios = tuple(delta * diff / nu for delta, nu, diff in rows)
     decayed = ratios[-1] <= ratios[0] or ratios[-1] < max(ratios)
     trending = decayed and ratios[-1] < tolerance

@@ -97,7 +97,9 @@ class InnerProductSpace:
         return self._norm(self.check(x))
 
     def combine(self, t: float, x, y) -> np.ndarray:
-        """Affine combination ``t*x + (1 - t)*y``."""
+        """Affine combination ``t*x + (1 - t)*y``; ``t`` must be finite."""
+        if not math.isfinite(t):
+            raise ValueError(f"combination weight t must be finite, got {t}")
         x = self.check(x)
         y = self.check(y)
         return t * x + (1.0 - t) * y

@@ -17,7 +17,15 @@ from fpiter.algorithms import (
     run,
 )
 from fpiter.experiments import build_cfp, build_sfp, build_weber, sup_norm
-from fpiter.operators import PROJECTION_MODES, Ball, Operator, SingularityError, project_ball
+from fpiter.operators import (
+    PROJECTION_MODES,
+    Ball,
+    HalfSpace,
+    Operator,
+    SingularityError,
+    project_ball,
+    project_halfspace_pair,
+)
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace
 
@@ -104,28 +112,28 @@ class TestInertialMannStep:
 
 
 class TestCqStep:
-    # _cq takes validated arrays, as run passes them
+    # _cq takes validated arrays and <x0, x0>, as run passes them
     def test_identity_operator_projects_onto_anchoring_cut(self):
         # y = x makes the first cut the whole space
         x = R2.check(arr(1.0, 1.0))
         x0 = R2.check(arr(3.0, 1.0))
-        out = _cq(R2, IDENTITY_2D, x, x0, 0.5)
+        out = _cq(R2, IDENTITY_2D, x, x0, R2._inner(x0, x0), 0.5)
         # remaining cut: <x0 - x, u> <= <x0 - x, x>  =>  u_1 <= 1
         assert np.allclose(out, arr(1.0, 1.0), atol=1e-12)
 
     def test_start_equal_current_projects_onto_contraction_cut(self):
         x = R1.check(arr(4.0))
-        out = _cq(R1, ZERO_MAP, x, x, 0.0)
+        out = _cq(R1, ZERO_MAP, x, x, 16.0, 0.0)
         # y = 0: cut is u <= 2; anchoring cut is degenerate
         assert out[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_one_dimensional_case_analysis(self):
-        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 0.0)
+        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 16.0, 0.0)
         assert out[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_accepts_psi_equal_one(self):
         # the baseline schedule 1/(n+1) starts at exactly 1
-        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 1.0)
+        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 16.0, 1.0)
         assert out[0] == pytest.approx(4.0)
 
 
@@ -456,6 +464,63 @@ class TestRunValidatesWhereArraysEnter:
             with pytest.raises(ValueError, match="finite"):
                 run("cq", T, config, np.full(3, 1.5e308))
 
+    def test_cq_overflowing_squared_norm_names_the_cut_normals(self):
+        # x - y = 1.98 x is finite, but its squared norm overflows
+        T = Operator(R2, lambda x: -x, name="negate")
+        config = RunConfig(error_metric=sup_norm, max_iterations=3)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="cut normals"):
+                run("cq", T, config, arr(1e200, 0.0))
+
+
+def reference_cq_errors(space, T, config, x_init):
+    """The ``E_n`` of a CQ run, from public functions only.
+
+    Each step is :func:`mann_step`, the two cuts written from their defining
+    formulas with ``space.inner``, and :func:`project_halfspace_pair`.
+    """
+    x0 = x = space.check(x_init)
+    errors = []
+    for n in range(config.max_iterations + 1):
+        errors.append(float(config.error_metric(x)))
+        if errors[-1] < config.tolerance or n == config.max_iterations:
+            break
+        y = mann_step(space, T, x, config.schedules.psi(n))
+        # ||y - u|| <= ||x - u||  and  <x - u, x - x0> <= 0
+        c = HalfSpace(x - y, 0.5 * (space.inner(x, x) - space.inner(y, y)))
+        q = HalfSpace(x0 - x, space.inner(x0 - x, x))
+        x = project_halfspace_pair(space, c, q, x0)
+    return errors
+
+
+class TestCqRunMatchesPublicSteps:
+    """A CQ run gives, bit for bit, the ``E_n`` of the same iteration built
+    from public functions, which form every Gram scalar on every step."""
+
+    @staticmethod
+    def assert_same_errors(spec, config, starts):
+        config = replace(config, schedules=spec.schedules_for("cq"))
+        for name, start in starts:
+            trace = run("cq", spec.operator, config, start)
+            want = reference_cq_errors(spec.space, spec.operator, config, start)
+            assert np.array(trace.errors).tobytes() == np.array(want).tobytes(), name
+
+    def test_cfp(self):
+        spec = build_cfp(seed=0)
+        config = replace(spec.defaults, max_iterations=200)
+        starts = spec.make_initials(np.random.default_rng(5), 3)
+        self.assert_same_errors(spec, config, starts)
+
+    def test_sfp(self):
+        spec = build_sfp(1024)
+        self.assert_same_errors(spec, spec.defaults, spec.initial_cases)
+
+    def test_weber(self):
+        spec = build_weber()
+        config = replace(spec.defaults, max_iterations=300)
+        starts = spec.make_initials(np.random.default_rng(6), 3)
+        self.assert_same_errors(spec, config, starts)
+
 
 NON_CQ = tuple(a for a in ALGORITHMS if a != "cq")
 
@@ -493,13 +558,26 @@ class TestValidationCount:
         trace = run(algorithm, spec.operator, config, start)
         assert trace.iterations == 200
         if algorithm == "cq":
-            # the start point, then T(x), the two cut normals and the projected
-            # point per iteration; but x_0 lies in both cuts of the first step
-            # (psi_0 = 1 makes them the whole space), so that projection
-            # returns x_0 unchecked
-            assert len(calls) == 4 * trace.iterations
+            # the start point, then T(x) and the projected point per iteration
+            # (the squared norms of the cut normals certify them); but x_0 lies
+            # in both cuts of the first step (psi_0 = 1 makes them the whole
+            # space), so that projection returns x_0 unchecked
+            assert len(calls) == 2 * trace.iterations
         else:
             assert len(calls) == trace.iterations + 1
+
+    def test_cq_inner_products_per_iteration(self, monkeypatch):
+        # <x_0, x_0> once per run; per iteration <x, x> and <y, y>, the two
+        # squared normal norms, the second cut's offset, <c, q> and <a_i, x_0>
+        space = EuclideanSpace(3)
+        calls = []
+        inner = space._inner
+        monkeypatch.setattr(space, "_inner", lambda u, v: calls.append(1) or inner(u, v))
+        T = Operator(space, lambda x: 0.5 * x, name="half")
+        config = RunConfig(error_metric=sup_norm, max_iterations=50, tolerance=1e-300)
+        trace = run("cq", T, config, arr(1.0, 2.0, 3.0))
+        assert trace.iterations == 50
+        assert len(calls) == 1 + 8 * trace.iterations
 
     @pytest.mark.parametrize("algorithm", NON_CQ)
     def test_space_checks_per_sfp_iteration(self, algorithm, monkeypatch):

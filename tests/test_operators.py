@@ -47,6 +47,12 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
+
+def pair_kernel(space, h1, h2, x):
+    """The pair kernel on the three squared norms that its callers form."""
+    g11, g22 = space._inner(h1.normal, h1.normal), space._inner(h2.normal, h2.normal)
+    return _project_halfspace_pair(space, h1, h2, g11, g22, x, space._inner(x, x))
+
 CUBE_ANCHORS = AnchorSet(
     anchors=np.array(
         [
@@ -178,22 +184,25 @@ class TestCqHalfspaces:
     # _cq_halfspaces takes validated arrays, as the CQ step of run passes them
     def test_equal_iterates_give_whole_space(self):
         x = np.array([1.0, 2.0])
-        c, q = _cq_halfspaces(R2, x, x, np.array([5.0, 5.0]))
+        c, q, g11, _ = _cq_halfspaces(R2, x, x, np.array([5.0, 5.0]))
         assert np.array_equal(c.normal, np.zeros(2))
         assert c.offset == 0.0
+        assert g11 == 0.0
 
     def test_start_at_current_gives_whole_space_cut(self):
         x = np.array([1.0, 2.0])
         y = np.array([0.5, 0.5])
-        c, q = _cq_halfspaces(R2, x, y, x)
+        c, q, _, g22 = _cq_halfspaces(R2, x, y, x)
         assert np.array_equal(q.normal, np.zeros(2))
         assert q.offset == 0.0
+        assert g22 == 0.0
 
     def test_hand_expanded_example(self):
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 0.0])
         x0 = np.array([2.0, 0.0])
-        c, q = _cq_halfspaces(R2, x, y, x0)
+        c, q, g11, g22 = _cq_halfspaces(R2, x, y, x0)
+        assert (g11, g22) == (1.0, 1.0)
         # ||y - u|| <= ||x - u||  <=>  u_1 <= 1/2
         assert np.allclose(c.normal, [1.0, 0.0])
         assert c.offset == pytest.approx(0.5)
@@ -209,7 +218,10 @@ class TestCqHalfspaces:
             y = rng.normal(size=4)
             x0 = rng.normal(size=4)
             u = rng.normal(size=4) * 2
-            c, q = _cq_halfspaces(space, x, y, x0)
+            c, q, g11, g22 = _cq_halfspaces(space, x, y, x0)
+            # the squared norms of the normals, with the space's bits
+            assert g11 == space.inner(c.normal, c.normal)
+            assert g22 == space.inner(q.normal, q.normal)
             in_c = space.norm(y - u) <= space.norm(x - u)
             in_c_half = space.inner(c.normal, u) <= c.offset + 1e-9
             assert in_c == in_c_half or abs(space.norm(y - u) - space.norm(x - u)) < 1e-7
@@ -221,6 +233,19 @@ class TestCqHalfspaces:
         x = np.full(2, 1.5e308)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             _cq_halfspaces(R2, x, -x, x)
+
+    @pytest.mark.parametrize("x0", [[0.0, 1.0], [-1e200, 0.0]], ids=["c", "both"])
+    def test_normal_with_overflowing_squared_norm_rejected(self, x0):
+        # x - y = (2e200, 0) is finite, but its squared norm overflows
+        x = np.array([1e200, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="cut normals"):
+            _cq_halfspaces(R2, x, -x, np.array(x0))
+
+    def test_finite_normal_squared_norms_pass(self):
+        # ||x - y||^2 = 4e300 is large but finite
+        x = np.array([1e150, 0.0])
+        c, q, g11, g22 = _cq_halfspaces(R2, x, -x, np.array([0.0, 1.0]))
+        assert math.isfinite(g11) and math.isfinite(g22)
 
 
 def brute_force_pair_projection(a1, b1, a2, b2, x, tol=1e-9):
@@ -321,7 +346,7 @@ class TestCqKernelsMatchWrappers:
                     ),
                 )
             out = project_halfspace_pair(space, h1, h2, x)
-            assert same_bits(out, _project_halfspace_pair(space, h1, h2, x))
+            assert same_bits(out, pair_kernel(space, h1, h2, x))
             branches.add(
                 "x" if out is x
                 else "p1" if same_bits(out, project_halfspace(space, h1, x))
@@ -331,7 +356,7 @@ class TestCqKernelsMatchWrappers:
         # every case of the active-set analysis was exercised
         assert branches == {"x", "p1", "p2", "both"}
 
-    def test_pair_projection_takes_each_normal_norm_once(self, monkeypatch):
+    def test_pair_kernel_takes_the_squared_norms_from_its_caller(self, monkeypatch):
         space = EuclideanSpace(30)
         plain = EuclideanSpace(30)  # uncounted, to tell the branches apart
         rng = np.random.default_rng(24)
@@ -355,21 +380,22 @@ class TestCqKernelsMatchWrappers:
             h1 = HalfSpace(a1, float(a1 @ z) + rng.uniform(-1.0, 3.0))
             h2 = HalfSpace(a2, float(a2 @ z) + rng.uniform(-1.0, 3.0))
             x = z + rng.normal(size=30) * 2.0
+            g11, g22, xx = plain._inner(a1, a1), plain._inner(a2, a2), plain._inner(x, x)
             grams.clear()
             calls.clear()
             checks.clear()
-            out = _project_halfspace_pair(space, h1, h2, x)
-            assert sum(u is a1 for u in grams) == 1
-            assert sum(u is a2 for u in grams) == 1
+            out = _project_halfspace_pair(space, h1, h2, g11, g22, x, xx)
+            # <a_i, a_i> and ||x||^2 come from the caller and are not formed again
+            assert grams == []
             if not (
                 out is x
                 or same_bits(out, project_halfspace(plain, h1, x))
                 or same_bits(out, project_halfspace(plain, h2, x))
             ):
                 both_active += 1
-                # <a_i, a_i>, <a_i, x>, <a_1, a_2> and ||x|| once each; the
-                # single projections are tested from these, never formed
-                assert len(calls) == 6
+                # <a_1, a_2> and <a_i, x> once each; the single projections
+                # are tested from these, never formed
+                assert len(calls) == 3
                 assert len(checks) == 1
         assert both_active > 0
 
@@ -382,9 +408,11 @@ class TestCqKernelsMatchWrappers:
         for n in range(20):
             psi = 1.0 / (n + 2)
             y = psi * x + (1.0 - psi) * cfp_operator(space, balls, x)
-            c, q = _cq_halfspaces(space, x, y, x0)
+            c, q, g11, g22 = _cq_halfspaces(space, x, y, x0)
             out = project_halfspace_pair(space, c, q, x0)
-            assert same_bits(out, _project_halfspace_pair(space, c, q, x0))
+            assert same_bits(
+                out, _project_halfspace_pair(space, c, q, g11, g22, x0, space._inner(x0, x0))
+            )
             x = out
 
 
@@ -445,7 +473,7 @@ class TestPairProjectionMatchesTrialProjections:
 
     @staticmethod
     def branch(space, h1, h2, x):
-        out = _project_halfspace_pair(space, h1, h2, x)
+        out = pair_kernel(space, h1, h2, x)
         if out is x:
             return "x"
         if same_bits(out, project_halfspace(space, h1, x)):
@@ -454,7 +482,7 @@ class TestPairProjectionMatchesTrialProjections:
 
     def assert_same(self, space, h1, h2, x):
         want = pair_outcome(reference_pair_projection, space, h1, h2, x)
-        assert pair_outcome(_project_halfspace_pair, space, h1, h2, x) == want
+        assert pair_outcome(pair_kernel, space, h1, h2, x) == want
         assert pair_outcome(project_halfspace_pair, space, h1, h2, x) == want
 
     @SPACES
@@ -538,7 +566,7 @@ class TestPairProjectionMatchesTrialProjections:
                 self.assert_same(space, h0, h, x)
                 self.assert_same(space, h, h0, x)
         with pytest.raises(InfeasibleSetError, match="zero normal"):
-            _project_halfspace_pair(space, HalfSpace(zero, -1.0), HalfSpace(zero, 0.0), x)
+            pair_kernel(space, HalfSpace(zero, -1.0), HalfSpace(zero, 0.0), x)
 
     @SPACES
     def test_random_pairs(self, space):

@@ -158,3 +158,11 @@ class TestInertiaDecayDiagnostic:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             check_inertia_decay([])
+
+    @pytest.mark.parametrize(
+        "nu", [0.0, -0.5, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_nu_must_be_finite_and_positive(self, nu):
+        entries = [(0.0, 1.0, 0.5), (0.5, nu, 1.0)]
+        with pytest.raises(ValueError, match="nu_n must be finite and positive"):
+            check_inertia_decay(entries)

@@ -174,6 +174,12 @@ class TestCombine:
         with pytest.raises(ValueError):
             space.combine(0.5, [1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, t):
+        space = EuclideanSpace(2)
+        with pytest.raises(ValueError, match="weight t must be finite"):
+            space.combine(t, [1.0, 2.0], [3.0, 4.0])
+
 
 @pytest.mark.parametrize(
     "space", [EuclideanSpace(7), PeriodicGridSpace(129)], ids=["euclidean", "grid"]
