@@ -241,10 +241,16 @@ class Operator:
         return self.func(x)
 
 
-def _checked_halfspace(space, hs: HalfSpace) -> HalfSpace:
+def _checked_halfspace(space, hs: HalfSpace, name: str) -> tuple[HalfSpace, float]:
+    # the half-space with a checked normal, and <a, a>; a finite normal whose
+    # squared norm overflows would make every multiplier 0 and is rejected
     if not math.isfinite(hs.offset):
         raise ValueError(f"half-space offset must be finite, got {hs.offset}")
-    return HalfSpace(space.check(hs.normal), hs.offset)
+    normal = space.check(hs.normal)
+    sq = space._inner(normal, normal)
+    if not math.isfinite(sq):
+        raise ValueError(f"{name} normal must have a finite squared norm, got {sq}")
+    return HalfSpace(normal, hs.offset), sq
 
 
 def _within(hs, normal_norm, au, u_norm) -> bool:
@@ -266,12 +272,12 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
 
     Returns ``x`` when feasible, otherwise ``x - ((<a,x> - b)/||a||^2) a``.
     Raises :class:`InfeasibleSetError` for the empty half-space (zero
-    normal with negative offset).
+    normal with negative offset), and ``ValueError`` for a normal whose
+    squared norm is not finite.
     """
     x = space.check(x)
-    hs = _checked_halfspace(space, hs)
-    a = hs.normal
-    return _project_halfspace(space, hs, space._inner(a, a), x, space._inner(a, x))
+    hs, sq = _checked_halfspace(space, hs, "half-space")
+    return _project_halfspace(space, hs, sq, x, space._inner(hs.normal, x))
 
 
 def _multiplier(hs, sq, ax):
@@ -382,11 +388,12 @@ def project_halfspace_pair(
     and ``||x||^2``: the single projection ``p1 = x - t a1`` has
     ``<a2, p1> = <a2, x> - t <a1, a2>`` and
     ``||p1||^2 = ||x||^2 - 2 t <a1, x> + t^2 ||a1||^2``, and likewise for
-    ``p2``. Only the returned point is formed as a vector and checked.
+    ``p2``. Only the returned point is formed as a vector and checked. A
+    normal whose squared norm is not finite raises ``ValueError``.
     """
     x = space.check(x)
-    h1, h2 = _checked_halfspace(space, h1), _checked_halfspace(space, h2)
-    g11, g22 = space._inner(h1.normal, h1.normal), space._inner(h2.normal, h2.normal)
+    h1, g11 = _checked_halfspace(space, h1, "h1")
+    h2, g22 = _checked_halfspace(space, h2, "h2")
     return _project_halfspace_pair(space, h1, h2, g11, g22, x, space._inner(x, x))
 
 
@@ -566,10 +573,13 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
 def _weiszfeld(space, anchors, x):
     # the map of weiszfeld_map on a validated x and anchors of the space's width
     points = anchors.anchors
-    dists = np.sqrt(space._row_inners(x - points))
+    d2 = space._row_inners(x - points)
+    dists = np.sqrt(d2, d2)
     # one reduction with the verdict of (dists <= tol).any(): fmin skips a
     # NaN distance where np.minimum would return it and hide a singular one
     if np.fmin.reduce(dists) <= ANCHOR_SINGULARITY_TOL:
         raise SingularityError("evaluation point coincides with an anchor")
     coef = anchors.weights / dists
-    return (coef @ points) / coef.sum()
+    # the dgemv and the reduction of coef @ points and coef.sum(), without
+    # the gufunc and method dispatch
+    return np.dot(coef, points) / np.add.reduce(coef)

@@ -5,11 +5,18 @@ with the dot product, and real functions on an interval [0, L] sampled on a
 uniform grid, where the inner product is the composite-trapezoid quadrature
 of f*g (default L = 2*pi). Points are plain one-dimensional numpy arrays;
 a space validates membership (length and finiteness) and supplies the
-inner product, norm and affine combinations. Each space states its inner
-product once for points (``_inner``) and once for the rows of an
-``(m, size)`` stack (``_row_inners``, ``np.vecdot`` on the last axis, equal
-bit for bit to ``_inner`` of each row with itself); the ball sweep and the
-Weiszfeld map take their distances from it.
+inner product, norm and affine combinations. Finiteness has one
+certificate: a finite squared norm ``dot(x, x)`` proves every entry finite,
+since an inf or NaN entry makes it inf or NaN and no term is negative.
+Only a non-finite squared norm falls back to the elementwise test, which
+decides; a finite point whose squared norm overflows (an entry above about
+1.3e154) passes at the cost of that pass plus numpy's overflow warning. A
+signaling NaN, which no arithmetic makes, costs an invalid-value warning.
+
+Each space states its inner product once for points (``_inner``) and once
+for the rows of an ``(m, size)`` stack (``_row_inners``, ``np.vecdot`` on
+the last axis, equal bit for bit to ``_inner`` of each row with itself);
+the ball sweep and the Weiszfeld map take their distances from it.
 
 Every point-sized vector the package creates (weights, cached samples,
 ``zeros``, the run workspace, the sfp operator's result) comes from
@@ -79,14 +86,18 @@ class InnerProductSpace:
     def check(self, x) -> np.ndarray:
         """Validate that ``x`` belongs to this space and return it as float64.
 
-        Raises ValueError on a length mismatch or non-finite entries.
+        Raises ValueError on a length mismatch or non-finite entries. A
+        finite squared norm certifies the entries in one reduction; a
+        non-finite one falls back to ``np.isfinite(x).all()``, so the verdict
+        is exactly that test's. An overflow or a signaling NaN pays for that
+        pass plus numpy's warning.
         """
         arr = np.asarray(x, dtype=np.float64)
         if arr.shape != (self.size,):
             raise ValueError(
                 f"expected {self.size} coordinates, got array of shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not math.isfinite(np.dot(arr, arr)) and not np.isfinite(arr).all():
             raise ValueError("coordinates must be finite (no NaN or Inf)")
         return arr
 

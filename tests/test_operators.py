@@ -27,6 +27,7 @@ from fpiter.operators import (
     _project_halfspace,
     _project_halfspace_pair,
     _project_integral_halfspace,
+    _weiszfeld,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
 
@@ -614,6 +615,30 @@ class TestCqWrappersValidate:
         out = project_halfspace(R2, HalfSpace([1.0, 0.0], 0.0), [2.0, 1.0])
         assert np.array_equal(out, [0.0, 1.0])
 
+    def test_normal_with_overflowing_squared_norm_rejected(self):
+        # a = (1e200, 0) is finite, but <a, a> overflows: every multiplier
+        # would be 0, and x = (1, 1) would come back outside {u_1 <= 0}
+        big = HalfSpace(np.array([1e200, 0.0]), 0.0)
+        below = HalfSpace(np.array([0.0, 1.0]), 0.0)
+        x = np.ones(2)
+        for project, name in (
+            (lambda: project_halfspace(R2, big, x), "half-space"),
+            (lambda: project_halfspace_pair(R2, big, below, x), "h1"),
+            (lambda: project_halfspace_pair(R2, below, big, x), "h2"),
+        ):
+            with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=f"^{name} normal must have a finite squared norm"
+            ):
+                project()
+
+    def test_large_normal_with_finite_squared_norm_projects(self):
+        # <a, a> = 1e300 is large but finite
+        a = HalfSpace(np.array([1e150, 0.0]), 0.0)
+        out = project_halfspace(R2, a, np.ones(2))
+        assert np.allclose(out, [0.0, 1.0], rtol=0.0, atol=1e-15)
+        out = project_halfspace_pair(R2, a, HalfSpace(np.array([0.0, 1.0]), 0.0), np.ones(2))
+        assert np.allclose(out, [0.0, 0.0], rtol=0.0, atol=1e-15)
+
 
 class TestSfpOperator:
     def test_zero_is_fixed_exactly(self):
@@ -953,6 +978,18 @@ class TestWeiszfeldMap:
             coef = anchors.weights / dists
             expected = (coef @ anchors.anchors) / coef.sum()
             assert same_bits(weiszfeld_map(space, anchors, x), expected)
+
+    @pytest.mark.parametrize("space", [EuclideanSpace(3), GRID30], ids=["euclidean", "grid"])
+    def test_kernel_keeps_the_bits_of_the_matmul_form(self, space):
+        # np.dot and np.add.reduce reach the dgemv and the reduction that
+        # coef @ points and coef.sum() do
+        rng = np.random.default_rng(38)
+        anchors = AnchorSet(rng.normal(size=(7, space.size)) * 5.0, rng.uniform(0.5, 3.0, 7))
+        for _ in range(5000):
+            x = rng.normal(size=space.size) * 10.0
+            coef = anchors.weights / np.sqrt(space._row_inners(x - anchors.anchors))
+            expected = (coef @ anchors.anchors) / coef.sum()
+            assert same_bits(_weiszfeld(space, anchors, x), expected)
 
     def test_not_globally_nonexpansive(self):
         # the map expands radially near anchors; frozen counterexample

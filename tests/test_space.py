@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpiter.experiments import build_cfp, build_sfp
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
@@ -263,3 +267,88 @@ def test_integer_sizes_of_any_index_type_are_accepted():
     grid = PeriodicGridSpace(np.int32(12))
     assert grid.num_points == grid.size == 12
     assert type(grid.size) is int
+
+
+# a signaling NaN: no arithmetic makes one, but a caller's bits may hold it
+SIGNALING_NAN = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64).item()
+# entries that decide or strain the finiteness certificate dot(x, x): the
+# non-finite values, signed zeros, subnormals, the largest double and
+# entries whose squares (or their sum) overflow
+SPECIAL_ENTRIES = [
+    math.inf, -math.inf, math.nan, SIGNALING_NAN, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e200, -1e200, 1.4e154, -1.4e154, 1.0, -2.5,
+]
+
+
+def is_signaling_nan(v) -> bool:
+    bits = np.float64(v).view(np.uint64).item()
+    return math.isnan(v) and not bits & (1 << 51)
+
+
+ENTRIES = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(width=64))
+
+
+@st.composite
+def checked_points(draw):
+    """A space, and a view of ``space.size`` drawn entries, contiguous or strided.
+
+    The gaps of a strided view hold NaN, so a check that read past the view's
+    entries would reject a finite one.
+    """
+    grid = draw(st.booleans())
+    size = draw(st.integers(2 if grid else 1, 24))
+    space = PeriodicGridSpace(size) if grid else EuclideanSpace(size)
+    entries = draw(st.lists(ENTRIES, min_size=size, max_size=size))
+    stride = draw(st.integers(1, 3))
+    base = np.full(size * stride, math.nan)
+    view = base[::stride]
+    view[:] = entries
+    return space, view
+
+
+class TestFiniteCertificate:
+    """``check``'s squared-norm certificate gives the verdict of ``np.isfinite(x).all()``."""
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(checked_points())
+    @example((EuclideanSpace(2), np.array([1e200, math.inf])))
+    @example((EuclideanSpace(2), np.array([math.inf, 1e200])))
+    @example((PeriodicGridSpace(3), np.array([1.4e154, 1.4e154, 0.0])))
+    @example((EuclideanSpace(3), np.array([-math.inf, math.inf, math.nan])))
+    @example((PeriodicGridSpace(2), np.array([1.0, SIGNALING_NAN])))
+    def test_accepts_exactly_the_finite_points(self, case):
+        space, x = case
+        finite = bool(np.isfinite(x).all())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if finite:
+                assert space.check(x) is x
+            else:
+                with pytest.raises(ValueError, match=r"^coordinates must be finite \(no NaN or Inf\)$"):
+                    space.check(x)
+        # numpy warns only of an entry whose square may overflow, and of a
+        # signaling NaN; an inf or a quiet NaN never warns
+        allowed = set()
+        if np.abs(x[np.isfinite(x)]).max(initial=0.0) >= 1e150:
+            allowed.add("overflow encountered in dot")
+        if any(is_signaling_nan(v) for v in x.tolist()):
+            allowed.add("invalid value encountered in dot")
+        assert {(w.category, str(w.message)) for w in caught} <= {
+            (RuntimeWarning, m) for m in allowed
+        }
+
+    @pytest.mark.parametrize("make", [EuclideanSpace, PeriodicGridSpace])
+    def test_finite_check_allocates_no_mask(self, make):
+        # np.isfinite(x).all() would form a 32 KiB bool mask of a 32,768-node
+        # vector; the certificate forms one scalar
+        space = make(32768)
+        x = np.sin(np.arange(32768.0))
+        space.check(x)
+        tracemalloc.start()
+        try:
+            space.check(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
