@@ -169,10 +169,11 @@ def _check_unit(name: str, value: float) -> None:
 # step functions validate their array arguments once and call the same
 # kernels, so a run and a sequence of public steps produce the same bits.
 #
-# ``out`` receives the result and ``scratch`` the second product; both are
+# ``out`` receives the result and ``scratch`` the other product; both are
 # run workspace vectors. ``out`` may be the ``diff`` or ``y`` argument and
 # ``scratch`` the ``w`` or ``v`` one: each is read before it is overwritten.
-# Without them (the public steps) every result is a fresh array.
+# ``_averaged`` lends ``out`` to the operator (see ``Operator``). Without
+# them (the public steps) every result is a fresh array.
 
 
 def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
@@ -190,8 +191,10 @@ def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
 def _averaged(space, T, w, psi_n, out=None, scratch=None):
     """``psi w + (1 - psi) T w``."""
     _check_unit("psi", psi_n)
-    t_w = space.check(T(w))
-    return np.add(np.multiply(w, psi_n, out), np.multiply(t_w, 1.0 - psi_n, scratch), out)
+    # T(w) may be written into out, or be w itself: scale it before psi w
+    # can overwrite w's vector (scratch); the sum keeps its operand order
+    t_w = np.multiply(space.check(T(w, out)), 1.0 - psi_n, out)
+    return np.add(np.multiply(w, psi_n, scratch), t_w, out)
 
 
 def _blend(nu_n, v, y, out=None, scratch=None):
@@ -293,14 +296,18 @@ def run(
     and a work vector always, the default anchor for the anchor engines, and
     CQ's second cut normal and product scratch. ``x_{n+1}`` goes into slot
     ``n % 2``, over ``x_{n-1}``, which no step reads once ``x_n - x_{n-1}``
-    is formed in the work vector. That vector then holds ``w``, the second
-    product of each combination and the default contraction's ``rho x_n``
-    (for CQ: ``y``, then the first cut normal). So the step arithmetic
-    allocates no vector in the loop; only the operator and a caller's
-    contraction return fresh ones. The caller's ``x_init``, ``x_init_prev``
-    and ``anchor`` are only read, never written or copied. An iterate handed
-    to ``T``, the metric or the contraction is a workspace vector that later
-    iterations overwrite: a callback must copy any point it keeps.
+    is formed in the work vector. That vector then holds ``w``, one product
+    of each combination and the default contraction's ``rho x_n`` (for CQ:
+    ``y``, then the first cut normal). ``T`` is lent the vector that will
+    receive the step's result as its ``out`` (the rule is stated once, in
+    :class:`~fpiter.operators.Operator`). So the step arithmetic allocates
+    no vector in the loop, nor does an operator that writes into ``out``,
+    as the sfp sweep does; only an operator that returns another array and
+    a caller's contraction make fresh ones. The caller's ``x_init``,
+    ``x_init_prev`` and ``anchor`` are only read, never written or copied.
+    An iterate handed to ``T``, the metric or the contraction is a workspace
+    vector that later iterations overwrite: a callback must copy any point
+    it keeps.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")

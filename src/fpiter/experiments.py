@@ -181,7 +181,10 @@ def build_sfp(
     """
     space = PeriodicGridSpace(grid_points)
     _check_sfp_args(space, lam, mode)
-    operator = Operator(space, lambda x: _sfp_sweep(space, x, lam, mode), name="sfp-sweep")
+    # the sweep writes T(x) into the workspace vector run lends it
+    operator = Operator(
+        space, lambda x, out: _sfp_sweep(space, x, lam, mode, out), name="sfp-sweep"
+    )
     cases = (
         ("t2", space.from_function(lambda t: t**2 / 10.0)),
         ("exp", space.from_function(lambda t: np.exp(t / 2.0) / 3.0)),
@@ -235,8 +238,9 @@ def build_cfp(
         bound = 1.0 / np.sqrt(dim)
         centers[3:] = rng.uniform(-bound, bound, size=(num_balls - 2, dim))
     balls = BallSet(centers, np.ones(num_balls + 1))
+    # a result of dim doubles: the sweep returns a fresh one and ignores out
     operator = Operator(
-        space, lambda x: _cfp_sweep(space, balls, x), name="cfp-averaged-projections"
+        space, lambda x, out: _cfp_sweep(space, balls, x), name="cfp-averaged-projections"
     )
     defaults = RunConfig(
         error_metric=sup_norm,
@@ -311,7 +315,7 @@ def build_weber(anchors: Optional[AnchorSet] = None) -> ExperimentSpec:
     else:
         space = EuclideanSpace(anchors.anchors.shape[1])
         target = fermat_weber_point(space, anchors)
-    operator = Operator(space, lambda x: _weiszfeld(space, anchors, x), name="weiszfeld")
+    operator = Operator(space, lambda x, out: _weiszfeld(space, anchors, x), name="weiszfeld")
     lo = float(anchors.anchors.min())
     hi = float(anchors.anchors.max())
     defaults = RunConfig(

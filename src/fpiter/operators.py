@@ -27,15 +27,17 @@ the CQ half-space pair only through its kernels, and the experiment specs
 build their operators from the sweep and map kernels. A non-finite value
 that a kernel makes still ends the run in ``ValueError``, at the run's
 check of the next operator output.
-The kernels take optional ``out`` vectors (a run's workspace, or the
-sweep's result); without them, as the wrappers call them, results are fresh.
+The kernels take optional ``out`` vectors: a run's workspace (the sweep
+gets it by the rule that :class:`Operator` states), or the sweep's own
+result. Without them, as the wrappers call them, results are fresh.
 
-All functions are pure; the small dataclasses are frozen. A note on
-nonexpansiveness: every projection here, and the half-space/ball
-composites, satisfy ``||T x - T y|| <= ||x - y||``. The Weiszfeld map does
-not: it is a strong contraction near the weighted-median point but
-expansive near the anchors, so callers must keep iterates away from the
-anchor set (see :class:`SingularityError`).
+All functions are pure but for the ``out`` vectors they are given; the
+small dataclasses are frozen. A note on nonexpansiveness: every
+projection here, and the half-space/ball composites, satisfy
+``||T x - T y|| <= ||x - y||``. The Weiszfeld map does not: it is a strong
+contraction near the weighted-median point but expansive near the
+anchors, so callers must keep iterates away from the anchor set (see
+:class:`SingularityError`).
 """
 
 from __future__ import annotations
@@ -227,18 +229,27 @@ class AnchorSet:
 class Operator:
     """A self-map of ``space`` with a display name, callable on points.
 
-    :func:`fpiter.algorithms.run` calls ``func`` on points that the run
-    formed from validated arrays, so ``func`` need not check its input; the
-    run checks its output, and a non-finite one ends the run in
-    ``ValueError``.
+    ``T(x, out)`` calls ``func(x, out)``; this is the one statement of
+    the contract. ``out`` is ``None`` or a point-sized vector that is not
+    ``x``, and ``func`` must not read it. ``func`` may write ``T(x)`` into
+    ``out`` and return it, or it may return any other array (a fresh one,
+    or ``x`` itself). :func:`fpiter.algorithms.run` lends ``func`` the
+    workspace vector that receives the step's result (``x_{n+1}``, or
+    cq's ``y``), so an operator that writes into ``out`` allocates nothing
+    per iteration; one that ignores ``out`` is just as correct, and a
+    custom operator may simply do so. ``T(x)`` passes ``out=None``.
+
+    ``run`` calls ``func`` on points that the run formed from validated
+    arrays, so ``func`` need not check its input; the run checks its
+    output, and a non-finite one ends the run in ``ValueError``.
     """
 
     space: InnerProductSpace
-    func: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    func: Callable[[np.ndarray, np.ndarray | None], np.ndarray] = field(repr=False)
     name: str = "custom"
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.func(x)
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.func(x, out)
 
 
 def _checked_halfspace(space, hs: HalfSpace, name: str) -> tuple[HalfSpace, float]:
@@ -493,9 +504,10 @@ def sfp_operator(
     return _sfp_sweep(space, space.check(x), lam, mode)
 
 
-def _sfp_sweep(space, x, lam, mode):
-    # sfp_operator's sweep on a checked x, lam and mode; z holds x - sin, then the step
-    z = np.subtract(x, space.sin_nodes, _aligned_empty(space.size))
+def _sfp_sweep(space, x, lam, mode, out=None):
+    # sfp_operator's sweep on a checked x, lam and mode; z (``out``, which is
+    # not x, or a fresh aligned vector) holds x - sin, then the step
+    z = np.subtract(x, space.sin_nodes, _aligned_empty(space.size) if out is None else out)
     dist = space._norm(z)
     if dist <= 4.0:
         np.copyto(z, x)

@@ -32,9 +32,9 @@ from fpiter.space import EuclideanSpace
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
 
-ZERO_MAP = Operator(R1, lambda x: np.zeros(1), name="zero")
-ZERO_MAP_2D = Operator(R2, lambda x: np.zeros(2), name="zero")
-IDENTITY_2D = Operator(R2, lambda x: R2.check(x), name="identity")
+ZERO_MAP = Operator(R1, lambda x, out: np.zeros(1), name="zero")
+ZERO_MAP_2D = Operator(R2, lambda x, out: np.zeros(2), name="zero")
+IDENTITY_2D = Operator(R2, lambda x, out: R2.check(x), name="identity")
 
 
 def arr(*values):
@@ -185,7 +185,7 @@ class TestFixedPointRetention:
         # projection onto a ball fixes interior points exactly
         space = EuclideanSpace(2)
         ball = Ball(np.zeros(2), 8.0)
-        T = Operator(space, lambda x: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
         p = arr(2.0, -4.0)  # dyadic so the convex combinations are exact
         assert np.array_equal(mann_step(space, T, p, 0.25), p)
         assert np.array_equal(inertial_mann(space, T, p, p, 0.5, 0.25), p)
@@ -197,7 +197,7 @@ class TestFejerMonotonicity:
     def test_mann_never_moves_away_from_a_fixed_point(self):
         space = EuclideanSpace(3)
         ball = Ball(np.zeros(3), 1.0)
-        T = Operator(space, lambda x: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
         p = np.zeros(3)  # fixed point of T
         rng = np.random.default_rng(43)
         for _ in range(50):
@@ -218,9 +218,9 @@ class TestFejerMonotonicity:
             # the cq step hands x_n to T, and run reuses x_n's storage
             iterates = []
 
-            def copying(x):
+            def copying(x, out):
                 iterates.append(x.copy())
-                return spec.operator(x)
+                return spec.operator(x, out)
 
             trace = run("cq", Operator(space, copying), config, x0)
             assert trace.terminal_reason is TerminalReason.TOLERANCE_MET, name
@@ -230,7 +230,7 @@ class TestFejerMonotonicity:
 
 
 def contracting_operator(space, rate=0.5):
-    return Operator(space, lambda x: rate * space.check(x), name="scaler")
+    return Operator(space, lambda x, out: rate * space.check(x), name="scaler")
 
 
 def metric_to_zero(space):
@@ -268,7 +268,7 @@ class TestRun:
     def test_numeric_determinism(self):
         space = EuclideanSpace(3)
         ball = Ball(np.ones(3), 2.0)
-        T = Operator(space, lambda x: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
         config = RunConfig(
             error_metric=lambda x: space.norm(x - np.ones(3)),
             max_iterations=40,
@@ -308,7 +308,7 @@ class TestRun:
     def test_zero_mode_reproduces_non_inertial_baselines_bitwise(self):
         space = EuclideanSpace(3)
         ball = Ball(np.zeros(3), 1.0)
-        T = Operator(space, lambda x: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
         config = RunConfig(
             error_metric=metric_to_zero(space), max_iterations=30, tolerance=1e-30
         )
@@ -328,7 +328,7 @@ class TestRun:
     def test_singularity_terminates_run(self):
         space = EuclideanSpace(2)
 
-        def exploding(x):
+        def exploding(x, out):
             raise SingularityError("undefined here")
 
         T = Operator(space, exploding, name="singular")
@@ -339,7 +339,7 @@ class TestRun:
 
     def test_explicit_previous_point_and_anchor(self):
         space = EuclideanSpace(1)
-        T = Operator(space, lambda x: np.zeros(1), name="zero")
+        T = Operator(space, lambda x, out: np.zeros(1), name="zero")
         config = RunConfig(
             error_metric=metric_to_zero(space),
             max_iterations=1,
@@ -394,7 +394,7 @@ class TestRun:
     def test_all_listed_algorithms_run(self):
         space = EuclideanSpace(2)
         ball = Ball(np.zeros(2), 1.0)
-        T = Operator(space, lambda x: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
         config = RunConfig(
             error_metric=metric_to_zero(space), max_iterations=8, tolerance=1e-30
         )
@@ -413,7 +413,7 @@ class TestRunValidatesWhereArraysEnter:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_output_raises(self, algorithm, bad):
-        T = Operator(R2, lambda x: np.full(2, bad), name="non-finite")
+        T = Operator(R2, lambda x, out: np.full(2, bad), name="non-finite")
         with pytest.raises(ValueError, match="finite"):
             run(algorithm, T, self.CONFIG, arr(1.0, 2.0))
 
@@ -449,7 +449,7 @@ class TestRunValidatesWhereArraysEnter:
     def test_bad_entry_array_raises_before_the_first_step(self, entry, bad, message):
         # every array the caller passes is checked on entry, before T is called
         calls = []
-        T = Operator(R2, lambda x: calls.append(1) or np.zeros(2), name="counted-zero")
+        T = Operator(R2, lambda x, out: calls.append(1) or np.zeros(2), name="counted-zero")
         arrays = {"x_init": arr(1.0, 2.0), "x_init_prev": arr(0.5, 1.0), "anchor": arr(0.0, 1.0)}
         arrays[entry] = bad
         with pytest.raises(ValueError, match=message):
@@ -458,7 +458,7 @@ class TestRunValidatesWhereArraysEnter:
 
     def test_cq_overflow_raises(self):
         # x - y overflows to inf in the CQ half-space normal
-        T = Operator(EuclideanSpace(3), lambda x: -x, name="negate")
+        T = Operator(EuclideanSpace(3), lambda x, out: -x, name="negate")
         config = RunConfig(error_metric=sup_norm, max_iterations=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="finite"):
@@ -466,7 +466,7 @@ class TestRunValidatesWhereArraysEnter:
 
     def test_cq_overflowing_squared_norm_names_the_cut_normals(self):
         # x - y = 1.98 x is finite, but its squared norm overflows
-        T = Operator(R2, lambda x: -x, name="negate")
+        T = Operator(R2, lambda x, out: -x, name="negate")
         config = RunConfig(error_metric=sup_norm, max_iterations=3)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="cut normals"):
@@ -573,7 +573,7 @@ class TestValidationCount:
         calls = []
         inner = space._inner
         monkeypatch.setattr(space, "_inner", lambda u, v: calls.append(1) or inner(u, v))
-        T = Operator(space, lambda x: 0.5 * x, name="half")
+        T = Operator(space, lambda x, out: 0.5 * x, name="half")
         config = RunConfig(error_metric=sup_norm, max_iterations=50, tolerance=1e-300)
         trace = run("cq", T, config, arr(1.0, 2.0, 3.0))
         assert trace.iterations == 50
@@ -670,5 +670,5 @@ class TestRunConfigValidation:
             with pytest.raises(ValueError, match="max_iterations must be an integer"):
                 replace(config, max_iterations=bad)
         numpy_cap = replace(config, max_iterations=np.int64(7), error_metric=lambda x: 1.0)
-        T = Operator(EuclideanSpace(2), lambda x: 0.5 * x, name="half")
+        T = Operator(EuclideanSpace(2), lambda x, out: 0.5 * x, name="half")
         assert run("mann", T, numpy_cap, np.ones(2)).iterations == 7

@@ -451,7 +451,7 @@ class TestRunSuite:
 def always_singular(space):
     calls = []
 
-    def raise_singularity(x):
+    def raise_singularity(x, out):
         calls.append(1)
         raise SingularityError("always undefined")
 

@@ -27,6 +27,7 @@ from fpiter.operators import (
     _project_halfspace,
     _project_halfspace_pair,
     _project_integral_halfspace,
+    _sfp_sweep,
     _weiszfeld,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
@@ -712,13 +713,18 @@ class TestSfpKernelsMatchWrappers:
     @pytest.mark.parametrize("lam", [0.25, 1.5])
     def test_operator_composes_the_wrappers(self, mode, lam):
         # the closed form sin + (1 - lam + lam 4/||d||) d rounds differently
-        # from x - lam (x - P_Q x) outside the ball; inside, both are x
+        # from x - lam (x - P_Q x) outside the ball; inside, both are x. The
+        # sweep kernel given an out vector (NaN, which it must not read)
+        # writes the fresh form's bits into it.
         eps = np.finfo(np.float64).eps
         branches = set()
         for x in self.points():
             p_q = project_l2_ball(GRID, x)
             expected = project_integral_halfspace(GRID, x - lam * (x - p_q), mode)
             out = sfp_operator(GRID, x, lam=lam, mode=mode)
+            into = np.full(GRID.size, np.nan)
+            assert _sfp_sweep(GRID, x, lam, mode, into) is into
+            assert same_bits(into, out)
             if p_q is x:
                 assert same_bits(out, expected)
             else:
@@ -1103,6 +1109,6 @@ class TestAnchorSet:
 class TestOperatorWrapper:
     def test_callable_with_name(self):
         space = EuclideanSpace(2)
-        op = Operator(space, lambda x: 0.5 * space.check(x), name="halver")
+        op = Operator(space, lambda x, out: 0.5 * space.check(x), name="halver")
         assert np.allclose(op([2.0, 4.0]), [1.0, 2.0])
         assert op.name == "halver"

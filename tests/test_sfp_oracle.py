@@ -104,7 +104,7 @@ def oracle(space, x0, algorithm, lam, mode, config):
 
 def sfp_on(space, lam, mode):
     """The operator and run defaults of ``build_sfp`` on any grid space."""
-    operator = Operator(space, lambda x: sfp_operator(space, x, lam=lam, mode=mode))
+    operator = Operator(space, lambda x, out: sfp_operator(space, x, lam=lam, mode=mode))
     config = RunConfig(
         error_metric=sfp_residual_metric(space, mode),
         max_iterations=10000,

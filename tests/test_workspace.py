@@ -1,14 +1,17 @@
 """The run workspace and the in-place sfp kernels.
 
-``run`` writes its iterates into a workspace it allocates once per run, the
-sfp operator forms its intermediates in place, and the sfp metric forms
-none. These tests pin what that must not change: the caller's arrays are
-never written, the public steps and the operator return fresh arrays, the
-reused iterate slots give the iterates of the public steps, concurrent runs
-on one spec give the serial traces, and a wide sfp iteration holds few
-vectors and stops faulting in fresh pages. The vectors the package creates
-start on a 64-byte boundary, and no result depends on where a vector
-starts.
+``run`` writes its iterates into a workspace it allocates once per run and
+lends the operator the vector that receives each step (the rule is stated
+once, in ``fpiter.operators.Operator``); the sfp sweep writes ``T(w)`` there,
+and the sfp metric forms no vector. These tests pin what that must not
+change: the caller's arrays are never written, the public steps and an
+operator called without an ``out`` return fresh arrays, the lent vector is
+a workspace vector that is never ``w``, an operator may use it or ignore it
+with the same traces, the reused iterate slots give the iterates of the
+public steps, concurrent runs on one spec give the serial traces, and a
+wide sfp iteration holds only its workspace and stops faulting in fresh
+pages. The vectors the package creates start on a 64-byte boundary, and no
+result depends on where a vector starts.
 """
 
 import os
@@ -317,9 +320,10 @@ def test_run_hands_aligned_iterates_to_every_callback(algorithm):
     seen = []
 
     def recorded(name, f):
-        def call(p):
+        # the operator also gets the out vector run lends it
+        def call(p, *out):
             seen.append((name, offset(p)))
-            return f(p)
+            return f(p, *out)
 
         return call
 
@@ -337,35 +341,113 @@ def test_run_hands_aligned_iterates_to_every_callback(algorithm):
     assert [entry for entry in seen if entry[1] != 0] == []
 
 
+def counted_vectors(monkeypatch, *modules):
+    """The list of vectors that ``_aligned_empty`` makes in ``modules`` from now on."""
+    made = []
+
+    def counted(size):
+        made.append(_aligned_empty(size))
+        return made[-1]
+
+    for module in modules:
+        monkeypatch.setattr(module, "_aligned_empty", counted)
+    return made
+
+
 @pytest.mark.parametrize(
     "algorithm, vectors",
-    # two iterate slots and a work vector (x_n - x_{n-1}, w, the second
-    # product, the default contraction's result; cq's y), plus the default
-    # anchor, or cq's second normal and product scratch
+    # two iterate slots and a work vector (x_n - x_{n-1}, w, a product, the
+    # default contraction's result; cq's y), plus the default anchor, or
+    # cq's second normal and product scratch; the sweep writes T(w) into the
+    # vector it is lent and allocates nothing
     [("mann", 3), ("inertial-mann", 3), ("cq", 5), ("mmha", 4), ("mimha", 4), ("mmva", 3), ("mimva", 3)],
 )
 def test_run_allocates_only_what_the_engine_reads(algorithm, vectors, monkeypatch):
     spec = build_sfp(256)
-    made = []
-
-    def counted(size):
-        made.append(size)
-        return _aligned_empty(size)
-
-    monkeypatch.setattr(fpiter.algorithms, "_aligned_empty", counted)
+    made = counted_vectors(monkeypatch, fpiter.algorithms, fpiter.operators)
     config = replace(spec.defaults, max_iterations=3, schedules=spec.schedules_for(algorithm))
-    run(algorithm, spec.operator, config, spec.initial_cases[0][1])
-    assert made == [spec.space.size] * vectors
+    trace = run(algorithm, spec.operator, config, spec.initial_cases[0][1])
+    assert trace.iterations == 3
+    assert [v.size for v in made] == [spec.space.size] * vectors
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_lends_the_operator_a_workspace_vector_that_is_not_w(algorithm, monkeypatch):
+    spec = build_sfp(1024)
+    made = counted_vectors(monkeypatch, fpiter.algorithms)
+    lent = []
+
+    def recording(w, out):
+        assert out is not None and not np.shares_memory(out, w)
+        assert offset(out) == 0 and out.shape == w.shape
+        assert any(out is v for v in made)
+        lent.append(out)
+        return spec.operator(w, out)
+
+    config = replace(spec.defaults, max_iterations=40, schedules=spec.schedules_for(algorithm))
+    T = Operator(spec.space, recording, name="recording")
+    for _, x0 in spec.initial_cases:
+        trace = run(algorithm, T, config, x0)
+        assert len(lent) == trace.iterations > 0
+        lent.clear()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_an_operator_may_use_or_ignore_the_vector_it_is_lent(algorithm):
+    # one operator poisons out and returns a fresh T(w), the other copies
+    # T(w) into out and returns it; both must give the spec operator's bits
+    spec = build_sfp(1024)
+    sweep = spec.operator
+
+    def ignoring(w, out):
+        out.fill(np.nan)
+        return sweep(w)
+
+    def copying(w, out):
+        np.copyto(out, sweep(w))
+        return out
+
+    config = replace(spec.defaults, schedules=spec.schedules_for(algorithm))
+    for case, x0 in spec.initial_cases:
+        expected = trace_bits(run(algorithm, sweep, config, x0))
+        for func in (ignoring, copying):
+            T = Operator(spec.space, func, name=func.__name__)
+            assert trace_bits(run(algorithm, T, config, x0)) == expected, (case, func.__name__)
 
 
 @pytest.mark.parametrize("algorithm, bound", [("mimva", 4.5), ("mimha", 5.5)])
 def test_a_wide_sfp_run_holds_few_grid_vectors_at_once(algorithm, bound):
-    # the workspace (3 and 4 vectors) and the sweep's one result: at 32,768
-    # nodes the per-element passes slow down once the vectors live at once
-    # outgrow a 2 MiB L2
+    # the workspace (3 and 4 vectors), into which the sweep writes T(w), and
+    # a vector of headroom: at 32,768 nodes the per-element passes slow down
+    # once the vectors live at once outgrow a 2 MiB L2
     spec = build_sfp(32768)
     x0 = spec.initial_cases[0][1]
     config = replace(spec.defaults, max_iterations=5, tolerance=1e-300)
+    tracemalloc.start()
+    try:
+        trace = run(algorithm, spec.operator, config, x0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == 5
+    assert peak < bound * x0.nbytes
+
+
+@pytest.mark.parametrize(
+    "algorithm, bound",
+    [("mmha", 4.5), ("mimha", 4.5), ("mmva", 3.5), ("mimva", 3.5), ("cq", 5.5)],
+)
+def test_a_wide_sfp_run_peaks_at_its_workspace(algorithm, bound):
+    # 4, 3 and 5 workspace vectors and no grid vector more: the sweep writes
+    # T(w) into the workspace vector run lends it instead of a fresh result
+    spec = build_sfp(32768)
+    x0 = spec.initial_cases[0][1]
+    config = replace(
+        spec.defaults,
+        max_iterations=5,
+        tolerance=1e-300,
+        schedules=spec.schedules_for(algorithm),
+    )
     tracemalloc.start()
     try:
         trace = run(algorithm, spec.operator, config, x0)
