@@ -69,6 +69,8 @@ ALGORITHMS = tuple(_ENGINES)
 
 
 class TerminalReason(Enum):
+    """Why a run stopped: tolerance met, cap reached, or a singular operator."""
+
     TOLERANCE_MET = "tolerance_met"
     MAX_ITERATIONS = "max_iterations"
     SINGULARITY = "singularity"
@@ -91,7 +93,6 @@ class IterationTrace:
     Entry ``n`` of ``errors``, ``deltas`` and ``elapsed`` belongs to
     iteration ``n`` (``E_n``, ``delta_n`` and the wall time since the run
     started), so each column holds ``iterations + 1`` entries.
-    :attr:`records` rebuilds the per-iteration :class:`TraceRecord` rows.
     """
 
     errors: Tuple[float, ...]
@@ -101,6 +102,7 @@ class IterationTrace:
 
     @property
     def records(self) -> Tuple[TraceRecord, ...]:
+        """The per-iteration rows ``TraceRecord(n, E_n, delta_n, elapsed_s)``."""
         return tuple(
             TraceRecord(n, error, delta, elapsed_s)
             for n, (error, delta, elapsed_s) in enumerate(
@@ -110,10 +112,12 @@ class IterationTrace:
 
     @property
     def iterations(self) -> int:
+        """Steps taken: one less than the entries of each column."""
         return len(self.errors) - 1
 
     @property
     def final_error(self) -> float:
+        """``E_n`` at the last iterate."""
         return self.errors[-1]
 
 
@@ -128,12 +132,8 @@ class RunConfig:
     ``f(x) = contraction_rho * x`` when no explicit anchor or contraction
     is passed to :func:`run`. Only the inertial engines (``inertial-mann``,
     ``mimha``, ``mimva``) read the inertia rule of ``schedules``; the others
-    record ``delta_n = 0`` whatever it says.
-
-    Like the operator and a contraction, the metric gets points that
-    :func:`run` formed from validated arrays, and it need not check them;
-    a non-finite value still ends the run in ``ValueError`` at the next
-    operator output.
+    record ``delta_n = 0`` whatever it says. A field out of its range raises
+    ``ValueError`` here. The metric need not check its point; see :func:`run`.
     """
 
     error_metric: Callable[[np.ndarray], float]
@@ -162,18 +162,11 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-# The private kernels below take arrays that are already validated and check
-# only what enters from outside: the operator's and the contraction's
-# outputs, where non-finite values first appear (the CQ kernels of
-# ``operators`` also check the points they project to). The public
-# step functions validate their array arguments once and call the same
-# kernels, so a run and a sequence of public steps produce the same bits.
-#
-# ``out`` receives the result and ``scratch`` the other product; both are
-# run workspace vectors. ``out`` may be the ``diff`` or ``y`` argument and
+# The kernels below take validated arrays (the rule is stated in ``run``),
+# and the public steps call them too, so both produce the same bits. ``out``
+# (the result) and ``scratch`` (the other product) are ``run``'s workspace
+# vectors or None; ``out`` may be the ``diff`` or ``y`` argument and
 # ``scratch`` the ``w`` or ``v`` one: each is read before it is overwritten.
-# ``_averaged`` lends ``out`` to the operator (see ``Operator``). Without
-# them (the public steps) every result is a fresh array.
 
 
 def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
@@ -191,8 +184,8 @@ def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
 def _averaged(space, T, w, psi_n, out=None, scratch=None):
     """``psi w + (1 - psi) T w``."""
     _check_unit("psi", psi_n)
-    # T(w) may be written into out, or be w itself: scale it before psi w
-    # can overwrite w's vector (scratch); the sum keeps its operand order
+    # T(w) may be written into out (see Operator) or be w: scale it before psi w
+    # overwrites w's vector (scratch); the sum keeps its operand order
     t_w = np.multiply(space.check(T(w, out)), 1.0 - psi_n, out)
     return np.add(np.multiply(w, psi_n, scratch), t_w, out)
 
@@ -206,8 +199,7 @@ def _blend(nu_n, v, y, out=None, scratch=None):
 def _cq(space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None):
     # psi = 1 is accepted: the 1/(n+1) schedule starts there (y = x, the first
     # cut is the whole space); the two cuts always meet while T has a fixed point.
-    # y is formed in y_buf, which then holds the first normal x - y; q_buf
-    # holds the second normal and out the projected point; x0x0 is <x0, x0>
+    # y_buf holds y, then the first cut normal; q_buf the second; x0x0 is <x0, x0>
     y = _averaged(space, T, x, psi_n, y_buf, scratch)
     c_set, q_set, g11, g22 = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
     return _project_halfspace_pair(space, c_set, q_set, g11, g22, x0, x0x0, out, scratch)
@@ -269,29 +261,27 @@ def run(
 ) -> IterationTrace:
     """Iterate ``algorithm`` around ``T`` until tolerance or the iteration cap.
 
-    The error metric is evaluated at ``x_n`` before each step and every
-    iteration appends ``E_n``, ``delta_n`` and ``elapsed_s`` to the trace
-    columns, which therefore hold ``iterations + 1`` entries. The engine's
-    behaviour (inertia, blend term, CQ) is looked up once, before the loop.
-    ``x_init_prev`` defaults to ``x_init`` (no momentum on the first step
-    either way, since the inertia cap is zero at n = 0). ``anchor`` and
-    ``contraction`` default to ``config.anchor_scale * x_init`` and
-    ``x -> config.contraction_rho * x``. The blend term ``v(x_n)`` is chosen
-    once, before the loop: the anchor engines blend with the constant map
-    ``p -> u`` (Halpern's iteration is the viscosity iteration with
-    ``f = u``), the contraction engines with ``f``. A
-    :class:`SingularityError` raised by the operator ends the run with the
-    corresponding terminal reason instead of propagating.
+    Returns the :class:`IterationTrace` of ``E_n`` (the metric at ``x_n``,
+    before step ``n``), ``delta_n`` and the elapsed time. ``x_init_prev``
+    defaults to ``x_init`` (no momentum on the first step either way: the
+    inertia cap is zero at n = 0); ``anchor`` and ``contraction`` default to
+    ``config.anchor_scale * x_init`` and ``x -> config.contraction_rho * x``.
+    The anchor engines blend with the constant map ``p -> u`` (Halpern's
+    iteration is the viscosity iteration with ``f = u``). A
+    :class:`SingularityError` raised by the operator ends the run with that
+    terminal reason. An unknown ``algorithm`` raises ``ValueError``.
 
-    ``run`` is the one place that validates inside a run. It checks the
-    caller's arrays on entry, every operator output ``T(w)`` and every
-    output of a caller's contraction, and a non-finite value there raises
-    ``ValueError``. Its callbacks (``T``, the metric, a contraction) get
-    points that the run formed from validated arrays, and they need not
-    check them. The default contraction's ``rho x_n`` goes unchecked: it is
-    finite whenever ``x_n`` is.
+    **Validation.** ``run`` is the one place that validates inside a run.
+    It checks the caller's arrays on entry, every operator output ``T(w)``
+    and every output of a caller's contraction (cq also the point it
+    projects to), and a non-finite or wrongly sized value there raises
+    ``ValueError``. So its callbacks (``T``, the metric, a contraction) get
+    points formed from validated arrays and need not check them, and the
+    experiment specs iterate unchecked kernels. A non-finite value that a
+    callback makes ends the run in ``ValueError`` at the check of the next
+    operator output.
 
-    The run allocates its workspace once, as 64-byte-aligned vectors (see
+    **Workspace.** The run allocates its vectors once, 64-byte aligned (see
     :mod:`fpiter.space`), and only what the engine reads: two iterate slots
     and a work vector always, the default anchor for the anchor engines, and
     CQ's second cut normal and product scratch. ``x_{n+1}`` goes into slot
@@ -299,15 +289,12 @@ def run(
     is formed in the work vector. That vector then holds ``w``, one product
     of each combination and the default contraction's ``rho x_n`` (for CQ:
     ``y``, then the first cut normal). ``T`` is lent the vector that will
-    receive the step's result as its ``out`` (the rule is stated once, in
-    :class:`~fpiter.operators.Operator`). So the step arithmetic allocates
-    no vector in the loop, nor does an operator that writes into ``out``,
-    as the sfp sweep does; only an operator that returns another array and
-    a caller's contraction make fresh ones. The caller's ``x_init``,
-    ``x_init_prev`` and ``anchor`` are only read, never written or copied.
-    An iterate handed to ``T``, the metric or the contraction is a workspace
-    vector that later iterations overwrite: a callback must copy any point
-    it keeps.
+    receive the step's result, by the contract of
+    :class:`~fpiter.operators.Operator`. So only an operator that returns
+    another array and a caller's contraction allocate in the loop. The
+    caller's ``x_init``, ``x_init_prev`` and ``anchor`` are only read, never
+    written or copied. A point handed to a callback is a workspace vector
+    that later iterations overwrite: a callback must copy any point it keeps.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")

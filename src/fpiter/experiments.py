@@ -7,10 +7,8 @@ them the error metric that the stopping rule tests), and initial points:
 sfp
     Feasibility in discretized L2 on [0, 2*pi]: find x with
     ``integral x <= 1`` and ``||x - sin|| <= 4``. Operator: the
-    forward-projection sweep with ``lam = 0.25``. Metric:
-    ``0.5 ||P_C x - x||^2 + 0.5 ||P_Q x - x||^2``, tolerance 1e-3,
-    computed from ``integral x`` and three reductions for ``||x - sin||^2``
-    without forming either projection or ``x - sin``. Four fixed starting
+    forward-projection sweep with ``lam = 0.25`` (``sfp_operator``).
+    Metric: :func:`sfp_residual_metric`, tolerance 1e-3. Four fixed starting
     functions: t2 = t^2/10, exp = e^(t/2)/3, pow2 = 2^t/16, sin2 = 3 sin(2t).
 
 cfp
@@ -132,16 +130,13 @@ class ExperimentSpec:
 
     The stopping metric is ``defaults.error_metric``; callers change a
     run's cap, tolerance or schedules with ``dataclasses.replace`` on
-    ``defaults``. ``initial_cases``
-    holds the fixed named starting points (empty for the randomly
-    initialized problems, which provide ``sample_initial`` instead).
-    ``algorithm_schedules`` carries per-algorithm schedule overrides;
-    anything not listed uses ``defaults.schedules``. ``details`` records
-    the constants the instance was built from.
-
-    The operator and the metric are unchecked kernels that take the points
-    of a run as given (see :func:`fpiter.algorithms.run`); they do not
-    reject a bad point.
+    ``defaults``. ``initial_cases`` holds the fixed named starting points
+    (empty for the randomly initialized problems, which provide
+    ``sample_initial`` instead). ``algorithm_schedules`` carries
+    per-algorithm schedule overrides (see :meth:`schedules_for`).
+    ``details`` records the constants the instance was built from. The
+    operator and the metric are unchecked kernels; see
+    :func:`fpiter.algorithms.run`.
     """
 
     id: str
@@ -156,6 +151,7 @@ class ExperimentSpec:
     details: Mapping[str, object] = field(default_factory=lambda: MappingProxyType({}))
 
     def schedules_for(self, algorithm: str) -> Schedules:
+        """``algorithm``'s override, else ``defaults.schedules``; unchecked."""
         return self.algorithm_schedules.get(algorithm, self.defaults.schedules)
 
     def make_initials(self, rng=None, count: int = 1):

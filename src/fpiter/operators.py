@@ -4,32 +4,17 @@ Closed convex sets come in three flavors here: half-spaces
 ``{u : <a, u> <= b}``, balls ``{u : ||u - c|| <= r}``, and the two
 integral-constrained sets of the discretized function-space benchmark.
 Their metric projections are closed-form. The fixed-point maps the solvers
-iterate are built from them: the forward-projection sweep (one closed form,
-which agrees with composing its two projections to rounding, not bit for
-bit), the averaged projections onto a :class:`BallSet`, one ``(m, dim)``
-center array that :func:`cfp_operator` projects onto in one array pass
-built in place, and the Weiszfeld step.
+iterate are built from them: the forward-projection sweep
+(:func:`sfp_operator`), the averaged projections onto a :class:`BallSet`
+(:func:`cfp_operator`) and the Weiszfeld step.
 
-The projections and the three composite maps come in two layers: the
-public functions validate their arguments and call private kernels that
-take validated arrays, use the unchecked
-``space._inner``/``_norm``/``_integrate``/``_row_inners`` and check at
-most the points they project to; the CQ cut step certifies its normals by
-the squared norms it forms anyway, and the sweep and map kernels
-``_sfp_sweep``, ``_cfp_sweep`` and ``_weiszfeld`` check nothing. The CQ
-pair kernel decides its active set from six Gram scalars (three formed by
-its caller) and forms, and checks, only the point it returns.
-
-One rule decides who validates inside a run: a callback of
-:func:`fpiter.algorithms.run` gets points that the run formed from
-validated arrays, and it need not check them. So ``algorithms`` reaches
-the CQ half-space pair only through its kernels, and the experiment specs
-build their operators from the sweep and map kernels. A non-finite value
-that a kernel makes still ends the run in ``ValueError``, at the run's
-check of the next operator output.
-The kernels take optional ``out`` vectors: a run's workspace (the sweep
-gets it by the rule that :class:`Operator` states), or the sweep's own
-result. Without them, as the wrappers call them, results are fresh.
+The projections and the three composite maps come in two layers: public
+functions that validate their arguments, and private kernels that take
+validated arrays (the rule is stated in :func:`fpiter.algorithms.run`)
+and check at most the points they project to; the sweep and map kernels
+``_sfp_sweep``, ``_cfp_sweep`` and ``_weiszfeld`` check nothing. Their
+optional ``out`` vectors are a run's workspace (see :class:`Operator`) or
+the sweep's own result; without them results are fresh.
 
 All functions are pure but for the ``out`` vectors they are given; the
 small dataclasses are frozen. A note on nonexpansiveness: every
@@ -236,12 +221,9 @@ class Operator:
     or ``x`` itself). :func:`fpiter.algorithms.run` lends ``func`` the
     workspace vector that receives the step's result (``x_{n+1}``, or
     cq's ``y``), so an operator that writes into ``out`` allocates nothing
-    per iteration; one that ignores ``out`` is just as correct, and a
-    custom operator may simply do so. ``T(x)`` passes ``out=None``.
-
-    ``run`` calls ``func`` on points that the run formed from validated
-    arrays, so ``func`` need not check its input; the run checks its
-    output, and a non-finite one ends the run in ``ValueError``.
+    per iteration; one that ignores ``out``, as a custom operator may, is
+    just as correct. ``T(x)`` passes ``out=None``. ``func`` need not check
+    its input; see :func:`fpiter.algorithms.run`.
     """
 
     space: InnerProductSpace
@@ -422,8 +404,7 @@ def _project_halfspace_pair(space, h1, h2, g11, g22, x, xx, out=None, scratch=No
     x_norm = math.sqrt(max(xx, 0.0))
     if _within(h1, n1, ax1, x_norm) and _within(h2, n2, ax2, x_norm):
         return x
-    # a single projection p1 = x - t1 a1 that meets h2 is optimal; its test
-    # reads <a2, p1> = <a2, x> - t1 g12 and ||p1||, then the same for p2
+    # a single projection that meets the other cut is optimal (see the public form)
     t1 = _multiplier(h1, g11, ax1)
     if _within(h2, n2, *_single_scalars(t1, ax1, g11, ax2, g12, xx, x_norm)):
         return _project_halfspace(space, h1, g11, x, ax1, out)
@@ -451,25 +432,27 @@ def _project_halfspace_pair(space, h1, h2, g11, g22, x, xx, out=None, scratch=No
 def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
     """Half-space forms of the two sets cut by a CQ-type projection step.
 
-    ``{u : ||y - u|| <= ||x - u||}`` expands to
-    ``{u : <x - y, u> <= (||x||^2 - ||y||^2)/2}`` and
-    ``{u : <x - u, x - x0> <= 0}`` rewrites as
+    With ``c = x - y``, ``{u : ||y - u|| <= ||x - u||}`` is the cut through
+    the midpoint, ``{u : <c, u> <= <c, x> - <c, c>/2}``. This offset's
+    rounding error scales with ``||c||``; that of the equal offset
+    ``(||x||^2 - ||y||^2)/2`` is about ``eps ||x||^2``, which moves the cut
+    by O(1) once ``c`` is rounding noise, so the cut could exclude the
+    fixed-point set. ``{u : <x - u, x - x0> <= 0}`` is
     ``{u : <x0 - x, u> <= <x0 - x, x>}``. Degenerate inputs (``y = x`` or
-    ``x0 = x``) give zero normals with offset 0, i.e. the whole space.
-    Also returns ``<c, c>`` and ``<q, q>`` for the pair kernel, formed first:
-    a normal with an inf or NaN entry, or whose squared norm overflows, has a
-    non-finite one and raises ``ValueError`` before another reduction reads it.
+    ``x0 = x``) give zero normals with offset 0, i.e. the whole space. Also
+    returns ``<c, c>`` and ``<q, q>``, formed first; they certify the normals
+    (see :mod:`fpiter.space`), and a non-finite one raises ``ValueError``.
 
     ``c_out`` and ``q_out`` receive the two normals; ``c_out`` may be the
     storage of ``y_n``, which is read before the normal overwrites it.
     """
-    c_offset = 0.5 * (space._inner(x_n, x_n) - space._inner(y_n, y_n))
     c_normal = np.subtract(x_n, y_n, c_out)
     q_normal = np.subtract(x_0, x_n, q_out)
     g11 = space._inner(c_normal, c_normal)
     g22 = space._inner(q_normal, q_normal)
     if not (math.isfinite(g11) and math.isfinite(g22)):
         raise ValueError("CQ cut normals must have finite squared norms")
+    c_offset = space._inner(c_normal, x_n) - 0.5 * g11
     q_offset = space._inner(q_normal, x_n)
     return HalfSpace(c_normal, c_offset), HalfSpace(q_normal, q_offset), g11, g22
 
@@ -491,22 +474,20 @@ def sfp_operator(
     :func:`project_integral_halfspace`; the linear map between their spaces
     is the identity, so the sweep is nonexpansive exactly when
     ``0 < lam < 2``. With ``d = x - sin`` the inner step is ``x`` when
-    ``||d|| <= 4`` and ``sin + (1 - lam + lam 4/||d||) d`` otherwise: three
-    grid passes where forming ``P_Q x`` takes six. That equals the composed
-    projections inside the ball and agrees with them to rounding outside,
-    not bit for bit. ``lam``, ``mode`` and ``x`` are checked once; a point so
-    large that the sweep overflows gives a non-finite result, which
-    :func:`fpiter.algorithms.run` rejects. ``d``, the step and ``P_C``'s
-    shift are written into one fresh 64-byte-aligned result; no other
-    temporary of grid size is made.
+    ``||d|| <= 4`` and ``sin + (1 - lam + lam 4/||d||) d`` otherwise, in
+    three grid passes. That equals the composed projections inside the ball
+    and agrees with them to rounding outside, not bit for bit. ``lam``,
+    ``mode`` and ``x`` are checked once; a point so large that the sweep
+    overflows gives a non-finite result, which :func:`fpiter.algorithms.run`
+    rejects. The result is one fresh 64-byte-aligned vector, and no other
+    grid-sized temporary is made.
     """
     _check_sfp_args(space, lam, mode)
     return _sfp_sweep(space, space.check(x), lam, mode)
 
 
 def _sfp_sweep(space, x, lam, mode, out=None):
-    # sfp_operator's sweep on a checked x, lam and mode; z (``out``, which is
-    # not x, or a fresh aligned vector) holds x - sin, then the step
+    # sfp_operator's kernel; z (out or a fresh aligned vector) holds x - sin, then the step
     z = np.subtract(x, space.sin_nodes, _aligned_empty(space.size) if out is None else out)
     dist = space._norm(z)
     if dist <= 4.0:
@@ -525,15 +506,11 @@ def cfp_operator(
     projected independently and averaged. Composition of nonexpansive maps,
     hence nonexpansive; fixes any common point of all the balls. ``balls``
     is a :class:`BallSet` or a sequence of :class:`Ball` (turned into one
-    here). The inner projections are one pass over the ``(m, dim)``
-    difference array: the space's row norms (``space._row_inners``), then
-    the projections are built in place in that array, the radial pull
-    ``c + s (x - c)`` on every row and ``x`` written over the rows whose
-    ball contains it. Each row norm has the bits of the space's norm of
-    that row, which :func:`project_ball` takes, so in every space the
-    result equals the per-ball loop bit for bit. Only ``x`` and the width
-    of the centers are validated here: a point so large that
-    ``x - center`` overflows gives a non-finite result, which
+    here). The inner projections are built in place in the ``(m, dim)``
+    difference array, from its row norms (see :mod:`fpiter.space`), so the
+    result equals the per-ball :func:`project_ball` loop bit for bit. Only
+    ``x`` and the width of the centers are validated here: a point so large
+    that ``x - center`` overflows gives a non-finite result, which
     :func:`fpiter.algorithms.run` rejects.
     """
     if not isinstance(balls, BallSet):
@@ -566,9 +543,8 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
     """Weighted-harmonic-mean step toward the weighted-median of the anchors.
 
     ``T(x) = (sum_i w_i a_i / d_i) / (sum_i w_i / d_i)`` with
-    ``d_i = ||x - a_i||``, computed for all anchors at once as the space's
-    row norms (``space._row_inners``) of the ``(m, dim)`` difference array,
-    with the bits of ``space.norm`` of each difference. Undefined at the
+    ``d_i = ||x - a_i||``, computed for all anchors at once as row norms
+    (see :mod:`fpiter.space`). Undefined at the
     anchors themselves: points within ``1e-12`` of an anchor raise
     :class:`SingularityError` and the caller decides the perturbation
     policy. The output is a convex combination of the anchors with

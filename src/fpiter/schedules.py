@@ -8,9 +8,8 @@ The step rules in :mod:`fpiter.algorithms` mix three scalar sequences:
   viscosity steps,
 * ``xi(n)`` budgets how far the inertial extrapolation may travel.
 
-Defaults are the benchmark settings used by every experiment in
-:mod:`fpiter.experiments`: ``psi_n = 1/(100 (n+1)^2)``, ``nu_n = 1/(n+1)``,
-``xi_n = 10/(n+1)^2`` and ``eta = 4``.
+Defaults are the benchmark settings of every experiment: :func:`default_psi`,
+``nu = inverse_linear``, :func:`default_xi` and ``eta = 4``.
 
 The inertia coefficient delta_n multiplies the momentum term
 ``x_n - x_{n-1}``. In adaptive mode it is set to the largest admissible
@@ -43,10 +42,12 @@ DELTA_MODES = ("adaptive", "constant", "zero")
 
 
 def default_psi(n: int) -> float:
+    """``psi_n = 1/(100 (n+1)^2)``, the default averaging weight; ``n`` is not checked."""
     return 1.0 / (100.0 * (n + 1) ** 2)
 
 
 def default_xi(n: int) -> float:
+    """``xi_n = 10/(n+1)^2``, the default inertia budget; ``n`` is not checked."""
     return 10.0 / (n + 1) ** 2
 
 

@@ -86,11 +86,8 @@ class InnerProductSpace:
     def check(self, x) -> np.ndarray:
         """Validate that ``x`` belongs to this space and return it as float64.
 
-        Raises ValueError on a length mismatch or non-finite entries. A
-        finite squared norm certifies the entries in one reduction; a
-        non-finite one falls back to ``np.isfinite(x).all()``, so the verdict
-        is exactly that test's. An overflow or a signaling NaN pays for that
-        pass plus numpy's warning.
+        Raises ValueError on a length mismatch or non-finite entries, which
+        the certificate of the module docstring decides.
         """
         arr = np.asarray(x, dtype=np.float64)
         if arr.shape != (self.size,):
@@ -102,9 +99,11 @@ class InnerProductSpace:
         return arr
 
     def inner(self, x, y) -> float:
+        """``<x, y>`` of two points that :meth:`check` accepts, or its ``ValueError``."""
         return self._inner(self.check(x), self.check(y))
 
     def norm(self, x) -> float:
+        """``||x||`` of a point that :meth:`check` accepts, or its ``ValueError``."""
         return self._norm(self.check(x))
 
     def combine(self, t: float, x, y) -> np.ndarray:
@@ -115,9 +114,7 @@ class InnerProductSpace:
         y = self.check(y)
         return t * x + (1.0 - t) * y
 
-    # Unchecked forms for arrays the caller has already validated; the
-    # iteration engines use them inside a run, where every array is checked
-    # once where it enters (start point, operator and contraction outputs).
+    # Unchecked forms for validated arrays (see fpiter.algorithms.run)
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.dot(self.weights * x, y))
 
@@ -130,6 +127,7 @@ class InnerProductSpace:
         return np.vecdot(self.weights * rows, rows)
 
     def zeros(self) -> np.ndarray:
+        """A fresh 64-byte-aligned zero point; it checks and raises nothing."""
         z = _aligned_empty(self.size)
         z.fill(0.0)
         return z

@@ -486,8 +486,8 @@ def reference_cq_errors(space, T, config, x_init):
         if errors[-1] < config.tolerance or n == config.max_iterations:
             break
         y = mann_step(space, T, x, config.schedules.psi(n))
-        # ||y - u|| <= ||x - u||  and  <x - u, x - x0> <= 0
-        c = HalfSpace(x - y, 0.5 * (space.inner(x, x) - space.inner(y, y)))
+        # ||y - u|| <= ||x - u||, the cut through (x + y)/2, and <x - u, x - x0> <= 0
+        c = HalfSpace(x - y, space.inner(x - y, x) - 0.5 * space.inner(x - y, x - y))
         q = HalfSpace(x0 - x, space.inner(x0 - x, x))
         x = project_halfspace_pair(space, c, q, x0)
     return errors
@@ -567,8 +567,8 @@ class TestValidationCount:
             assert len(calls) == trace.iterations + 1
 
     def test_cq_inner_products_per_iteration(self, monkeypatch):
-        # <x_0, x_0> once per run; per iteration <x, x> and <y, y>, the two
-        # squared normal norms, the second cut's offset, <c, q> and <a_i, x_0>
+        # <x_0, x_0> once per run; per iteration the two squared normal
+        # norms, the two cut offsets, <c, q> and <a_i, x_0>
         space = EuclideanSpace(3)
         calls = []
         inner = space._inner
@@ -577,7 +577,7 @@ class TestValidationCount:
         config = RunConfig(error_metric=sup_norm, max_iterations=50, tolerance=1e-300)
         trace = run("cq", T, config, arr(1.0, 2.0, 3.0))
         assert trace.iterations == 50
-        assert len(calls) == 1 + 8 * trace.iterations
+        assert len(calls) == 1 + 7 * trace.iterations
 
     @pytest.mark.parametrize("algorithm", NON_CQ)
     def test_space_checks_per_sfp_iteration(self, algorithm, monkeypatch):

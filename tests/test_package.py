@@ -1,5 +1,7 @@
 """The package's public surface: ``import fpiter`` and the README example."""
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -21,6 +23,31 @@ def test_every_export_is_the_modules_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(fpiter, name) is getattr(module, name), name
+
+
+def test_every_public_name_has_its_own_docstring():
+    # read from the source, so a dataclass's generated signature or an
+    # inherited docstring does not count; fields that hold functions (such
+    # as Schedules.psi) are not definitions and are skipped
+    missing = []
+    for module in MODULES:
+        defs = {
+            node.name: node
+            for node in ast.parse(inspect.getsource(module)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        for name in module.__all__:
+            node = defs.get(name)
+            if node is None:  # a constant such as ALGORITHMS
+                continue
+            if not ast.get_docstring(node):
+                missing.append(name)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    public = isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                    if public and not ast.get_docstring(item):
+                        missing.append(f"{name}.{item.name}")
+    assert missing == []
 
 
 def test_deleted_names_stay_gone():
