@@ -506,12 +506,18 @@ def cfp_operator(
     projected independently and averaged. Composition of nonexpansive maps,
     hence nonexpansive; fixes any common point of all the balls. ``balls``
     is a :class:`BallSet` or a sequence of :class:`Ball` (turned into one
-    here). The inner projections are built in place in the ``(m, dim)``
-    difference array, from its row norms (see :mod:`fpiter.space`), so the
-    result equals the per-ball :func:`project_ball` loop bit for bit. Only
-    ``x`` and the width of the centers are validated here: a point so large
-    that ``x - center`` overflows gives a non-finite result, which
-    :func:`fpiter.algorithms.run` rejects.
+    here). The inner balls are swept at once from the ``(m, dim)`` array of
+    differences ``d_i = x - c_i`` and its row norms (see
+    :mod:`fpiter.space`): as ``P_i x - x = (s_i - 1) d_i`` with
+    ``s_i = r_i / max(||d_i||, r_i)``, the average is
+    ``x + (1/m) sum_i (s_i - 1) d_i``, one matrix-vector product. A ball
+    that holds ``x`` (boundary included) adds an exact zero, so every
+    common point of the balls is returned bit for bit (but for a ``-0.0``
+    coordinate, which comes back as ``0.0``); elsewhere the result agrees
+    with the per-ball :func:`project_ball` loop to rounding, not bit for
+    bit. Only ``x`` and the width of the centers are validated here: a
+    point so large that ``x - center`` overflows gives a non-finite result,
+    which :func:`fpiter.algorithms.run` rejects.
     """
     if not isinstance(balls, BallSet):
         balls = list(balls)
@@ -525,17 +531,14 @@ def cfp_operator(
 
 
 def _cfp_sweep(space, balls, x):
-    # the sweep of cfp_operator on a validated x and centers of the space's width
-    centers, radii = balls.centers[1:], balls.radii[1:]
-    diffs = x - centers
+    # the sweep of cfp_operator (stated there) on a validated x and centers
+    # of the space's width
+    radii = balls.radii[1:]
+    diffs = x - balls.centers[1:]
     dists = np.sqrt(space._row_inners(diffs))
-    # inside rows take x; np.maximum keeps their unused scale finite
-    scale = radii / np.maximum(dists, radii)
-    # c + scale d, built in the difference array; then x on the inside rows
-    proj = np.multiply(diffs, scale[:, None], diffs)
-    proj += centers
-    proj[dists <= radii] = x
-    avg = np.add.reduce(proj, 0) / len(radii)
+    reach = np.maximum(dists, radii)
+    steps = (radii - reach) / reach
+    avg = x + np.dot(steps, diffs) / len(radii)
     return _project_ball(space, balls.centers[0], balls.radii[0], avg)
 
 

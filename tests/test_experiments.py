@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,6 +230,19 @@ class TestCfpSpec:
         assert trace.terminal_reason is TerminalReason.MAX_ITERATIONS
         assert len(trace.records) == 201
         assert trace.final_error < trace.records[0].error / 100
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cq_ends_inside_the_bench_bound(self, seed):
+        # cq amplifies the sweep's rounding, so its last E_n moves with any
+        # change to the sweep's bits; the cfp-balls gate takes cq's at < 0.5
+        # (over seeds 0-199 the largest is 0.386). The start is the CLI's.
+        spec = build_cfp(seed=seed)
+        x0 = spec.make_initials(np.random.default_rng([seed, 1]))[0][1]
+        config = dataclasses.replace(spec.defaults, schedules=spec.schedules_for("cq"))
+        trace = run("cq", spec.operator, config, x0)
+        assert trace.iterations == 1000
+        assert trace.terminal_reason is TerminalReason.MAX_ITERATIONS
+        assert trace.final_error < 0.5
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

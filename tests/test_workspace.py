@@ -29,6 +29,7 @@ import pytest
 
 import fpiter
 from fpiter.algorithms import ALGORITHMS, mann_step, mimha_step, mimva_step, run
+from fpiter.cli import DEFAULT_ALGORITHMS
 from fpiter.experiments import build_cfp, build_sfp, build_weber
 from fpiter.operators import Operator, sfp_operator
 from fpiter.schedules import Schedules
@@ -534,12 +535,23 @@ def trace_bits(trace):
     )
 
 
-@pytest.mark.parametrize("algorithm", ("cq",) + SFP_ENGINES)
-def test_traces_do_not_depend_on_where_the_start_point_lies(algorithm):
-    spec = build_sfp(4099)
-    for case, x0 in spec.initial_cases:
-        aligned = run(algorithm, spec.operator, spec.defaults, aligned_copy(x0))
-        shifted = run(algorithm, spec.operator, spec.defaults, off_boundary(x0))
+# the cfp sweep sums its steps in a dgemv, whose order must not depend on
+# where x or the difference rows start either
+START_POINT_SUITES = {"sfp": lambda: build_sfp(4099), "cfp": build_cfp}
+
+
+@pytest.mark.parametrize(
+    "suite, algorithm",
+    [("sfp", a) for a in ("cq",) + SFP_ENGINES]
+    + [("cfp", a) for a in DEFAULT_ALGORITHMS["cfp"]],
+)
+def test_traces_do_not_depend_on_where_the_start_point_lies(suite, algorithm):
+    spec = START_POINT_SUITES[suite]()
+    config = replace(spec.defaults, schedules=spec.schedules_for(algorithm))
+    starts = spec.make_initials(np.random.default_rng(29), count=3)
+    for shift, (case, x0) in enumerate(starts, 1):
+        aligned = run(algorithm, spec.operator, config, aligned_copy(x0))
+        shifted = run(algorithm, spec.operator, config, off_boundary(x0, shift))
         assert trace_bits(shifted) == trace_bits(aligned), case
 
 
