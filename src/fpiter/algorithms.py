@@ -201,8 +201,8 @@ def _cq(space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=
     # cut is the whole space); the two cuts always meet while T has a fixed point.
     # y_buf holds y, then the first cut normal; q_buf the second; x0x0 is <x0, x0>
     y = _averaged(space, T, x, psi_n, y_buf, scratch)
-    c_set, q_set, g11, g22 = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
-    return _project_halfspace_pair(space, c_set, q_set, g11, g22, x0, x0x0, out, scratch)
+    cuts = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
+    return _project_halfspace_pair(space, *cuts, x0, x0x0, out, scratch)
 
 
 def mann_step(space: InnerProductSpace, T, x, psi_n: float) -> np.ndarray:

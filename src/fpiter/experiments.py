@@ -155,7 +155,14 @@ class ExperimentSpec:
         return self.algorithm_schedules.get(algorithm, self.defaults.schedules)
 
     def make_initials(self, rng=None, count: int = 1):
-        """Named starting points: the fixed cases, or ``count`` sampled ones."""
+        """Named starting points: the fixed cases, or ``count`` sampled ones.
+
+        ``count`` must be an integer of at least 1 (``ValueError`` otherwise),
+        also where the fixed cases ignore it.
+        """
+        count = _index(count, "count")
+        if count < 1:
+            raise ValueError(f"count must be at least 1, got {count}")
         if self.initial_cases:
             return list(self.initial_cases)
         if self.sample_initial is None:

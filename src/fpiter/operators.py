@@ -130,19 +130,36 @@ class BallSet:
     ``centers`` is an ``(m, dim)`` array with ``m >= 2`` and ``radii`` has
     shape ``(m,)``; centers must be finite and radii finite and strictly
     positive. Row 0 is the outer ball of :func:`cfp_operator`, the other
-    rows its inner balls. Both arrays are copied and made read-only.
+    rows its inner balls. Both arrays are copied and made read-only, and
+    the constants the sweep reads are bound once: ``inner_centers`` and
+    ``inner_radii`` (read-only views of rows 1 on), ``inner_count``,
+    ``outer_center`` and ``outer_radius`` (a Python float).
     """
 
     centers: np.ndarray
     radii: np.ndarray
+    inner_centers: np.ndarray = field(init=False, repr=False)
+    inner_radii: np.ndarray = field(init=False, repr=False)
+    inner_count: int = field(init=False, repr=False)
+    outer_center: np.ndarray = field(init=False, repr=False)
+    outer_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
         centers, radii = _row_set(
             self.centers, self.radii, "ball centers", "ball radii", 2,
             "need an outer ball plus at least one inner ball as an (m, dim) center array",
         )
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radii", radii)
+        bound = {
+            "centers": centers,
+            "radii": radii,
+            "inner_centers": centers[1:],
+            "inner_radii": radii[1:],
+            "inner_count": len(radii) - 1,
+            "outer_center": centers[0],
+            "outer_radius": radii.item(0),
+        }
+        for name, value in bound.items():
+            object.__setattr__(self, name, value)
 
 
 def _is_number(cell: str) -> bool:
@@ -234,22 +251,23 @@ class Operator:
         return self.func(x, out)
 
 
-def _checked_halfspace(space, hs: HalfSpace, name: str) -> tuple[HalfSpace, float]:
-    # the half-space with a checked normal, and <a, a>; a finite normal whose
-    # squared norm overflows would make every multiplier 0 and is rejected
-    if not math.isfinite(hs.offset):
-        raise ValueError(f"half-space offset must be finite, got {hs.offset}")
-    normal = space.check(hs.normal)
+def _checked_halfspace(space, normal, offset, name: str) -> tuple[np.ndarray, float]:
+    # the checked normal of {u : <normal, u> <= offset}, and <a, a>; a finite
+    # normal whose squared norm overflows would make every multiplier 0 and
+    # is rejected
+    if not math.isfinite(offset):
+        raise ValueError(f"half-space offset must be finite, got {offset}")
+    normal = space.check(normal)
     sq = space._inner(normal, normal)
     if not math.isfinite(sq):
         raise ValueError(f"{name} normal must have a finite squared norm, got {sq}")
-    return HalfSpace(normal, hs.offset), sq
+    return normal, sq
 
 
-def _within(hs, normal_norm, au, u_norm) -> bool:
+def _within(b, normal_norm, au, u_norm) -> bool:
     # <a, u> <= b with a backward-error sized slack, so borderline points
     # count as feasible; au is <a, u> and u_norm is ||u||
-    return au <= hs.offset + 1e-12 * (1.0 + abs(hs.offset) + normal_norm * u_norm)
+    return au <= b + 1e-12 * (1.0 + abs(b) + normal_norm * u_norm)
 
 
 def _single_scalars(t, ax, sq, bx, g12, xx, x_norm):
@@ -269,28 +287,29 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
     squared norm is not finite.
     """
     x = space.check(x)
-    hs, sq = _checked_halfspace(space, hs, "half-space")
-    return _project_halfspace(space, hs, sq, x, space._inner(hs.normal, x))
+    b = hs.offset
+    a, sq = _checked_halfspace(space, hs.normal, b, "half-space")
+    return _project_halfspace(space, a, b, sq, x, space._inner(a, x))
 
 
-def _multiplier(hs, sq, ax):
-    # t of the single projection x - t a, or None when x is feasible; sq is
-    # <a, a> and ax is <a, x>
-    if ax <= hs.offset:
+def _multiplier(b, sq, ax):
+    # t of the single projection x - t a onto {u : <a, u> <= b}, or None when
+    # x is feasible; sq is <a, a> and ax is <a, x>
+    if ax <= b:
         return None
     if sq == 0.0:
         raise InfeasibleSetError(
             "half-space with zero normal and negative offset is empty"
         )
-    return (ax - hs.offset) / sq
+    return (ax - b) / sq
 
 
-def _project_halfspace(space, hs, sq, x, ax, out=None):
-    # ``out`` (neither x nor a) receives the projected point
-    t = _multiplier(hs, sq, ax)
+def _project_halfspace(space, a, b, sq, x, ax, out=None):
+    # onto {u : <a, u> <= b}; ``out`` (neither x nor a) receives the projected point
+    t = _multiplier(b, sq, ax)
     if t is None:
         return x
-    return space.check(np.subtract(x, np.multiply(hs.normal, t, out), out))
+    return space.check(np.subtract(x, np.multiply(a, t, out), out))
 
 
 def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
@@ -385,16 +404,17 @@ def project_halfspace_pair(
     normal whose squared norm is not finite raises ``ValueError``.
     """
     x = space.check(x)
-    h1, g11 = _checked_halfspace(space, h1, "h1")
-    h2, g22 = _checked_halfspace(space, h2, "h2")
-    return _project_halfspace_pair(space, h1, h2, g11, g22, x, space._inner(x, x))
+    b1, b2 = h1.offset, h2.offset
+    a1, g11 = _checked_halfspace(space, h1.normal, b1, "h1")
+    a2, g22 = _checked_halfspace(space, h2.normal, b2, "h2")
+    return _project_halfspace_pair(space, a1, b1, a2, b2, g11, g22, x, space._inner(x, x))
 
 
-def _project_halfspace_pair(space, h1, h2, g11, g22, x, xx, out=None, scratch=None):
-    # the caller forms g11 = <a1, a1>, g22 = <a2, a2> and xx = <x, x>; ``out``
-    # receives the projected point and ``scratch`` the second product of the
-    # two-active case; neither may be x or a normal
-    a1, a2 = h1.normal, h2.normal
+def _project_halfspace_pair(space, a1, b1, a2, b2, g11, g22, x, xx, out=None, scratch=None):
+    # onto {u : <a1, u> <= b1} and {u : <a2, u> <= b2}; the caller forms
+    # g11 = <a1, a1>, g22 = <a2, a2> and xx = <x, x>; ``out`` receives the
+    # projected point and ``scratch`` the second product of the two-active
+    # case; neither may be x or a normal
     g12 = space._inner(a1, a2)
     ax1 = space._inner(a1, x)
     ax2 = space._inner(a2, x)
@@ -402,23 +422,23 @@ def _project_halfspace_pair(space, h1, h2, g11, g22, x, xx, out=None, scratch=No
     n1 = math.sqrt(max(g11, 0.0))
     n2 = math.sqrt(max(g22, 0.0))
     x_norm = math.sqrt(max(xx, 0.0))
-    if _within(h1, n1, ax1, x_norm) and _within(h2, n2, ax2, x_norm):
+    if _within(b1, n1, ax1, x_norm) and _within(b2, n2, ax2, x_norm):
         return x
     # a single projection that meets the other cut is optimal (see the public form)
-    t1 = _multiplier(h1, g11, ax1)
-    if _within(h2, n2, *_single_scalars(t1, ax1, g11, ax2, g12, xx, x_norm)):
-        return _project_halfspace(space, h1, g11, x, ax1, out)
-    t2 = _multiplier(h2, g22, ax2)
-    if _within(h1, n1, *_single_scalars(t2, ax2, g22, ax1, g12, xx, x_norm)):
-        return _project_halfspace(space, h2, g22, x, ax2, out)
+    t1 = _multiplier(b1, g11, ax1)
+    if _within(b2, n2, *_single_scalars(t1, ax1, g11, ax2, g12, xx, x_norm)):
+        return _project_halfspace(space, a1, b1, g11, x, ax1, out)
+    t2 = _multiplier(b2, g22, ax2)
+    if _within(b1, n1, *_single_scalars(t2, ax2, g22, ax1, g12, xx, x_norm)):
+        return _project_halfspace(space, a2, b2, g22, x, ax2, out)
 
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
         # parallel (or degenerate) normals that the single projections could
         # not reconcile: opposing half-spaces with no overlap
         raise InfeasibleSetError("half-space intersection is empty")
-    r1 = ax1 - h1.offset
-    r2 = ax2 - h2.offset
+    r1 = ax1 - b1
+    r2 = ax2 - b2
     mu1 = (g22 * r1 - g12 * r2) / det
     mu2 = (g11 * r2 - g12 * r1) / det
     tol = 1e-12 * (1.0 + abs(mu1) + abs(mu2))
@@ -439,9 +459,12 @@ def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
     by O(1) once ``c`` is rounding noise, so the cut could exclude the
     fixed-point set. ``{u : <x - u, x - x0> <= 0}`` is
     ``{u : <x0 - x, u> <= <x0 - x, x>}``. Degenerate inputs (``y = x`` or
-    ``x0 = x``) give zero normals with offset 0, i.e. the whole space. Also
-    returns ``<c, c>`` and ``<q, q>``, formed first; they certify the normals
-    (see :mod:`fpiter.space`), and a non-finite one raises ``ValueError``.
+    ``x0 = x``) give zero normals with offset 0, i.e. the whole space.
+
+    Returns ``(c, c_offset, q, q_offset, <c, c>, <q, q>)``, plain values in
+    the argument order of :func:`_project_halfspace_pair`. The two squared
+    norms are formed first; they certify the normals (see
+    :mod:`fpiter.space`), and a non-finite one raises ``ValueError``.
 
     ``c_out`` and ``q_out`` receive the two normals; ``c_out`` may be the
     storage of ``y_n``, which is read before the normal overwrites it.
@@ -454,7 +477,7 @@ def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
         raise ValueError("CQ cut normals must have finite squared norms")
     c_offset = space._inner(c_normal, x_n) - 0.5 * g11
     q_offset = space._inner(q_normal, x_n)
-    return HalfSpace(c_normal, c_offset), HalfSpace(q_normal, q_offset), g11, g22
+    return c_normal, c_offset, q_normal, q_offset, g11, g22
 
 
 def _check_sfp_args(space, lam, mode) -> None:
@@ -533,13 +556,13 @@ def cfp_operator(
 def _cfp_sweep(space, balls, x):
     # the sweep of cfp_operator (stated there) on a validated x and centers
     # of the space's width
-    radii = balls.radii[1:]
-    diffs = x - balls.centers[1:]
+    radii = balls.inner_radii
+    diffs = x - balls.inner_centers
     dists = np.sqrt(space._row_inners(diffs))
     reach = np.maximum(dists, radii)
     steps = (radii - reach) / reach
-    avg = x + np.dot(steps, diffs) / len(radii)
-    return _project_ball(space, balls.centers[0], balls.radii[0], avg)
+    avg = x + steps.dot(diffs) / balls.inner_count
+    return _project_ball(space, balls.outer_center, balls.outer_radius, avg)
 
 
 def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray:
@@ -572,5 +595,5 @@ def _weiszfeld(space, anchors, x):
         raise SingularityError("evaluation point coincides with an anchor")
     coef = anchors.weights / dists
     # the dgemv and the reduction of coef @ points and coef.sum(), without
-    # the gufunc and method dispatch
-    return np.dot(coef, points) / np.add.reduce(coef)
+    # the gufunc and method dispatch (the reduction rule of fpiter.space)
+    return coef.dot(points) / np.add.reduce(coef)

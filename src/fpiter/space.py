@@ -18,6 +18,13 @@ for the rows of an ``(m, size)`` stack (``_row_inners``, ``np.vecdot`` on
 the last axis, equal bit for bit to ``_inner`` of each row with itself);
 the ball sweep and the Weiszfeld map take their distances from it.
 
+Reductions of one-dimensional operands call the method ``x.dot(y)``: it
+is the C routine that ``np.dot`` wraps, with the same bits, but without
+the Python-level ``__array_function__`` dispatch that every ``np.dot``
+call passes through first, a quarter to a half of the call's time on
+narrow vectors. ``np.vecdot`` is kept for row stacks only; on
+one-dimensional operands it, and ``@``, are slower than the method.
+
 Every point-sized vector the package creates (weights, cached samples,
 ``zeros``, the run workspace, the sfp operator's result) comes from
 :func:`_aligned_empty` and starts on a 64-byte boundary, one cache line:
@@ -94,7 +101,7 @@ class InnerProductSpace:
             raise ValueError(
                 f"expected {self.size} coordinates, got array of shape {arr.shape}"
             )
-        if not math.isfinite(np.dot(arr, arr)) and not np.isfinite(arr).all():
+        if not math.isfinite(arr.dot(arr)) and not np.isfinite(arr).all():
             raise ValueError("coordinates must be finite (no NaN or Inf)")
         return arr
 
@@ -116,14 +123,15 @@ class InnerProductSpace:
 
     # Unchecked forms for validated arrays (see fpiter.algorithms.run)
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.dot(self.weights * x, y))
+        return float((self.weights * x).dot(y))
 
     def _norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self._inner(x, x), 0.0))
 
     def _row_inners(self, rows: np.ndarray) -> np.ndarray:
         # <r, r> for each row of an (m, size) array; np.vecdot sums each row
-        # in the order that np.dot does in _inner, (rows * rows) @ w does not
+        # in the order that dot does in _inner (the reduction rule of the
+        # module docstring), (rows * rows) @ w does not
         return np.vecdot(self.weights * rows, rows)
 
     def zeros(self) -> np.ndarray:
@@ -143,7 +151,7 @@ class EuclideanSpace(InnerProductSpace):
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
         # the weights are all 1.0 and 1.0 * v is exact, so the plain dot
         # product gives the base class's bits without the multiply
-        return float(np.dot(x, y))
+        return float(x.dot(y))
 
     def _row_inners(self, rows: np.ndarray) -> np.ndarray:
         # the base class's bits without the unit-weight product, as in _inner
@@ -200,7 +208,7 @@ class PeriodicGridSpace(InnerProductSpace):
         w = self.weights
         h = w.item(1)
         return (
-            h * float(np.dot(x, y))
+            h * float(x.dot(y))
             + (w.item(0) - h) * x.item(0) * y.item(0)
             + (w.item(-1) - h) * x.item(-1) * y.item(-1)
         )
@@ -216,8 +224,9 @@ class PeriodicGridSpace(InnerProductSpace):
         )
 
     def _integrate(self, x: np.ndarray) -> float:
-        # unchecked form, like ``_inner``; np.dot is already one pass
-        return float(np.dot(self.weights, x))
+        # unchecked form, like ``_inner``; one dot pass, called as the
+        # module docstring's reduction rule says
+        return float(self.weights.dot(x))
 
     def from_function(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Sample ``f`` at the grid nodes, into a fresh aligned vector."""

@@ -204,6 +204,13 @@ class TestCfpSpec:
             assert x0.shape == (30,)
             assert (x0 >= 0).all() and (x0 < 10).all()
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5])
+    def test_initial_count_must_be_a_positive_integer(self, cfp, sfp, count):
+        # sampled starts, and the fixed cases, which do not use the count
+        for spec in (cfp, sfp):
+            with pytest.raises(ValueError, match="count"):
+                spec.make_initials(np.random.default_rng(3), count=count)
+
     def test_baseline_schedules(self, cfp):
         assert cfp.schedules_for("cq").psi(0) == 1.0
         assert cfp.schedules_for("cq").psi(9) == pytest.approx(0.1)

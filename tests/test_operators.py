@@ -52,8 +52,11 @@ def same_bits(a, b) -> bool:
 
 def pair_kernel(space, h1, h2, x):
     """The pair kernel on the three squared norms that its callers form."""
-    g11, g22 = space._inner(h1.normal, h1.normal), space._inner(h2.normal, h2.normal)
-    return _project_halfspace_pair(space, h1, h2, g11, g22, x, space._inner(x, x))
+    a1, a2 = h1.normal, h2.normal
+    g11, g22 = space._inner(a1, a1), space._inner(a2, a2)
+    return _project_halfspace_pair(
+        space, a1, h1.offset, a2, h2.offset, g11, g22, x, space._inner(x, x)
+    )
 
 CUBE_ANCHORS = AnchorSet(
     anchors=np.array(
@@ -186,31 +189,31 @@ class TestCqHalfspaces:
     # _cq_halfspaces takes validated arrays, as the CQ step of run passes them
     def test_equal_iterates_give_whole_space(self):
         x = np.array([1.0, 2.0])
-        c, q, g11, _ = _cq_halfspaces(R2, x, x, np.array([5.0, 5.0]))
-        assert np.array_equal(c.normal, np.zeros(2))
-        assert c.offset == 0.0
+        c, c_offset, q, q_offset, g11, _ = _cq_halfspaces(R2, x, x, np.array([5.0, 5.0]))
+        assert np.array_equal(c, np.zeros(2))
+        assert c_offset == 0.0
         assert g11 == 0.0
 
     def test_start_at_current_gives_whole_space_cut(self):
         x = np.array([1.0, 2.0])
         y = np.array([0.5, 0.5])
-        c, q, _, g22 = _cq_halfspaces(R2, x, y, x)
-        assert np.array_equal(q.normal, np.zeros(2))
-        assert q.offset == 0.0
+        c, c_offset, q, q_offset, _, g22 = _cq_halfspaces(R2, x, y, x)
+        assert np.array_equal(q, np.zeros(2))
+        assert q_offset == 0.0
         assert g22 == 0.0
 
     def test_hand_expanded_example(self):
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 0.0])
         x0 = np.array([2.0, 0.0])
-        c, q, g11, g22 = _cq_halfspaces(R2, x, y, x0)
+        c, c_offset, q, q_offset, g11, g22 = _cq_halfspaces(R2, x, y, x0)
         assert (g11, g22) == (1.0, 1.0)
         # ||y - u|| <= ||x - u||  <=>  u_1 <= 1/2
-        assert np.allclose(c.normal, [1.0, 0.0])
-        assert c.offset == pytest.approx(0.5)
+        assert np.allclose(c, [1.0, 0.0])
+        assert c_offset == pytest.approx(0.5)
         # <x - u, x - x0> <= 0  <=>  u_1 <= 1 (normal rescaled by -1)
-        assert np.allclose(q.normal, [1.0, 0.0])
-        assert q.offset == pytest.approx(1.0)
+        assert np.allclose(q, [1.0, 0.0])
+        assert q_offset == pytest.approx(1.0)
 
     def test_sets_agree_with_defining_inequalities(self):
         rng = np.random.default_rng(31)
@@ -220,15 +223,15 @@ class TestCqHalfspaces:
             y = rng.normal(size=4)
             x0 = rng.normal(size=4)
             u = rng.normal(size=4) * 2
-            c, q, g11, g22 = _cq_halfspaces(space, x, y, x0)
+            c, c_offset, q, q_offset, g11, g22 = _cq_halfspaces(space, x, y, x0)
             # the squared norms of the normals, with the space's bits
-            assert g11 == space.inner(c.normal, c.normal)
-            assert g22 == space.inner(q.normal, q.normal)
+            assert g11 == space.inner(c, c)
+            assert g22 == space.inner(q, q)
             in_c = space.norm(y - u) <= space.norm(x - u)
-            in_c_half = space.inner(c.normal, u) <= c.offset + 1e-9
+            in_c_half = space.inner(c, u) <= c_offset + 1e-9
             assert in_c == in_c_half or abs(space.norm(y - u) - space.norm(x - u)) < 1e-7
             in_q = space.inner(x - u, x - x0) <= 0
-            in_q_half = space.inner(q.normal, u) <= q.offset + 1e-9
+            in_q_half = space.inner(q, u) <= q_offset + 1e-9
             assert in_q == in_q_half or abs(space.inner(x - u, x - x0)) < 1e-7
 
     def test_overflowing_normal_rejected(self):
@@ -246,7 +249,7 @@ class TestCqHalfspaces:
     def test_finite_normal_squared_norms_pass(self):
         # ||x - y||^2 = 4e300 is large but finite
         x = np.array([1e150, 0.0])
-        c, q, g11, g22 = _cq_halfspaces(R2, x, -x, np.array([0.0, 1.0]))
+        *_, g11, g22 = _cq_halfspaces(R2, x, -x, np.array([0.0, 1.0]))
         assert math.isfinite(g11) and math.isfinite(g22)
 
 
@@ -344,7 +347,8 @@ class TestCqKernelsMatchWrappers:
                 assert same_bits(
                     project_halfspace(space, hs, x),
                     _project_halfspace(
-                        space, hs, space.inner(hs.normal, hs.normal), x, space.inner(hs.normal, x)
+                        space, hs.normal, hs.offset, space.inner(hs.normal, hs.normal),
+                        x, space.inner(hs.normal, x),
                     ),
                 )
             out = project_halfspace_pair(space, h1, h2, x)
@@ -386,7 +390,7 @@ class TestCqKernelsMatchWrappers:
             grams.clear()
             calls.clear()
             checks.clear()
-            out = _project_halfspace_pair(space, h1, h2, g11, g22, x, xx)
+            out = _project_halfspace_pair(space, a1, h1.offset, a2, h2.offset, g11, g22, x, xx)
             # <a_i, a_i> and ||x||^2 come from the caller and are not formed again
             assert grams == []
             if not (
@@ -410,11 +414,10 @@ class TestCqKernelsMatchWrappers:
         for n in range(20):
             psi = 1.0 / (n + 2)
             y = psi * x + (1.0 - psi) * cfp_operator(space, balls, x)
-            c, q, g11, g22 = _cq_halfspaces(space, x, y, x0)
-            out = project_halfspace_pair(space, c, q, x0)
-            assert same_bits(
-                out, _project_halfspace_pair(space, c, q, g11, g22, x0, space._inner(x0, x0))
-            )
+            cuts = _cq_halfspaces(space, x, y, x0)
+            c, c_offset, q, q_offset, _, _ = cuts
+            out = project_halfspace_pair(space, HalfSpace(c, c_offset), HalfSpace(q, q_offset), x0)
+            assert same_bits(out, _project_halfspace_pair(space, *cuts, x0, space._inner(x0, x0)))
             x = out
 
 
@@ -930,6 +933,20 @@ class TestBallSet:
             balls.centers[0, 0] = 1.0
         with pytest.raises(ValueError):
             balls.radii[0] = 2.0
+
+    def test_sweep_constants_are_bound_once(self):
+        centers = np.arange(8.0).reshape(4, 2)
+        radii = np.array([5.0, 1.0, 2.0, 3.0])
+        balls = BallSet(centers, radii)
+        for view, whole, rows in (
+            (balls.inner_centers, balls.centers, slice(1, None)),
+            (balls.inner_radii, balls.radii, slice(1, None)),
+            (balls.outer_center, balls.centers, 0),
+        ):
+            assert view.base is whole and not view.flags.writeable
+            assert same_bits(view, whole[rows])
+        assert balls.inner_count == 3 and type(balls.inner_count) is int
+        assert balls.outer_radius == 5.0 and type(balls.outer_radius) is float
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_center_rejected(self, bad):

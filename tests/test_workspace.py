@@ -11,7 +11,8 @@ with the same traces, the reused iterate slots give the iterates of the
 public steps, concurrent runs on one spec give the serial traces, and a
 wide sfp iteration holds only its workspace and stops faulting in fresh
 pages. The vectors the package creates start on a 64-byte boundary, and no
-result depends on where a vector starts.
+result depends on where a vector starts. A run reduces through
+``ndarray.dot`` and never calls ``np.dot``, and cq builds no ``HalfSpace``.
 """
 
 import os
@@ -31,7 +32,7 @@ import fpiter
 from fpiter.algorithms import ALGORITHMS, mann_step, mimha_step, mimva_step, run
 from fpiter.cli import DEFAULT_ALGORITHMS
 from fpiter.experiments import build_cfp, build_sfp, build_weber
-from fpiter.operators import Operator, sfp_operator
+from fpiter.operators import HalfSpace, Operator, sfp_operator
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace, PeriodicGridSpace, _aligned_empty
 
@@ -556,8 +557,9 @@ def test_traces_do_not_depend_on_where_the_start_point_lies(suite, algorithm):
 
 
 def test_reductions_do_not_depend_on_alignment():
-    # the traces keep their bits only if np.dot (BLAS ddot) sums in the same
-    # order wherever its operands start, i.e. peels no loop for alignment
+    # the traces keep their bits only if the dot (BLAS ddot) sums in the same
+    # order wherever its operands start, i.e. peels no loop for alignment;
+    # and the method the spaces call gives np.dot's bits
     def bits(value):
         return struct.pack("<d", value)
 
@@ -568,9 +570,39 @@ def test_reductions_do_not_depend_on_alignment():
         xa, ya = aligned_copy(x), aligned_copy(y)
         shift = size % 7 + 1
         xm, ym = off_boundary(x, shift), off_boundary(y, 8 - shift)
+        euclidean = spaces[0]
+        assert bits(euclidean._inner(xa, ya)) == bits(float(np.dot(xa, ya))), size
+        assert bits(euclidean._inner(xm, ym)) == bits(float(np.dot(xm, ym))), size
         for space in spaces:
             assert bits(space._inner(xm, ym)) == bits(space._inner(xa, ya)), (space, size)
             assert bits(space._norm(xm)) == bits(space._norm(xa)), (space, size)
         if size > 1:
             grid = spaces[1]
             assert bits(grid._integrate(xm)) == bits(grid._integrate(xa)), size
+
+
+ALL_SUITES = {
+    "cfp": build_cfp,
+    "weber": build_weber,
+    "sfp": lambda: build_sfp(1024),
+}
+
+
+@pytest.mark.parametrize("suite", ALL_SUITES)
+def test_runs_call_no_np_dot_and_cq_builds_no_halfspace(suite, monkeypatch):
+    # the reductions call ndarray.dot, not np.dot's Python-level dispatch
+    # (the rule of fpiter.space), and cq passes its cuts as plain values
+    spec = ALL_SUITES[suite]()
+    x0 = spec.make_initials(np.random.default_rng(4))[0][1]
+    dots, halfspaces = [], []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda *a, **k: dots.append(1) or dot(*a, **k))
+    init = HalfSpace.__init__
+    monkeypatch.setattr(
+        HalfSpace, "__init__", lambda self, *a, **k: halfspaces.append(1) or init(self, *a, **k)
+    )
+    for algorithm in ALGORITHMS:
+        config = replace(spec.defaults, max_iterations=30, schedules=spec.schedules_for(algorithm))
+        trace = run(algorithm, spec.operator, config, x0)
+        assert trace.iterations > 0
+        assert (len(dots), len(halfspaces)) == (0, 0), algorithm
