@@ -226,8 +226,7 @@ def mimha_step(
     result ``nu u + (1-nu) y``. With ``delta = 0`` this is exactly the
     anchored (Halpern-style) modified Mann step.
     """
-    w = _extrapolate(space.check(x), space.check(x_prev), delta_n)
-    return _blend(nu_n, space.check(u), _averaged(space, T, w, psi_n))
+    return mimva_step(space, T, x, x_prev, lambda p: u, delta_n, psi_n, nu_n)
 
 
 def mimva_step(
@@ -300,8 +299,6 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     inertial, blend, cq = _ENGINES[algorithm]
     sched = config.schedules
-    # zero inertia extrapolates by nothing: skip the difference and its norm
-    inertial = inertial and sched.delta_mode != "zero"
     adaptive = sched.delta_mode == "adaptive"  # only the cap reads the norm
     space = T.space
     x = space.check(x_init)

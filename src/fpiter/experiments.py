@@ -47,7 +47,6 @@ from .operators import (
     Operator,
     SingularityError,
     _check_grid,
-    _check_mode,
     _check_sfp_args,
     _cfp_sweep,
     _integral_divisor,
@@ -89,15 +88,13 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     term computed once here, and the grid's inner product forms no
     weighted product, so a call writes no vector of grid size.
     """
-    metric = _sfp_residual(space, mode)
+    _check_grid(space)
+    metric = _sfp_residual(space, _integral_divisor(space, mode))
     return lambda x: metric(space.check(x))
 
 
-def _sfp_residual(space, mode):
-    # sfp_residual_metric without the point check, for the sfp spec's runs
-    _check_grid(space)
-    _check_mode(mode)
-    divisor = _integral_divisor(space, mode)
+def _sfp_residual(space, divisor):
+    # sfp_residual_metric past its checks, on the mode's divisor, for the sfp spec's runs
     weight_sum = float(space.weights.sum())
     center = space.sin_nodes
     center_sq = space._inner(center, center)
@@ -183,10 +180,10 @@ def build_sfp(
     here, before any run.
     """
     space = PeriodicGridSpace(grid_points)
-    _check_sfp_args(space, lam, mode)
+    divisor = _check_sfp_args(space, lam, mode)
     # the sweep writes T(x) into the workspace vector run lends it
     operator = Operator(
-        space, lambda x, out: _sfp_sweep(space, x, lam, mode, out), name="sfp-sweep"
+        space, lambda x, out: _sfp_sweep(space, x, lam, divisor, out), name="sfp-sweep"
     )
     cases = (
         ("t2", space.from_function(lambda t: t**2 / 10.0)),
@@ -195,7 +192,7 @@ def build_sfp(
         ("sin2", space.from_function(lambda t: 3.0 * np.sin(2.0 * t))),
     )
     defaults = RunConfig(
-        error_metric=_sfp_residual(space, mode),
+        error_metric=_sfp_residual(space, divisor),
         max_iterations=10000,
         tolerance=1e-3,
         schedules=Schedules(),

@@ -73,16 +73,27 @@ class SingularityError(ArithmeticError):
     """Operator evaluated at a point where it is undefined."""
 
 
+def _frozen(values) -> np.ndarray:
+    # the one storage rule of the dataclasses below: a read-only float64
+    # copy, so a caller who later writes into the array changes nothing here
+    stored = np.array(values, dtype=np.float64)
+    stored.setflags(write=False)
+    return stored
+
+
 @dataclass(frozen=True, eq=False)
 class HalfSpace:
     """``{u : <normal, u> <= offset}`` under a space's inner product.
 
     A zero normal makes the set the whole space when ``offset >= 0`` and
-    empty otherwise.
+    empty otherwise. ``normal`` is stored as a read-only float64 copy.
     """
 
     normal: np.ndarray
     offset: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "normal", _frozen(self.normal))
 
 
 def _check_positive(values, name) -> None:
@@ -98,28 +109,30 @@ def _row_set(rows, values, rows_name, values_name, min_rows, shape_error):
     ``shape_error``; the rows must be finite and the values pass
     :func:`_check_positive`.
     """
-    rows = np.array(rows, dtype=np.float64)
+    rows = _frozen(rows)
     if rows.ndim != 2 or rows.shape[0] < min_rows:
         raise ValueError(shape_error)
     if not np.isfinite(rows).all():
         raise ValueError(f"{rows_name} must be finite")
-    values = np.array(values, dtype=np.float64)
+    values = _frozen(values)
     if values.shape != rows.shape[:1]:
         raise ValueError(f"{values_name} need shape {rows.shape[:1]}, got {values.shape}")
     _check_positive(values, values_name)
-    rows.setflags(write=False)
-    values.setflags(write=False)
     return rows, values
 
 
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """Closed ball ``{u : ||u - center|| <= radius}``; the radius is finite and > 0."""
+    """Closed ball ``{u : ||u - center|| <= radius}``; the radius is finite and > 0.
+
+    ``center`` is stored as a read-only float64 copy.
+    """
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "center", _frozen(self.center))
         _check_positive(self.radius, "ball radius")
 
 
@@ -199,7 +212,8 @@ class AnchorSet:
         (so no trailing comma), or ``ValueError`` names its line.
         """
         rows, header = [], False
-        with open(Path(path), newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheets write first
+        with open(Path(path), newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for raw in reader:
                 cells = [c.strip() for c in raw]
@@ -337,13 +351,10 @@ def _check_grid(space) -> None:
         raise TypeError("the integral and sin-ball projections need a grid space")
 
 
-def _check_mode(mode) -> None:
+def _integral_divisor(space, mode) -> float:
+    # the integral correction is (1 - a)/divisor; the one check of ``mode``
     if mode not in PROJECTION_MODES:
         raise ValueError(f"mode must be one of {PROJECTION_MODES}, got {mode!r}")
-
-
-def _integral_divisor(space, mode) -> float:
-    # the integral correction is (1 - a)/divisor
     length = space.interval_end
     return length * length if mode == "damped" else length
 
@@ -360,16 +371,16 @@ def project_integral_halfspace(
     moves toward the set. Both variants are firmly nonexpansive.
     """
     _check_grid(space)
-    _check_mode(mode)
-    return _project_integral_halfspace(space, space.check(x), mode)
+    divisor = _integral_divisor(space, mode)
+    return _project_integral_halfspace(space, space.check(x), divisor)
 
 
-def _project_integral_halfspace(space, x, mode, out=None):
+def _project_integral_halfspace(space, x, divisor, out=None):
     # ``out`` receives the shifted point; a feasible ``x`` comes back as is
     a = space._integrate(x)
     if a <= 1.0:
         return x
-    return np.add(x, (1.0 - a) / _integral_divisor(space, mode), out)
+    return np.add(x, (1.0 - a) / divisor, out)
 
 
 def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
@@ -480,12 +491,12 @@ def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
     return c_normal, c_offset, q_normal, q_offset, g11, g22
 
 
-def _check_sfp_args(space, lam, mode) -> None:
-    # build_sfp calls it too, so a bad lam or mode fails before any run
+def _check_sfp_args(space, lam, mode) -> float:
+    # returns the divisor; build_sfp calls it too, so bad args fail before any run
     _check_grid(space)
     if not 0.0 < lam < 2.0:
         raise ValueError(f"lam must lie in (0, 2), got {lam}")
-    _check_mode(mode)
+    return _integral_divisor(space, mode)
 
 
 def sfp_operator(
@@ -505,11 +516,11 @@ def sfp_operator(
     rejects. The result is one fresh 64-byte-aligned vector, and no other
     grid-sized temporary is made.
     """
-    _check_sfp_args(space, lam, mode)
-    return _sfp_sweep(space, space.check(x), lam, mode)
+    divisor = _check_sfp_args(space, lam, mode)
+    return _sfp_sweep(space, space.check(x), lam, divisor)
 
 
-def _sfp_sweep(space, x, lam, mode, out=None):
+def _sfp_sweep(space, x, lam, divisor, out=None):
     # sfp_operator's kernel; z (out or a fresh aligned vector) holds x - sin, then the step
     z = np.subtract(x, space.sin_nodes, _aligned_empty(space.size) if out is None else out)
     dist = space._norm(z)
@@ -517,7 +528,7 @@ def _sfp_sweep(space, x, lam, mode, out=None):
         np.copyto(z, x)
     else:
         np.add(space.sin_nodes, np.multiply(z, 1.0 - lam + lam * (4.0 / dist), z), z)
-    return _project_integral_halfspace(space, z, mode, z)
+    return _project_integral_halfspace(space, z, divisor, z)
 
 
 def cfp_operator(

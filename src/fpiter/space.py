@@ -13,10 +13,11 @@ decides; a finite point whose squared norm overflows (an entry above about
 1.3e154) passes at the cost of that pass plus numpy's overflow warning. A
 signaling NaN, which no arithmetic makes, costs an invalid-value warning.
 
-Each space states its inner product once for points (``_inner``) and once
-for the rows of an ``(m, size)`` stack (``_row_inners``, ``np.vecdot`` on
-the last axis, equal bit for bit to ``_inner`` of each row with itself);
-the ball sweep and the Weiszfeld map take their distances from it.
+Each space states its inner product once, as ``_inner``. The row form
+``_row_inners`` (``<r, r>`` for each row of an ``(m, size)`` stack) calls
+it on each row; only ``EuclideanSpace`` replaces that loop, by one
+``np.vecdot``, which sums a row in ``dot``'s order and keeps its bits.
+The ball sweep and the Weiszfeld map take their distances from it.
 
 Reductions of one-dimensional operands call the method ``x.dot(y)``: it
 is the C routine that ``np.dot`` wraps, with the same bits, but without
@@ -25,11 +26,12 @@ call passes through first, a quarter to a half of the call's time on
 narrow vectors. ``np.vecdot`` is kept for row stacks only; on
 one-dimensional operands it, and ``@``, are slower than the method.
 
-Every point-sized vector the package creates (weights, cached samples,
-``zeros``, the run workspace, the sfp operator's result) comes from
-:func:`_aligned_empty` and starts on a 64-byte boundary, one cache line:
-glibc places large arrays 16-48 bytes off it, where each wide load of a
-streaming ufunc splits a line. Results do not depend on where a vector
+These point-sized vectors come from :func:`_aligned_empty` and start on a
+64-byte boundary, one cache line: weights, cached samples, ``zeros``, the
+run workspace and the sfp operator's result. glibc places large arrays
+16-48 bytes off it, where each wide load of a streaming ufunc splits a
+line. Other results, such as those of ``combine`` and the projections,
+are numpy's own allocations. Results do not depend on where a vector
 starts, and arrays a caller passes in are never copied to align them.
 
 Spaces are immutable after construction, hold no scratch storage, and every
@@ -129,10 +131,9 @@ class InnerProductSpace:
         return math.sqrt(max(self._inner(x, x), 0.0))
 
     def _row_inners(self, rows: np.ndarray) -> np.ndarray:
-        # <r, r> for each row of an (m, size) array; np.vecdot sums each row
-        # in the order that dot does in _inner (the reduction rule of the
-        # module docstring), (rows * rows) @ w does not
-        return np.vecdot(self.weights * rows, rows)
+        # <r, r> for each row of an (m, size) array, by _inner itself, so a
+        # subclass that overrides _inner gets its row norms from it
+        return np.array([self._inner(r, r) for r in rows])
 
     def zeros(self) -> np.ndarray:
         """A fresh 64-byte-aligned zero point; it checks and raises nothing."""
@@ -154,7 +155,7 @@ class EuclideanSpace(InnerProductSpace):
         return float(x.dot(y))
 
     def _row_inners(self, rows: np.ndarray) -> np.ndarray:
-        # the base class's bits without the unit-weight product, as in _inner
+        # _inner of each row in one call: vecdot sums a row in dot's order
         return np.vecdot(rows, rows)
 
     def __repr__(self):
@@ -180,7 +181,7 @@ class PeriodicGridSpace(InnerProductSpace):
     ``<x, y> = h dot(x, y) + (w_0 - h) x_0 y_0 + (w_last - h) x_last y_last``.
     It reads the three weights at call time, so it holds for any weights
     with equal interior entries, and it differs from ``dot(w * x, y)`` by a
-    few ulps. The row form adds the same terms in the same order.
+    few ulps.
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
@@ -211,16 +212,6 @@ class PeriodicGridSpace(InnerProductSpace):
             h * float(x.dot(y))
             + (w.item(0) - h) * x.item(0) * y.item(0)
             + (w.item(-1) - h) * x.item(-1) * y.item(-1)
-        )
-
-    def _row_inners(self, rows: np.ndarray) -> np.ndarray:
-        w = self.weights
-        h = w.item(1)
-        first, last = rows[:, 0], rows[:, -1]
-        return (
-            h * np.vecdot(rows, rows)
-            + (w.item(0) - h) * first * first
-            + (w.item(-1) - h) * last * last
         )
 
     def _integrate(self, x: np.ndarray) -> float:

@@ -155,6 +155,20 @@ class TestMimhaStep:
         # w = 3, y = 0.6, result 0.1*1 + 0.9*0.6
         assert out[0] == pytest.approx(0.64, rel=1e-15)
 
+    @pytest.mark.parametrize("build", [lambda: build_sfp(256), build_weber], ids=["sfp", "weber"])
+    def test_is_the_viscosity_step_with_a_constant_map(self, build):
+        # Halpern's step is the viscosity step with f = u, bit for bit, also
+        # with inertia (delta > 0)
+        spec = build()
+        space, T = spec.space, spec.operator
+        rng = np.random.default_rng(8)
+        for _, x in spec.make_initials(rng, count=3):
+            x_prev, u = x + rng.normal(size=space.size), rng.uniform(1.0, 9.0, space.size)
+            for delta, psi, nu in ((0.3, 0.5, 0.2), (0.9, 0.1, 0.7)):
+                want = mimva_step(space, T, x, x_prev, lambda p: u, delta, psi, nu)
+                got = mimha_step(space, T, x, x_prev, u, delta, psi, nu)
+                assert got.tobytes() == want.tobytes()
+
 
 class TestMimvaStep:
     def test_zero_contraction_full_weight(self):

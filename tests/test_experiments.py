@@ -19,6 +19,7 @@ from fpiter.operators import (
     AnchorSet,
     project_integral_halfspace,
     project_l2_ball,
+    sfp_operator,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, PeriodicGridSpace
 
@@ -88,6 +89,23 @@ class TestSfpSpec:
     def test_bad_argument_rejected_when_built(self, kwargs):
         with pytest.raises(ValueError, match="mode" if "mode" in kwargs else "lam"):
             build_sfp(64, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda mode: project_integral_halfspace(PeriodicGridSpace(64), np.full(64, np.nan), mode),
+        lambda mode: sfp_operator(PeriodicGridSpace(64), np.full(64, np.nan), mode=mode),
+        lambda mode: sfp_residual_metric(PeriodicGridSpace(64), mode),
+        lambda mode: build_sfp(64, mode=mode),
+    ],
+    ids=["project_integral_halfspace", "sfp_operator", "sfp_residual_metric", "build_sfp"],
+)
+def test_unknown_mode_rejected_by_name_before_any_run(entry):
+    # the mode is resolved where it enters, before a point is read (the NaN
+    # point would raise another error) and before a metric or spec exists
+    with pytest.raises(ValueError, match=r"mode must be one of .* got 'verbatim'"):
+        entry("verbatim")
 
 
 class RectangleGrid(PeriodicGridSpace):

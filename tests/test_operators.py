@@ -23,6 +23,7 @@ from fpiter.operators import (
 )
 from fpiter.operators import (
     _cq_halfspaces,
+    _integral_divisor,
     _project_ball,
     _project_halfspace,
     _project_halfspace_pair,
@@ -39,8 +40,19 @@ R30 = EuclideanSpace(30)
 WEIGHTED30 = InnerProductSpace(30, np.random.default_rng(7).uniform(0.2, 3.0, 30))
 # a one-pass inner product, so a row-norm in the base class's form would show
 GRID30 = PeriodicGridSpace(30)
+
+
+class DoubledDotSpace(InnerProductSpace):
+    """A space that overrides only ``_inner``: its row norms must follow it."""
+
+    def _inner(self, x, y):
+        return 2.0 * float(x.dot(y))
+
+
 ROW_NORM_SPACES = pytest.mark.parametrize(
-    "space", [R30, WEIGHTED30, GRID30], ids=["euclidean", "weighted", "grid"]
+    "space",
+    [R30, WEIGHTED30, GRID30, DoubledDotSpace(30, np.ones(30))],
+    ids=["euclidean", "weighted", "grid", "inner-only"],
 )
 
 
@@ -126,6 +138,21 @@ class TestBallProjection:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             Ball(np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize(
+        "make, stored",
+        [
+            (lambda a: Ball(a, 1.0), lambda s: s.center),
+            (lambda a: HalfSpace(a, 0.0), lambda s: s.normal),
+        ],
+        ids=["ball", "halfspace"],
+    )
+    def test_sets_keep_a_read_only_copy_of_the_callers_array(self, make, stored):
+        given = np.zeros(2)
+        kept = stored(make(given))
+        given[0] = 5.0
+        assert same_bits(kept, np.zeros(2))
+        assert not kept.flags.writeable
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_ball_and_ball_set_share_the_radius_rule(self, bad):
@@ -708,7 +735,8 @@ class TestSfpKernelsMatchWrappers:
         branches = set()
         for x in self.points():
             out = project_integral_halfspace(GRID, x, mode)
-            assert same_bits(out, _project_integral_halfspace(GRID, x, mode))
+            divisor = _integral_divisor(GRID, mode)
+            assert same_bits(out, _project_integral_halfspace(GRID, x, divisor))
             branches.add(out is x)
         assert branches == {True, False}
 
@@ -726,7 +754,7 @@ class TestSfpKernelsMatchWrappers:
             expected = project_integral_halfspace(GRID, x - lam * (x - p_q), mode)
             out = sfp_operator(GRID, x, lam=lam, mode=mode)
             into = np.full(GRID.size, np.nan)
-            assert _sfp_sweep(GRID, x, lam, mode, into) is into
+            assert _sfp_sweep(GRID, x, lam, _integral_divisor(GRID, mode), into) is into
             assert same_bits(into, out)
             if p_q is x:
                 assert same_bits(out, expected)
@@ -1127,6 +1155,15 @@ class TestAnchorSet:
         anchors = AnchorSet.from_csv(path)
         assert anchors.anchors.shape == (2, 3)
         assert np.array_equal(anchors.weights, [1.0, 2.0])
+
+    def test_from_csv_byte_order_mark(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a byte-order mark; it must not
+        # reach the first cell of a headerless file
+        path = tmp_path / "anchors.csv"
+        path.write_text("0,0,1\n2,0,1\n0,2,1\n", encoding="utf-8-sig")
+        anchors = AnchorSet.from_csv(path)
+        assert np.array_equal(anchors.anchors, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(anchors.weights, [1.0, 1.0, 1.0])
 
     def test_from_csv_empty_file(self, tmp_path):
         path = tmp_path / "anchors.csv"

@@ -139,6 +139,13 @@ class TestOnePassGridProduct:
             assert space.inner(x, y) == space._inner(x, y)
 
 
+class DoubledDotSpace(InnerProductSpace):
+    """A space that overrides only ``_inner``: its row norms must follow it."""
+
+    def _inner(self, x, y):
+        return 2.0 * float(x.dot(y))
+
+
 @pytest.mark.parametrize("num_points", [2, 3, 17, 30, 1025, 4099])
 @pytest.mark.parametrize(
     "make",
@@ -146,8 +153,9 @@ class TestOnePassGridProduct:
         EuclideanSpace,
         lambda n: InnerProductSpace(n, np.random.default_rng(n).uniform(0.2, 3.0, n)),
         PeriodicGridSpace,
+        lambda n: DoubledDotSpace(n, np.ones(n)),
     ],
-    ids=["euclidean", "weighted", "grid"],
+    ids=["euclidean", "weighted", "grid", "inner-only"],
 )
 def test_row_inners_match_inner_bit_for_bit(make, num_points):
     # the ball sweep and the Weiszfeld map take their distances from the row

@@ -253,10 +253,10 @@ def test_traces_do_not_depend_on_the_blas_thread_count_at_4096_nodes():
 
 
 def test_zero_inertia_forms_no_difference(monkeypatch):
-    # "zero" delta mode extrapolates by nothing, so the inertial engines
-    # neither form x_n - x_{n-1} nor take its norm: each takes exactly as
-    # many norms (the operator's ball projection takes one per step) as its
-    # non-inertial twin
+    # "zero" delta mode makes delta_n = 0, so the inertial engines take no
+    # norm of x_n - x_{n-1} and extrapolate to x_n itself: each takes exactly
+    # as many norms (the operator's ball projection takes one per step) as
+    # its non-inertial twin
     spec = build_sfp(256)
     config = replace(spec.defaults, schedules=replace(spec.defaults.schedules, delta_mode="zero"))
     space = spec.space
