@@ -181,19 +181,18 @@ def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
     return np.add(x, np.multiply(diff, delta_n, out), out)
 
 
+def _blend(t, v, y, out=None, scratch=None, name="nu"):
+    """``t v + (1 - t) y``."""
+    _check_unit(name, t)
+    # y may sit in out, or be v itself (T(w) may be w, see Operator): scale it
+    # before t v overwrites v's vector (scratch); the sum keeps its operand order
+    y_part = np.multiply(y, 1.0 - t, out)
+    return np.add(np.multiply(v, t, scratch), y_part, out)
+
+
 def _averaged(space, T, w, psi_n, out=None, scratch=None):
     """``psi w + (1 - psi) T w``."""
-    _check_unit("psi", psi_n)
-    # T(w) may be written into out (see Operator) or be w: scale it before psi w
-    # overwrites w's vector (scratch); the sum keeps its operand order
-    t_w = np.multiply(space.check(T(w, out)), 1.0 - psi_n, out)
-    return np.add(np.multiply(w, psi_n, scratch), t_w, out)
-
-
-def _blend(nu_n, v, y, out=None, scratch=None):
-    """``nu v + (1 - nu) y``."""
-    _check_unit("nu", nu_n)
-    return np.add(np.multiply(v, nu_n, scratch), np.multiply(y, 1.0 - nu_n, out), out)
+    return _blend(psi_n, w, space.check(T(w, out)), out, scratch, "psi")
 
 
 def _cq(space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None):

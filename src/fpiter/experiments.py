@@ -182,23 +182,14 @@ def build_sfp(
     space = PeriodicGridSpace(grid_points)
     divisor = _check_sfp_args(space, lam, mode)
     # the sweep writes T(x) into the workspace vector run lends it
-    operator = Operator(
-        space, lambda x, out: _sfp_sweep(space, x, lam, divisor, out), name="sfp-sweep"
-    )
+    operator = Operator(space, lambda x, out: _sfp_sweep(space, x, lam, divisor, out))
     cases = (
         ("t2", space.from_function(lambda t: t**2 / 10.0)),
         ("exp", space.from_function(lambda t: np.exp(t / 2.0) / 3.0)),
         ("pow2", space.from_function(lambda t: 2.0**t / 16.0)),
         ("sin2", space.from_function(lambda t: 3.0 * np.sin(2.0 * t))),
     )
-    defaults = RunConfig(
-        error_metric=_sfp_residual(space, divisor),
-        max_iterations=10000,
-        tolerance=1e-3,
-        schedules=Schedules(),
-        anchor_scale=0.9,
-        contraction_rho=0.9,
-    )
+    defaults = RunConfig(error_metric=_sfp_residual(space, divisor), max_iterations=10000)
     return ExperimentSpec(
         id="sfp",
         space=space,
@@ -239,17 +230,8 @@ def build_cfp(
         centers[3:] = rng.uniform(-bound, bound, size=(num_balls - 2, dim))
     balls = BallSet(centers, np.ones(num_balls + 1))
     # a result of dim doubles: the sweep returns a fresh one and ignores out
-    operator = Operator(
-        space, lambda x, out: _cfp_sweep(space, balls, x), name="cfp-averaged-projections"
-    )
-    defaults = RunConfig(
-        error_metric=sup_norm,
-        max_iterations=1000,
-        tolerance=1e-12,
-        schedules=Schedules(),
-        anchor_scale=0.9,
-        contraction_rho=0.1,
-    )
+    operator = Operator(space, lambda x, out: _cfp_sweep(space, balls, x))
+    defaults = RunConfig(error_metric=sup_norm, tolerance=1e-12, contraction_rho=0.1)
     baselines = MappingProxyType(
         {
             "cq": Schedules(psi=inverse_linear),
@@ -315,17 +297,10 @@ def build_weber(anchors: Optional[AnchorSet] = None) -> ExperimentSpec:
     else:
         space = EuclideanSpace(anchors.anchors.shape[1])
         target = fermat_weber_point(space, anchors)
-    operator = Operator(space, lambda x, out: _weiszfeld(space, anchors, x), name="weiszfeld")
+    operator = Operator(space, lambda x, out: _weiszfeld(space, anchors, x))
     lo = float(anchors.anchors.min())
     hi = float(anchors.anchors.max())
-    defaults = RunConfig(
-        error_metric=lambda x: space._norm(x - target),
-        max_iterations=1000,
-        tolerance=1e-4,
-        schedules=Schedules(),
-        anchor_scale=0.9,
-        contraction_rho=0.9,
-    )
+    defaults = RunConfig(error_metric=lambda x: space._norm(x - target), tolerance=1e-4)
     return ExperimentSpec(
         id="weber",
         space=space,

@@ -243,7 +243,7 @@ class AnchorSet:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A self-map of ``space`` with a display name, callable on points.
+    """A self-map of ``space``, callable on points.
 
     ``T(x, out)`` calls ``func(x, out)``; this is the one statement of
     the contract. ``out`` is ``None`` or a point-sized vector that is not
@@ -259,7 +259,6 @@ class Operator:
 
     space: InnerProductSpace
     func: Callable[[np.ndarray, np.ndarray | None], np.ndarray] = field(repr=False)
-    name: str = "custom"
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self.func(x, out)

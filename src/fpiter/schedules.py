@@ -128,7 +128,8 @@ def check_inertia_decay(
     """Evaluate ``delta_n * ||x_n - x_{n-1}|| / nu_n`` along a run.
 
     ``entries`` is a sequence of ``(delta_n, nu_n, diff_norm)`` triples;
-    a ``nu_n`` that is not finite and positive raises ``ValueError``.
+    a ``nu_n`` that is not finite and positive, or a ``delta_n`` or
+    ``diff_norm`` that is not finite and nonnegative, raises ``ValueError``.
     The verdict is heuristic: the sequence must end below ``tolerance``
     and must not be still growing, i.e. the last ratio is no larger than
     the first or strictly below the peak (adaptive runs start at ratio 0,
@@ -137,9 +138,14 @@ def check_inertia_decay(
     rows = list(entries)
     if not rows:
         raise ValueError("need at least one (delta, nu, diff_norm) entry")
-    for n, (_, nu, _) in enumerate(rows):
+    for n, (delta, nu, diff) in enumerate(rows):
         if not (math.isfinite(nu) and nu > 0.0):
             raise ValueError(f"nu_n must be finite and positive, got {nu} at entry {n}")
+        for name, value in (("delta_n", delta), ("diff_norm", diff)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {value} at entry {n}"
+                )
     ratios = tuple(delta * diff / nu for delta, nu, diff in rows)
     decayed = ratios[-1] <= ratios[0] or ratios[-1] < max(ratios)
     trending = decayed and ratios[-1] < tolerance

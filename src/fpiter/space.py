@@ -194,7 +194,6 @@ class PeriodicGridSpace(InnerProductSpace):
         weights = np.full(num_points, h)
         weights[0] = weights[-1] = h / 2.0
         super().__init__(num_points, weights)
-        self.num_points = num_points
         self.interval_end = float(interval_end)
         self.nodes = np.linspace(0.0, interval_end, num_points)
         self.nodes.setflags(write=False)
@@ -227,6 +226,6 @@ class PeriodicGridSpace(InnerProductSpace):
 
     def __repr__(self):
         return (
-            f"PeriodicGridSpace(num_points={self.num_points}, "
+            f"PeriodicGridSpace(num_points={self.size}, "
             f"interval_end={self.interval_end!r})"
         )

@@ -343,7 +343,7 @@ def test_criterion_6_property_suites():
     # bitwise reduction identities at zero inertia
     rng = np.random.default_rng(7)
     e3 = EuclideanSpace(3)
-    T = Operator(e3, lambda x, out: project_ball(e3, Ball(np.zeros(3), 1.0), x), name="ball")
+    T = Operator(e3, lambda x, out: project_ball(e3, Ball(np.zeros(3), 1.0), x))
     for _ in range(200):
         x = rng.normal(size=3) * 2
         x_prev = rng.normal(size=3) * 2

@@ -32,9 +32,9 @@ from fpiter.space import EuclideanSpace
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
 
-ZERO_MAP = Operator(R1, lambda x, out: np.zeros(1), name="zero")
-ZERO_MAP_2D = Operator(R2, lambda x, out: np.zeros(2), name="zero")
-IDENTITY_2D = Operator(R2, lambda x, out: R2.check(x), name="identity")
+ZERO_MAP = Operator(R1, lambda x, out: np.zeros(1))
+ZERO_MAP_2D = Operator(R2, lambda x, out: np.zeros(2))
+IDENTITY_2D = Operator(R2, lambda x, out: R2.check(x))
 
 
 def arr(*values):
@@ -199,7 +199,7 @@ class TestFixedPointRetention:
         # projection onto a ball fixes interior points exactly
         space = EuclideanSpace(2)
         ball = Ball(np.zeros(2), 8.0)
-        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x))
         p = arr(2.0, -4.0)  # dyadic so the convex combinations are exact
         assert np.array_equal(mann_step(space, T, p, 0.25), p)
         assert np.array_equal(inertial_mann(space, T, p, p, 0.5, 0.25), p)
@@ -211,7 +211,7 @@ class TestFejerMonotonicity:
     def test_mann_never_moves_away_from_a_fixed_point(self):
         space = EuclideanSpace(3)
         ball = Ball(np.zeros(3), 1.0)
-        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x))
         p = np.zeros(3)  # fixed point of T
         rng = np.random.default_rng(43)
         for _ in range(50):
@@ -244,7 +244,7 @@ class TestFejerMonotonicity:
 
 
 def contracting_operator(space, rate=0.5):
-    return Operator(space, lambda x, out: rate * space.check(x), name="scaler")
+    return Operator(space, lambda x, out: rate * space.check(x))
 
 
 def metric_to_zero(space):
@@ -282,7 +282,7 @@ class TestRun:
     def test_numeric_determinism(self):
         space = EuclideanSpace(3)
         ball = Ball(np.ones(3), 2.0)
-        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x))
         config = RunConfig(
             error_metric=lambda x: space.norm(x - np.ones(3)),
             max_iterations=40,
@@ -322,7 +322,7 @@ class TestRun:
     def test_zero_mode_reproduces_non_inertial_baselines_bitwise(self):
         space = EuclideanSpace(3)
         ball = Ball(np.zeros(3), 1.0)
-        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x))
         config = RunConfig(
             error_metric=metric_to_zero(space), max_iterations=30, tolerance=1e-30
         )
@@ -345,7 +345,7 @@ class TestRun:
         def exploding(x, out):
             raise SingularityError("undefined here")
 
-        T = Operator(space, exploding, name="singular")
+        T = Operator(space, exploding)
         config = RunConfig(error_metric=metric_to_zero(space), tolerance=1e-9)
         trace = run("mann", T, config, arr(1.0, 1.0))
         assert trace.terminal_reason is TerminalReason.SINGULARITY
@@ -353,7 +353,7 @@ class TestRun:
 
     def test_explicit_previous_point_and_anchor(self):
         space = EuclideanSpace(1)
-        T = Operator(space, lambda x, out: np.zeros(1), name="zero")
+        T = Operator(space, lambda x, out: np.zeros(1))
         config = RunConfig(
             error_metric=metric_to_zero(space),
             max_iterations=1,
@@ -408,7 +408,7 @@ class TestRun:
     def test_all_listed_algorithms_run(self):
         space = EuclideanSpace(2)
         ball = Ball(np.zeros(2), 1.0)
-        T = Operator(space, lambda x, out: project_ball(space, ball, x), name="ball-proj")
+        T = Operator(space, lambda x, out: project_ball(space, ball, x))
         config = RunConfig(
             error_metric=metric_to_zero(space), max_iterations=8, tolerance=1e-30
         )
@@ -427,7 +427,7 @@ class TestRunValidatesWhereArraysEnter:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_output_raises(self, algorithm, bad):
-        T = Operator(R2, lambda x, out: np.full(2, bad), name="non-finite")
+        T = Operator(R2, lambda x, out: np.full(2, bad))
         with pytest.raises(ValueError, match="finite"):
             run(algorithm, T, self.CONFIG, arr(1.0, 2.0))
 
@@ -463,7 +463,7 @@ class TestRunValidatesWhereArraysEnter:
     def test_bad_entry_array_raises_before_the_first_step(self, entry, bad, message):
         # every array the caller passes is checked on entry, before T is called
         calls = []
-        T = Operator(R2, lambda x, out: calls.append(1) or np.zeros(2), name="counted-zero")
+        T = Operator(R2, lambda x, out: calls.append(1) or np.zeros(2))
         arrays = {"x_init": arr(1.0, 2.0), "x_init_prev": arr(0.5, 1.0), "anchor": arr(0.0, 1.0)}
         arrays[entry] = bad
         with pytest.raises(ValueError, match=message):
@@ -472,7 +472,7 @@ class TestRunValidatesWhereArraysEnter:
 
     def test_cq_overflow_raises(self):
         # x - y overflows to inf in the CQ half-space normal
-        T = Operator(EuclideanSpace(3), lambda x, out: -x, name="negate")
+        T = Operator(EuclideanSpace(3), lambda x, out: -x)
         config = RunConfig(error_metric=sup_norm, max_iterations=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="finite"):
@@ -480,7 +480,7 @@ class TestRunValidatesWhereArraysEnter:
 
     def test_cq_overflowing_squared_norm_names_the_cut_normals(self):
         # x - y = 1.98 x is finite, but its squared norm overflows
-        T = Operator(R2, lambda x, out: -x, name="negate")
+        T = Operator(R2, lambda x, out: -x)
         config = RunConfig(error_metric=sup_norm, max_iterations=3)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="cut normals"):
@@ -587,7 +587,7 @@ class TestValidationCount:
         calls = []
         inner = space._inner
         monkeypatch.setattr(space, "_inner", lambda u, v: calls.append(1) or inner(u, v))
-        T = Operator(space, lambda x, out: 0.5 * x, name="half")
+        T = Operator(space, lambda x, out: 0.5 * x)
         config = RunConfig(error_metric=sup_norm, max_iterations=50, tolerance=1e-300)
         trace = run("cq", T, config, arr(1.0, 2.0, 3.0))
         assert trace.iterations == 50
@@ -684,5 +684,5 @@ class TestRunConfigValidation:
             with pytest.raises(ValueError, match="max_iterations must be an integer"):
                 replace(config, max_iterations=bad)
         numpy_cap = replace(config, max_iterations=np.int64(7), error_metric=lambda x: 1.0)
-        T = Operator(EuclideanSpace(2), lambda x, out: 0.5 * x, name="half")
+        T = Operator(EuclideanSpace(2), lambda x, out: 0.5 * x)
         assert run("mann", T, numpy_cap, np.ones(2)).iterations == 7

@@ -455,7 +455,7 @@ def always_singular(space):
         calls.append(1)
         raise SingularityError("always undefined")
 
-    return Operator(space, raise_singularity, name="singular"), calls
+    return Operator(space, raise_singularity), calls
 
 
 class TestSingularityRetry:

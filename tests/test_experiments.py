@@ -22,6 +22,7 @@ from fpiter.operators import (
     sfp_operator,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, PeriodicGridSpace
+from reference_spaces import RectangleGrid
 
 
 @pytest.fixture(scope="module")
@@ -106,16 +107,6 @@ def test_unknown_mode_rejected_by_name_before_any_run(entry):
     # point would raise another error) and before a metric or spec exists
     with pytest.raises(ValueError, match=r"mode must be one of .* got 'verbatim'"):
         entry("verbatim")
-
-
-class RectangleGrid(PeriodicGridSpace):
-    """A grid with rectangle-rule weights ``h``, whose sum ``N h`` is not ``L``."""
-
-    def __init__(self, num_points):
-        super().__init__(num_points)
-        weights = np.full(num_points, self.interval_end / (num_points - 1))
-        weights.setflags(write=False)
-        self.weights = weights
 
 
 def vector_metric(space, mode, x):
@@ -333,7 +324,7 @@ class TestWeberSpec:
 class TestBuildExperiment:
     def test_dispatch(self):
         assert build_experiment("weber").id == "weber"
-        assert build_experiment("sfp", grid_points=64).space.num_points == 64
+        assert build_experiment("sfp", grid_points=64).space.size == 64
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown experiment"):

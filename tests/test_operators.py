@@ -32,6 +32,7 @@ from fpiter.operators import (
     _weiszfeld,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
+from reference_spaces import DoubledDotSpace
 
 R2 = EuclideanSpace(2)
 GRID = PeriodicGridSpace(1024)
@@ -40,13 +41,6 @@ R30 = EuclideanSpace(30)
 WEIGHTED30 = InnerProductSpace(30, np.random.default_rng(7).uniform(0.2, 3.0, 30))
 # a one-pass inner product, so a row-norm in the base class's form would show
 GRID30 = PeriodicGridSpace(30)
-
-
-class DoubledDotSpace(InnerProductSpace):
-    """A space that overrides only ``_inner``: its row norms must follow it."""
-
-    def _inner(self, x, y):
-        return 2.0 * float(x.dot(y))
 
 
 ROW_NORM_SPACES = pytest.mark.parametrize(
@@ -1206,8 +1200,7 @@ class TestAnchorSet:
 
 
 class TestOperatorWrapper:
-    def test_callable_with_name(self):
+    def test_callable_on_points(self):
         space = EuclideanSpace(2)
-        op = Operator(space, lambda x, out: 0.5 * space.check(x), name="halver")
+        op = Operator(space, lambda x, out: 0.5 * space.check(x))
         assert np.allclose(op([2.0, 4.0]), [1.0, 2.0])
-        assert op.name == "halver"

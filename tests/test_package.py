@@ -1,9 +1,12 @@
 """The package's public surface: ``import fpiter`` and the README example."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import fpiter
 from fpiter import algorithms, experiments, operators, schedules, space
@@ -58,6 +61,10 @@ def test_deleted_names_stay_gone():
         assert not hasattr(fpiter, name), name
         assert all(not hasattr(module, name) for module in MODULES), name
     assert not hasattr(fpiter.Schedules(), "index_offset")
+    assert [f.name for f in dataclasses.fields(fpiter.Operator)] == ["space", "func"]
+    with pytest.raises(TypeError):
+        fpiter.Operator(fpiter.EuclideanSpace(2), lambda x, out: x, name="x")
+    assert not hasattr(fpiter.PeriodicGridSpace(8), "num_points")
 
 
 def test_readme_library_example_runs(capsys):

@@ -166,3 +166,11 @@ class TestInertiaDecayDiagnostic:
         entries = [(0.0, 1.0, 0.5), (0.5, nu, 1.0)]
         with pytest.raises(ValueError, match="nu_n must be finite and positive"):
             check_inertia_decay(entries)
+
+    @pytest.mark.parametrize("name", ["delta_n", "diff_norm"])
+    @pytest.mark.parametrize("value", [-3.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_delta_and_diff_norm_must_be_finite_and_nonnegative(self, name, value):
+        bad = (value, 1.0, 1.0) if name == "delta_n" else (0.2, 0.5, value)
+        entries = [(0.5, 1.0, 2.0), bad]
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            check_inertia_decay(entries)

@@ -44,6 +44,7 @@ from fpiter.operators import (
 )
 from fpiter.schedules import Schedules
 from fpiter.space import PeriodicGridSpace
+from reference_spaces import RectangleGrid
 
 RTOL = 1e-10
 ENGINES = ("mmha", "mimha", "mmva", "mimva")
@@ -53,16 +54,6 @@ STARTS = {
     "pow2": lambda t: 2.0**t / 16.0,
     "sin2": lambda t: 3.0 * np.sin(2.0 * t),
 }
-
-
-class RectangleGrid(PeriodicGridSpace):
-    """Rectangle-rule weights ``h``: their sum ``N h`` is not the length ``L``."""
-
-    def __init__(self, num_points):
-        super().__init__(num_points)
-        weights = np.full(num_points, self.interval_end / (num_points - 1))
-        weights.setflags(write=False)
-        self.weights = weights
 
 
 def oracle(space, x0, algorithm, lam, mode, config):

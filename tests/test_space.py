@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fpiter.experiments import build_cfp, build_sfp
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
+from reference_spaces import DoubledDotSpace, RectangleGrid
 
 
 def midpoint_quadrature(f, n=2_000_000, length=TWO_PI):
@@ -107,21 +108,12 @@ class TestPeriodicGrid:
             PeriodicGridSpace(8, end)
 
 
-def rectangle_grid(num_points):
-    """A grid whose weights are replaced after construction by ``h`` everywhere."""
-    space = PeriodicGridSpace(num_points)
-    weights = np.full(num_points, space.interval_end / (num_points - 1))
-    weights.setflags(write=False)
-    space.weights = weights
-    return space
-
-
 class TestOnePassGridProduct:
     """The grid's ``h dot(x, y)`` plus two endpoint terms against ``dot(w * x, y)``."""
 
     @pytest.mark.parametrize("num_points", [2, 3, 4, 1024, 32768])
     @pytest.mark.parametrize(
-        "make", [PeriodicGridSpace, rectangle_grid], ids=["trapezoid", "rectangle"]
+        "make", [PeriodicGridSpace, RectangleGrid], ids=["trapezoid", "rectangle"]
     )
     def test_matches_the_weighted_dot_to_a_few_ulps(self, make, num_points):
         # the two forms round differently; each error is a few ulps of the
@@ -137,13 +129,6 @@ class TestOnePassGridProduct:
             norm = math.sqrt(np.dot(space.weights * x, x))
             assert abs(space._norm(x) - norm) <= 8 * eps * norm
             assert space.inner(x, y) == space._inner(x, y)
-
-
-class DoubledDotSpace(InnerProductSpace):
-    """A space that overrides only ``_inner``: its row norms must follow it."""
-
-    def _inner(self, x, y):
-        return 2.0 * float(x.dot(y))
 
 
 @pytest.mark.parametrize("num_points", [2, 3, 17, 30, 1025, 4099])
@@ -273,7 +258,7 @@ def test_builders_reject_non_integer_sizes(build):
 def test_integer_sizes_of_any_index_type_are_accepted():
     assert EuclideanSpace(np.int64(3)).size == 3
     grid = PeriodicGridSpace(np.int32(12))
-    assert grid.num_points == grid.size == 12
+    assert grid.size == 12
     assert type(grid.size) is int
 
 

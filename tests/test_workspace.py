@@ -6,13 +6,14 @@ once, in ``fpiter.operators.Operator``); the sfp sweep writes ``T(w)`` there,
 and the sfp metric forms no vector. These tests pin what that must not
 change: the caller's arrays are never written, the public steps and an
 operator called without an ``out`` return fresh arrays, the lent vector is
-a workspace vector that is never ``w``, an operator may use it or ignore it
-with the same traces, the reused iterate slots give the iterates of the
-public steps, concurrent runs on one spec give the serial traces, and a
-wide sfp iteration holds only its workspace and stops faulting in fresh
-pages. The vectors the package creates start on a 64-byte boundary, and no
-result depends on where a vector starts. A run reduces through
-``ndarray.dot`` and never calls ``np.dot``, and cq builds no ``HalfSpace``.
+a workspace vector that is never ``w``, an operator may use it, ignore it
+or return its own input with the same traces, the reused iterate slots give
+the iterates of the public steps, concurrent runs on one spec give the
+serial traces, and a wide sfp iteration holds only its workspace and stops
+faulting in fresh pages. The vectors the package creates start on a
+64-byte boundary, and no result depends on where a vector starts. A run
+reduces through ``ndarray.dot`` and never calls ``np.dot``, and cq builds
+no ``HalfSpace``.
 """
 
 import os
@@ -29,10 +30,10 @@ import numpy as np
 import pytest
 
 import fpiter
-from fpiter.algorithms import ALGORITHMS, mann_step, mimha_step, mimva_step, run
+from fpiter.algorithms import ALGORITHMS, RunConfig, mann_step, mimha_step, mimva_step, run
 from fpiter.cli import DEFAULT_ALGORITHMS
 from fpiter.experiments import build_cfp, build_sfp, build_weber
-from fpiter.operators import HalfSpace, Operator, sfp_operator
+from fpiter.operators import Ball, HalfSpace, Operator, project_ball, sfp_operator
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace, PeriodicGridSpace, _aligned_empty
 
@@ -329,7 +330,7 @@ def test_run_hands_aligned_iterates_to_every_callback(algorithm):
 
         return call
 
-    T = Operator(spec.space, recorded("T", spec.operator), name="recorded")
+    T = Operator(spec.space, recorded("T", spec.operator))
     config = replace(
         spec.defaults,
         max_iterations=30,
@@ -387,7 +388,7 @@ def test_run_lends_the_operator_a_workspace_vector_that_is_not_w(algorithm, monk
         return spec.operator(w, out)
 
     config = replace(spec.defaults, max_iterations=40, schedules=spec.schedules_for(algorithm))
-    T = Operator(spec.space, recording, name="recording")
+    T = Operator(spec.space, recording)
     for _, x0 in spec.initial_cases:
         trace = run(algorithm, T, config, x0)
         assert len(lent) == trace.iterations > 0
@@ -413,8 +414,28 @@ def test_an_operator_may_use_or_ignore_the_vector_it_is_lent(algorithm):
     for case, x0 in spec.initial_cases:
         expected = trace_bits(run(algorithm, sweep, config, x0))
         for func in (ignoring, copying):
-            T = Operator(spec.space, func, name=func.__name__)
+            T = Operator(spec.space, func)
             assert trace_bits(run(algorithm, T, config, x0)) == expected, (case, func.__name__)
+
+
+@pytest.mark.parametrize("algorithm", ["inertial-mann", "mimha", "mimva"])
+def test_an_operator_may_return_its_own_input(algorithm):
+    # project_ball returns x itself for a point inside the ball; with
+    # delta_n > 0 that x is w, which lives in the vector run also uses as
+    # scratch for psi w, so T(w) must be scaled before psi w is formed
+    space = EuclideanSpace(3)
+    ball = Ball(np.zeros(3), 5.0)
+    config = RunConfig(error_metric=space.norm, max_iterations=60, tolerance=1e-30)
+    x0 = np.array([1.0, -2.0, 0.5])
+    traces = [
+        run(algorithm, Operator(space, func), config, x0, x_init_prev=np.zeros(3))
+        for func in (
+            lambda x, out: project_ball(space, ball, x),
+            lambda x, out: project_ball(space, ball, x).copy(),
+        )
+    ]
+    assert traces[0].iterations == 60
+    assert traces[0].errors == traces[1].errors
 
 
 @pytest.mark.parametrize("algorithm, bound", [("mimva", 4.5), ("mimha", 5.5)])
