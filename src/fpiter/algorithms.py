@@ -157,11 +157,6 @@ class RunConfig:
             )
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
 # The kernels below take validated arrays (the rule is stated in ``run``),
 # and the public steps call them too, so both produce the same bits. ``out``
 # (the result) and ``scratch`` (the other product) are ``run``'s workspace
@@ -183,7 +178,8 @@ def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
 
 def _blend(t, v, y, out=None, scratch=None, name="nu"):
     """``t v + (1 - t) y``."""
-    _check_unit(name, t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {t}")
     # y may sit in out, or be v itself (T(w) may be w, see Operator): scale it
     # before t v overwrites v's vector (scratch); the sum keeps its operand order
     y_part = np.multiply(y, 1.0 - t, out)
@@ -264,6 +260,8 @@ def run(
     defaults to ``x_init`` (no momentum on the first step either way: the
     inertia cap is zero at n = 0); ``anchor`` and ``contraction`` default to
     ``config.anchor_scale * x_init`` and ``x -> config.contraction_rho * x``.
+    The inertia rule is resolved once, before the loop: the cap
+    ``Schedules.delta_bar`` in adaptive mode, ``Schedules.delta`` otherwise.
     The anchor engines blend with the constant map ``p -> u`` (Halpern's
     iteration is the viscosity iteration with ``f = u``). A
     :class:`SingularityError` raised by the operator ends the run with that
@@ -298,7 +296,9 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     inertial, blend, cq = _ENGINES[algorithm]
     sched = config.schedules
+    psi, nu = sched.psi, sched.nu
     adaptive = sched.delta_mode == "adaptive"  # only the cap reads the norm
+    delta_rule = sched.delta_bar if adaptive else sched.delta
     space = T.space
     x = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)
@@ -338,7 +338,7 @@ def run(
         if inertial:
             # one difference serves the inertia cap and the extrapolation
             diff = np.subtract(x, x_prev, work)
-            delta = sched.delta(n, space._norm(diff) if adaptive else 0.0)
+            delta = delta_rule(n, space._norm(diff) if adaptive else 0.0)
         errors.append(err)
         deltas.append(delta)
         elapsed.append(clock() - start)
@@ -347,7 +347,7 @@ def run(
             break
         if n == last:
             break
-        psi_n = sched.psi(n)
+        psi_n = psi(n)
         try:
             out = slots[n % 2]
             if cq:
@@ -356,7 +356,7 @@ def run(
                 w = _extrapolate(x, x_prev, delta, diff, work) if inertial else x
                 x_next = _averaged(space, T, w, psi_n, out, work)
                 if blend:
-                    x_next = _blend(sched.nu(n), v(x), x_next, out, work)
+                    x_next = _blend(nu(n), v(x), x_next, out, work)
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break

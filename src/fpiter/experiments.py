@@ -118,7 +118,9 @@ def _sfp_residual(space, divisor):
 
 def sup_norm(x) -> float:
     """Largest coordinate magnitude."""
-    return float(np.maximum.reduce(np.abs(x)))
+    # read at argmax (see fpiter.space), which returns a NaN as np.max would
+    a = np.abs(x)
+    return float(a.item(a.argmax()))
 
 
 @dataclass(frozen=True, eq=False)

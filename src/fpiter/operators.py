@@ -599,9 +599,13 @@ def _weiszfeld(space, anchors, x):
     points = anchors.anchors
     d2 = space._row_inners(x - points)
     dists = np.sqrt(d2, d2)
-    # one reduction with the verdict of (dists <= tol).any(): fmin skips a
-    # NaN distance where np.minimum would return it and hide a singular one
-    if np.fmin.reduce(dists) <= ANCHOR_SINGULARITY_TOL:
+    # the verdict of (dists <= tol).any(), read at argmin (see fpiter.space);
+    # argmin returns a NaN distance first, which would hide a singular
+    # anchor, so a NaN falls back to the fmin reduction, which skips it
+    nearest = dists.item(dists.argmin())
+    if math.isnan(nearest):
+        nearest = np.fmin.reduce(dists)
+    if nearest <= ANCHOR_SINGULARITY_TOL:
         raise SingularityError("evaluation point coincides with an anchor")
     coef = anchors.weights / dists
     # the dgemv and the reduction of coef @ points and coef.sum(), without

@@ -25,6 +25,11 @@ the Python-level ``__array_function__`` dispatch that every ``np.dot``
 call passes through first, a quarter to a half of the call's time on
 narrow vectors. ``np.vecdot`` is kept for row stacks only; on
 one-dimensional operands it, and ``@``, are slower than the method.
+``EuclideanSpace`` takes its norm from one ``x.dot(x)`` as well. An
+extremum, whose value does not depend on the order it is taken in, reads
+one entry, ``a.item(a.argmin())`` or ``argmax``: on a narrow vector a
+``ufunc.reduce`` call costs about three times as much, some 1 µs more,
+nearly all of it set-up.
 
 These point-sized vectors come from :func:`_aligned_empty` and start on a
 64-byte boundary, one cache line: weights, cached samples, ``zeros``, the
@@ -53,6 +58,14 @@ TWO_PI = 2.0 * math.pi
 
 _ALIGN_BYTES = 64
 
+_FLOAT64 = np.dtype(np.float64)
+# array kinds that a float64 conversion would not refuse: it drops an
+# imaginary part (with only a warning), parses a string and turns a time
+# into a count of its units
+_NOT_REAL = {
+    "c": "complex", "U": "string", "S": "bytes", "m": "timedelta", "M": "datetime"
+}
+
 
 def _index(value, name: str) -> int:
     """``value`` as an int by ``operator.index``; ``ValueError`` if it is not an integer."""
@@ -60,6 +73,18 @@ def _index(value, name: str) -> int:
         return index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real_array(x) -> np.ndarray:
+    """``x`` as an array; ``ValueError`` if an entry is complex, text or a time."""
+    arr = np.asarray(x)
+    kinds = {arr.dtype.kind}
+    if arr.dtype.kind == "O":  # Python objects: numpy would convert each by float()
+        kinds = {np.asarray(v).dtype.kind for v in arr.flat}
+    named = sorted(_NOT_REAL[k] for k in kinds & _NOT_REAL.keys())
+    if named:
+        raise ValueError(f"coordinates must be real numbers, got {' and '.join(named)} entries")
+    return arr
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -95,9 +120,12 @@ class InnerProductSpace:
     def check(self, x) -> np.ndarray:
         """Validate that ``x`` belongs to this space and return it as float64.
 
-        Raises ValueError on a length mismatch or non-finite entries, which
-        the certificate of the module docstring decides.
+        Raises ValueError on complex, text or time entries, a length
+        mismatch or non-finite entries, which the certificate of the module
+        docstring decides.
         """
+        if getattr(x, "dtype", None) is not _FLOAT64:
+            x = _real_array(x)
         arr = np.asarray(x, dtype=np.float64)
         if arr.shape != (self.size,):
             raise ValueError(
@@ -153,6 +181,11 @@ class EuclideanSpace(InnerProductSpace):
         # the weights are all 1.0 and 1.0 * v is exact, so the plain dot
         # product gives the base class's bits without the multiply
         return float(x.dot(y))
+
+    def _norm(self, x: np.ndarray) -> float:
+        # the base class's sqrt(max(_inner(x, x), 0.0)) from one dot: x.dot(x)
+        # is never negative (nor -0.0) and a NaN passes through both forms
+        return math.sqrt(x.dot(x))
 
     def _row_inners(self, rows: np.ndarray) -> np.ndarray:
         # _inner of each row in one call: vecdot sums a row in dot's order

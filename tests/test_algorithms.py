@@ -1,8 +1,11 @@
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fpiter
 from fpiter.algorithms import (
     ALGORITHMS,
     RunConfig,
@@ -457,8 +460,14 @@ class TestRunValidatesWhereArraysEnter:
     @pytest.mark.parametrize("entry", ["x_init", "x_init_prev", "anchor"])
     @pytest.mark.parametrize(
         "bad, message",
-        [(arr(np.nan, 0.0), "finite"), (arr(0.0, np.inf), "finite"), (np.zeros(3), "coordinates")],
-        ids=["nan", "inf", "shape"],
+        [
+            (arr(np.nan, 0.0), "finite"),
+            (arr(0.0, np.inf), "finite"),
+            (np.zeros(3), "coordinates"),
+            (np.array([1.0 + 2.0j, 3.0]), "complex"),
+            (np.array(["1", "2"]), "string"),
+        ],
+        ids=["nan", "inf", "shape", "complex", "string"],
     )
     def test_bad_entry_array_raises_before_the_first_step(self, entry, bad, message):
         # every array the caller passes is checked on entry, before T is called
@@ -662,6 +671,59 @@ class TestInertiaNormCount:
         assert trace.iterations == 100
         assert set(trace.deltas) == {0.5}
         assert len(calls) == 100
+
+
+def profiled_run(spec, algorithm, iterations):
+    """Python frames opened in fpiter's files, and ``ufunc.reduce`` calls, in one run."""
+    package = os.path.dirname(fpiter.__file__) + os.sep
+    config = replace(
+        spec.defaults,
+        max_iterations=iterations,
+        tolerance=1e-300,
+        schedules=spec.schedules_for(algorithm),
+    )
+    start = spec.make_initials(np.random.default_rng(1))[0][1]
+    counts = {"calls": 0, "reduces": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            counts["calls"] += 1
+        elif event == "c_call" and getattr(arg, "__name__", None) == "reduce":
+            counts["reduces"] += 1
+
+    sys.setprofile(profile)
+    try:
+        trace = run(algorithm, spec.operator, config, start)
+    finally:
+        sys.setprofile(None)
+    assert trace.iterations == iterations
+    return counts
+
+
+class TestCallBudget:
+    """A deterministic guard on the per-iteration cost of the narrow runs.
+
+    On weber and cfp an iteration costs little arithmetic and many calls, so
+    the number of Python frames and of ``ufunc.reduce`` calls (about 1 µs of
+    set-up each, see :mod:`fpiter.space`) stands in for the time. Per
+    iteration is the difference between a 200- and a 100-iteration run, so
+    the run's set-up and its first steps (no inertia yet) drop out.
+    """
+
+    @pytest.mark.parametrize(
+        "build, algorithm, calls, reduces",
+        [
+            (build_weber, "mimha", 17, 1),
+            (build_weber, "mimva", 17, 1),
+            (build_cfp, "mimva", 18, 0),
+        ],
+    )
+    def test_calls_per_iteration(self, build, algorithm, calls, reduces):
+        spec = build()
+        short = profiled_run(spec, algorithm, 100)
+        long = profiled_run(spec, algorithm, 200)
+        assert long["calls"] - short["calls"] <= calls * 100
+        assert long["reduces"] - short["reduces"] == reduces * 100
 
 
 class TestRunConfigValidation:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fpiter.algorithms import TerminalReason, run
 from fpiter.experiments import (
@@ -265,6 +268,51 @@ class TestCfpSpec:
             build_cfp(dim=0)
         with pytest.raises(ValueError):
             build_cfp(num_balls=1)
+
+
+class TestSupNorm:
+    """``sup_norm`` reads the maximum at ``argmax``: the bits of ``np.max``, as a
+    float, and a NaN where ``np.max`` gives one (its payload may differ)."""
+
+    @staticmethod
+    def assert_max_bits(x):
+        got = sup_norm(x)
+        with np.errstate(invalid="ignore"):  # a signaling NaN
+            expected = float(np.max(np.abs(x)))
+        assert type(got) is float
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(width=64)))
+    def test_float_arrays(self, x):
+        self.assert_max_bits(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [3, -4],
+            np.array([3, -4, 2]),
+            np.array([7, 1], dtype=np.uint8),
+            [0.5, -2.5],
+            [-0.0],
+            np.array([-0.0, 0.0]),
+            [1.0, -math.inf],
+            [math.inf, math.nan],
+            [1.0, math.nan, 2.0],
+        ],
+        ids=[
+            "int-list", "int64", "uint8", "list", "neg-zero", "zeros", "inf", "nan-after-inf",
+            "nan",
+        ],
+    )
+    def test_other_inputs(self, x):
+        self.assert_max_bits(x)
+
+    def test_int_list_value(self):
+        assert sup_norm([3, -4]) == 4.0
 
 
 class TestWeberSpec:

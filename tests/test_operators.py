@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpiter.operators import (
+    ANCHOR_SINGULARITY_TOL,
     PROJECTION_MODES,
     AnchorSet,
     Ball,
@@ -1027,6 +1028,34 @@ class TestWeiszfeldMap:
             weiszfeld_map(space, CUBE_ANCHORS, np.array([10.0, 0.0, 0.0]))
         with pytest.raises(SingularityError):
             weiszfeld_map(space, CUBE_ANCHORS, np.array([1e-13, 0.0, 0.0]))
+
+    def test_a_nan_distance_does_not_hide_a_singular_anchor(self):
+        # on the grid, x - (-x) = 2e308 overflows and its row inner is
+        # inf - inf: the distances are [0, nan], and the 0 must decide
+        space = PeriodicGridSpace(4)
+        x = np.array([1e308, 0.0, 0.0, 0.0])
+        anchors = AnchorSet(np.array([-x, x]), np.ones(2))
+        with np.errstate(all="ignore"):
+            assert np.isnan(space._row_inners(x - anchors.anchors)).tolist() == [True, False]
+            with pytest.raises(SingularityError):
+                weiszfeld_map(space, anchors, x)
+
+    def test_singularity_verdict_is_any_distance_within_the_tolerance(self):
+        tol = ANCHOR_SINGULARITY_TOL
+        space = EuclideanSpace(3)
+        verdicts = []
+        for d in (math.nextafter(tol, 0.0), tol, math.nextafter(tol, math.inf)):
+            x = np.array([d, 0.0, 0.0])  # d from the anchor at the origin, exactly
+            dists = np.sqrt(space._row_inners(x - CUBE_ANCHORS.anchors))
+            verdict = bool((dists <= tol).any())
+            verdicts.append(verdict)
+            if verdict:
+                with pytest.raises(SingularityError):
+                    weiszfeld_map(space, CUBE_ANCHORS, x)
+            else:
+                weiszfeld_map(space, CUBE_ANCHORS, x)
+        # the three points straddle the tolerance, so both verdicts are met
+        assert verdicts[0] and not verdicts[-1]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="anchors have 3 coordinates, space has 2"):

@@ -300,6 +300,56 @@ def checked_points(draw):
     return space, view
 
 
+class TestCheckRejectsNonRealEntries:
+    """A float64 conversion drops an imaginary part, parses a string and
+    counts a time in its units; ``check`` names each and raises before numpy
+    converts or warns."""
+
+    @pytest.mark.parametrize(
+        "x, named",
+        [
+            (np.array([1.0 + 2.0j, 3.0]), "complex"),
+            ([1.0 + 0.0j, 3.0], "complex"),
+            (np.array([1.0, 3.0], dtype=np.complex64), "complex"),
+            (np.array(["1", "2"]), "string"),
+            ([1.0, "2"], "string"),
+            (np.array([b"1", b"2"]), "bytes"),
+            (np.array(["1", 2.0], dtype=object), "string"),
+            (np.array([2.0j, 1.0], dtype=object), "complex"),
+            (np.array([2.0j, "1"], dtype=object), "complex and string"),
+            (np.array([1, 2], dtype="timedelta64[s]"), "timedelta"),
+            (np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"), "datetime"),
+        ],
+        ids=[
+            "complex", "complex-list", "complex64", "strings", "string-in-list",
+            "bytes", "object-string", "object-complex", "object-both", "timedelta", "datetime",
+        ],
+    )
+    def test_named_and_rejected_before_any_warning(self, x, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"^coordinates must be real numbers, got {named} entries$"
+            with pytest.raises(ValueError, match=message):
+                EuclideanSpace(2).check(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1, 2],
+            np.array([1, 2], dtype=np.int8),
+            np.array([1, 2], dtype=np.uint64),
+            np.array([1.0, 2.0], dtype=np.float32),
+            np.array([1.0, 2.0], dtype=">f8"),
+            np.array([1, 2.0], dtype=object),
+            [True, 2],
+        ],
+        ids=["int-list", "int8", "uint64", "float32", "big-endian", "object", "bool"],
+    )
+    def test_real_entries_still_convert(self, x):
+        got = EuclideanSpace(2).check(x)
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0]
+
+
 class TestFiniteCertificate:
     """``check``'s squared-norm certificate gives the verdict of ``np.isfinite(x).all()``."""
 
@@ -345,3 +395,26 @@ class TestFiniteCertificate:
         finally:
             tracemalloc.stop()
         assert peak < 4096
+
+
+def float_bits(v: float) -> int:
+    return np.float64(v).view(np.uint64).item()
+
+
+class TestEuclideanNorm:
+    """The one-dot ``_norm`` keeps the bits of the base form ``sqrt(max(<x, x>, 0))``."""
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.lists(ENTRIES, min_size=1, max_size=40).map(np.array))
+    @example(np.zeros(3))
+    @example(np.array([-0.0, -0.0]))
+    @example(np.array([5e-324, -5e-324, 2.2250738585072014e-308]))
+    @example(np.array([1e200, -1e200]))  # the squared norm overflows to inf
+    @example(np.array([1.0, math.nan]))
+    def test_keeps_the_bits_of_the_base_form(self, x):
+        space = EuclideanSpace(x.size)
+        with np.errstate(all="ignore"):
+            expected = math.sqrt(max(space._inner(x, x), 0.0))
+            got = space._norm(x)
+        assert type(got) is float
+        assert float_bits(got) == float_bits(expected)
