@@ -1,7 +1,7 @@
 """Preconfigured benchmark problems with their exact parameters.
 
 Three problem families, each wrapped in an :class:`ExperimentSpec` that
-bundles the space, the fixed-point operator, default run settings (among
+bundles the fixed-point operator and its space, default run settings (among
 them the error metric that the stopping rule tests), and initial points:
 
 sfp
@@ -46,7 +46,8 @@ from .operators import (
     BallSet,
     Operator,
     SingularityError,
-    _check_grid,
+    _SFP_INTEGRAL_BOUND,
+    _SFP_RADIUS,
     _check_sfp_args,
     _cfp_sweep,
     _integral_divisor,
@@ -88,7 +89,6 @@ def sfp_residual_metric(space: PeriodicGridSpace, mode: str = "damped"):
     term computed once here, and the grid's inner product forms no
     weighted product, so a call writes no vector of grid size.
     """
-    _check_grid(space)
     metric = _sfp_residual(space, _integral_divisor(space, mode))
     return lambda x: metric(space.check(x))
 
@@ -98,18 +98,19 @@ def _sfp_residual(space, divisor):
     weight_sum = float(space.weights.sum())
     center = space.sin_nodes
     center_sq = space._inner(center, center)
+    radius_sq = _SFP_RADIUS * _SFP_RADIUS  # 16.0 exactly
 
     def metric(x):
         a = space._integrate(x)
         # near x = sin, b can come out a few ulps below zero; that is
-        # harmless, since only b > 16.0 reads it
+        # harmless, since only b > radius_sq reads it
         b = space._inner(x, x) - 2.0 * space._inner(x, center) + center_sq
         c_sq = q_sq = 0.0
-        if a > 1.0:
-            k = (1.0 - a) / divisor
+        if a > _SFP_INTEGRAL_BOUND:
+            k = (_SFP_INTEGRAL_BOUND - a) / divisor
             c_sq = k * k * weight_sum
-        if b > 16.0:
-            s = 4.0 / math.sqrt(b) - 1.0
+        if b > radius_sq:
+            s = _SFP_RADIUS / math.sqrt(b) - 1.0
             q_sq = s * s * b
         return 0.5 * c_sq + 0.5 * q_sq
 
@@ -125,7 +126,7 @@ def sup_norm(x) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:
-    """A benchmark instance: space, operator, run defaults, initials.
+    """A benchmark instance: operator (and its ``space``), run defaults, initials.
 
     The stopping metric is ``defaults.error_metric``; callers change a
     run's cap, tolerance or schedules with ``dataclasses.replace`` on
@@ -133,13 +134,12 @@ class ExperimentSpec:
     (empty for the randomly initialized problems, which provide
     ``sample_initial`` instead). ``algorithm_schedules`` carries
     per-algorithm schedule overrides (see :meth:`schedules_for`).
-    ``details`` records the constants the instance was built from. The
-    operator and the metric are unchecked kernels; see
-    :func:`fpiter.algorithms.run`.
+    ``details`` records only the build constants the spec does not already
+    expose (a grid size or a dimension is ``space.size``). The operator and
+    the metric are unchecked kernels; see :func:`fpiter.algorithms.run`.
     """
 
     id: str
-    space: InnerProductSpace
     operator: Operator
     defaults: RunConfig
     initial_cases: Tuple[Tuple[str, np.ndarray], ...] = ()
@@ -148,6 +148,11 @@ class ExperimentSpec:
         default_factory=lambda: MappingProxyType({})
     )
     details: Mapping[str, object] = field(default_factory=lambda: MappingProxyType({}))
+
+    @property
+    def space(self) -> InnerProductSpace:
+        """The operator's space, read from it, not stored twice."""
+        return self.operator.space
 
     def schedules_for(self, algorithm: str) -> Schedules:
         """``algorithm``'s override, else ``defaults.schedules``; unchecked."""
@@ -194,13 +199,10 @@ def build_sfp(
     defaults = RunConfig(error_metric=_sfp_residual(space, divisor), max_iterations=10000)
     return ExperimentSpec(
         id="sfp",
-        space=space,
         operator=operator,
         defaults=defaults,
         initial_cases=cases,
-        details=MappingProxyType(
-            {"lam": lam, "mode": mode, "grid_points": grid_points}
-        ),
+        details=MappingProxyType({"lam": lam, "mode": mode}),
     )
 
 
@@ -244,14 +246,11 @@ def build_cfp(
     )
     return ExperimentSpec(
         id="cfp",
-        space=space,
         operator=operator,
         defaults=defaults,
         sample_initial=lambda gen: gen.uniform(0.0, 10.0, dim),
         algorithm_schedules=baselines,
-        details=MappingProxyType(
-            {"dim": dim, "num_balls": num_balls, "seed": seed, "centers": centers}
-        ),
+        details=MappingProxyType({"seed": seed, "centers": centers}),
     )
 
 
@@ -292,20 +291,17 @@ def build_weber(anchors: Optional[AnchorSet] = None) -> ExperimentSpec:
     whose symmetry puts the optimum at (5, 5, 5). For a custom anchor set
     the reference optimum is computed by :func:`fermat_weber_point`.
     """
-    if anchors is None:
+    cube = anchors is None
+    if cube:
         anchors = AnchorSet(anchors=_CUBE_CORNERS, weights=np.ones(8))
-        space = EuclideanSpace(3)
-        target = np.array([5.0, 5.0, 5.0])
-    else:
-        space = EuclideanSpace(anchors.anchors.shape[1])
-        target = fermat_weber_point(space, anchors)
+    space = EuclideanSpace(anchors.anchors.shape[1])
+    target = np.array([5.0, 5.0, 5.0]) if cube else fermat_weber_point(space, anchors)
     operator = Operator(space, lambda x, out: _weiszfeld(space, anchors, x))
     lo = float(anchors.anchors.min())
     hi = float(anchors.anchors.max())
     defaults = RunConfig(error_metric=lambda x: space._norm(x - target), tolerance=1e-4)
     return ExperimentSpec(
         id="weber",
-        space=space,
         operator=operator,
         defaults=defaults,
         sample_initial=lambda gen: gen.uniform(lo, hi, space.size),

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import InnerProductSpace, PeriodicGridSpace, _aligned_empty
+from .space import InnerProductSpace, PeriodicGridSpace, _aligned_empty, _check_positive
 
 __all__ = [
     "HalfSpace",
@@ -61,6 +61,10 @@ __all__ = [
 # boundary in one application. Kept because the reference benchmark runs
 # use it; "exact" is the true metric projection.
 PROJECTION_MODES = ("damped", "exact")
+
+# the sfp sets C = {x : integral x <= bound} and Q = {x : ||x - sin|| <= radius}
+_SFP_INTEGRAL_BOUND = 1.0
+_SFP_RADIUS = 4.0
 
 ANCHOR_SINGULARITY_TOL = 1e-12
 
@@ -96,18 +100,12 @@ class HalfSpace:
         object.__setattr__(self, "normal", _frozen(self.normal))
 
 
-def _check_positive(values, name) -> None:
-    # the one rule for radii and weights: finite and strictly positive
-    if not (np.isfinite(values) & (values > 0)).all():
-        raise ValueError(f"{name} must be finite and strictly positive")
-
-
 def _row_set(rows, values, rows_name, values_name, min_rows, shape_error):
     """Read-only float64 copies of ``(m, d)`` rows and their ``(m,)`` values.
 
     Rows that are not two-dimensional or fewer than ``min_rows`` raise
     ``shape_error``; the rows must be finite and the values pass
-    :func:`_check_positive`.
+    :func:`fpiter.space._check_positive`.
     """
     rows = _frozen(rows)
     if rows.ndim != 2 or rows.shape[0] < min_rows:
@@ -351,7 +349,8 @@ def _check_grid(space) -> None:
 
 
 def _integral_divisor(space, mode) -> float:
-    # the integral correction is (1 - a)/divisor; the one check of ``mode``
+    # the integral correction on a grid is (1 - a)/divisor; the one check of ``mode``
+    _check_grid(space)
     if mode not in PROJECTION_MODES:
         raise ValueError(f"mode must be one of {PROJECTION_MODES}, got {mode!r}")
     length = space.interval_end
@@ -369,7 +368,6 @@ def project_integral_halfspace(
     ``damped`` adds ``(1 - a)/L^2``, an under-relaxed correction that only
     moves toward the set. Both variants are firmly nonexpansive.
     """
-    _check_grid(space)
     divisor = _integral_divisor(space, mode)
     return _project_integral_halfspace(space, space.check(x), divisor)
 
@@ -377,9 +375,9 @@ def project_integral_halfspace(
 def _project_integral_halfspace(space, x, divisor, out=None):
     # ``out`` receives the shifted point; a feasible ``x`` comes back as is
     a = space._integrate(x)
-    if a <= 1.0:
+    if a <= _SFP_INTEGRAL_BOUND:
         return x
-    return np.add(x, (1.0 - a) / divisor, out)
+    return np.add(x, (_SFP_INTEGRAL_BOUND - a) / divisor, out)
 
 
 def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
@@ -390,7 +388,7 @@ def project_l2_ball(space: PeriodicGridSpace, x) -> np.ndarray:
     are mapped to ``sin + 4 (x - sin)/||x - sin||``.
     """
     _check_grid(space)
-    return _project_ball(space, space.sin_nodes, 4.0, space.check(x))
+    return _project_ball(space, space.sin_nodes, _SFP_RADIUS, space.check(x))
 
 
 def project_halfspace_pair(
@@ -492,7 +490,6 @@ def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
 
 def _check_sfp_args(space, lam, mode) -> float:
     # returns the divisor; build_sfp calls it too, so bad args fail before any run
-    _check_grid(space)
     if not 0.0 < lam < 2.0:
         raise ValueError(f"lam must lie in (0, 2), got {lam}")
     return _integral_divisor(space, mode)
@@ -523,10 +520,10 @@ def _sfp_sweep(space, x, lam, divisor, out=None):
     # sfp_operator's kernel; z (out or a fresh aligned vector) holds x - sin, then the step
     z = np.subtract(x, space.sin_nodes, _aligned_empty(space.size) if out is None else out)
     dist = space._norm(z)
-    if dist <= 4.0:
+    if dist <= _SFP_RADIUS:
         np.copyto(z, x)
     else:
-        np.add(space.sin_nodes, np.multiply(z, 1.0 - lam + lam * (4.0 / dist), z), z)
+        np.add(space.sin_nodes, np.multiply(z, 1.0 - lam + lam * (_SFP_RADIUS / dist), z), z)
     return _project_integral_halfspace(space, z, divisor, z)
 
 

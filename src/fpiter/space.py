@@ -59,11 +59,11 @@ TWO_PI = 2.0 * math.pi
 _ALIGN_BYTES = 64
 
 _FLOAT64 = np.dtype(np.float64)
-# array kinds that a float64 conversion would not refuse: it drops an
-# imaginary part (with only a warning), parses a string and turns a time
-# into a count of its units
+# kinds a float64 conversion would not refuse: it drops an imaginary part (with
+# only a warning), parses a string, counts a time in units and reads None as NaN
 _NOT_REAL = {
-    "c": "complex", "U": "string", "S": "bytes", "m": "timedelta", "M": "datetime"
+    "c": "complex", "U": "string", "S": "bytes", "m": "timedelta", "M": "datetime",
+    None: "None",
 }
 
 
@@ -76,15 +76,21 @@ def _index(value, name: str) -> int:
 
 
 def _real_array(x) -> np.ndarray:
-    """``x`` as an array; ``ValueError`` if an entry is complex, text or a time."""
+    """``x`` as an array; ``ValueError`` if an entry is complex, text, a time or None."""
     arr = np.asarray(x)
     kinds = {arr.dtype.kind}
     if arr.dtype.kind == "O":  # Python objects: numpy would convert each by float()
-        kinds = {np.asarray(v).dtype.kind for v in arr.flat}
+        kinds = {None if v is None else np.asarray(v).dtype.kind for v in arr.flat}
     named = sorted(_NOT_REAL[k] for k in kinds & _NOT_REAL.keys())
     if named:
         raise ValueError(f"coordinates must be real numbers, got {' and '.join(named)} entries")
     return arr
+
+
+def _check_positive(values, name) -> None:
+    # the one rule for weights and radii: finite and strictly positive
+    if not (np.isfinite(values) & (values > 0)).all():
+        raise ValueError(f"{name} must be finite and strictly positive")
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -109,8 +115,9 @@ class InnerProductSpace:
         if size < 1:
             raise ValueError(f"space needs at least one coordinate, got {size}")
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (size,) or not (np.isfinite(weights) & (weights > 0)).all():
-            raise ValueError("weights must be finite, positive and match the coordinate count")
+        if weights.shape != (size,):
+            raise ValueError(f"weights need shape {(size,)}, got {weights.shape}")
+        _check_positive(weights, "weights")
         stored = _aligned_empty(size)
         stored[:] = weights
         stored.setflags(write=False)
@@ -120,7 +127,7 @@ class InnerProductSpace:
     def check(self, x) -> np.ndarray:
         """Validate that ``x`` belongs to this space and return it as float64.
 
-        Raises ValueError on complex, text or time entries, a length
+        Raises ValueError on complex, text, time or ``None`` entries, a length
         mismatch or non-finite entries, which the certificate of the module
         docstring decides.
         """

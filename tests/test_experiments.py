@@ -23,6 +23,7 @@ from fpiter.operators import (
     project_integral_halfspace,
     project_l2_ball,
     sfp_operator,
+    weiszfeld_map,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, PeriodicGridSpace
 from reference_spaces import RectangleGrid
@@ -223,6 +224,16 @@ class TestCfpSpec:
             with pytest.raises(ValueError, match="count"):
                 spec.make_initials(np.random.default_rng(3), count=count)
 
+    def test_sampling_needs_a_generator(self, cfp, weber):
+        for spec in (cfp, weber):
+            with pytest.raises(ValueError, match="needs a Generator"):
+                spec.make_initials(None, 2)
+
+    def test_a_spec_without_starts_says_so(self, cfp):
+        bare = dataclasses.replace(cfp, sample_initial=None)
+        with pytest.raises(ValueError, match="'cfp' has no initial points"):
+            bare.make_initials(np.random.default_rng(3))
+
     def test_baseline_schedules(self, cfp):
         assert cfp.schedules_for("cq").psi(0) == 1.0
         assert cfp.schedules_for("cq").psi(9) == pytest.approx(0.1)
@@ -329,6 +340,24 @@ class TestWeberSpec:
     def test_reference_point_by_plain_iteration(self, weber):
         point = fermat_weber_point(weber.space, weber.details["anchors"])
         assert np.allclose(point, [5.0, 5.0, 5.0], atol=1e-9)
+
+    def test_reference_point_is_the_anchor_it_runs_into(self):
+        # the weighted mean (0 + 10 + 2)/12 is the middle anchor, where the
+        # map is undefined
+        anchors = AnchorSet(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 10.0, 1.0]))
+        assert fermat_weber_point(EuclideanSpace(1), anchors).tolist() == [1.0]
+
+    def test_reference_point_stops_at_the_step_cap(self):
+        # the anchor at the origin weighs sqrt(2), what the other two pull
+        # with, so it is the optimum and the iterates creep toward it like
+        # 1/n: after the 20,000 steps the step is still far above 1e-12
+        space = EuclideanSpace(2)
+        anchors = AnchorSet(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([math.sqrt(2.0), 1.0, 1.0])
+        )
+        point = fermat_weber_point(space, anchors)
+        assert (point > 0).all() and space.norm(point) < 1e-4
+        assert space.norm(weiszfeld_map(space, anchors, point) - point) > 1e-9
 
     def test_custom_anchor_set_derives_target(self):
         # unit square corners: symmetric optimum at the center

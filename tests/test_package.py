@@ -65,6 +65,14 @@ def test_deleted_names_stay_gone():
     with pytest.raises(TypeError):
         fpiter.Operator(fpiter.EuclideanSpace(2), lambda x, out: x, name="x")
     assert not hasattr(fpiter.PeriodicGridSpace(8), "num_points")
+    # a spec's space is its operator's, and details keep no copy of a size
+    spec = fpiter.build_sfp(grid_points=8)
+    assert spec.space is spec.operator.space
+    assert "space" not in [f.name for f in dataclasses.fields(fpiter.ExperimentSpec)]
+    with pytest.raises(TypeError):
+        fpiter.ExperimentSpec(spec.id, spec.operator, spec.defaults, space=spec.space)
+    assert "grid_points" not in spec.details
+    assert not {"dim", "num_balls"} & fpiter.build_cfp().details.keys()
 
 
 def test_readme_library_example_runs(capsys):

@@ -221,8 +221,13 @@ def test_weights_are_copied_and_the_callers_array_left_writeable():
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_weights_must_be_finite_and_positive(bad):
-    with pytest.raises(ValueError, match="weights must be finite"):
+    with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
         InnerProductSpace(2, [1.0, bad])
+
+
+def test_weights_must_match_the_size():
+    with pytest.raises(ValueError, match=r"weights need shape \(3,\), got \(2,\)"):
+        InnerProductSpace(3, [1.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -301,9 +306,9 @@ def checked_points(draw):
 
 
 class TestCheckRejectsNonRealEntries:
-    """A float64 conversion drops an imaginary part, parses a string and
-    counts a time in its units; ``check`` names each and raises before numpy
-    converts or warns."""
+    """A float64 conversion drops an imaginary part, parses a string,
+    counts a time in its units and reads ``None`` as NaN; ``check`` names
+    each and raises before numpy converts or warns."""
 
     @pytest.mark.parametrize(
         "x, named",
@@ -319,10 +324,14 @@ class TestCheckRejectsNonRealEntries:
             (np.array([2.0j, "1"], dtype=object), "complex and string"),
             (np.array([1, 2], dtype="timedelta64[s]"), "timedelta"),
             (np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"), "datetime"),
+            ([1.0, None], "None"),
+            (np.array([None, 2.0], dtype=object), "None"),
+            ([None, None], "None"),
         ],
         ids=[
             "complex", "complex-list", "complex64", "strings", "string-in-list",
             "bytes", "object-string", "object-complex", "object-both", "timedelta", "datetime",
+            "none-in-list", "object-none", "all-none",
         ],
     )
     def test_named_and_rejected_before_any_warning(self, x, named):
