@@ -505,6 +505,38 @@ class TestSingularityRetry:
         ]
         assert len(read_csv(tmp_path / "weber_mimha_rand0.csv")) == 1
 
+    def test_retry_in_a_suite_perturbs_by_the_runs_own_seed(self, tmp_path, monkeypatch):
+        # the last of 2 x 2 runs (algorithm 1, case 1) hits a singularity
+        # once; its retry must start from x0 plus the draw seeded
+        # [seed, 2, algorithm index, case index]
+        import fpiter.cli as cli
+
+        starts = []
+
+        def singular_once(algorithm, operator, config, x0):
+            starts.append(x0)
+            if len(starts) == 4:
+                operator = always_singular(operator.space)[0]
+            return run(algorithm, operator, config, x0)
+
+        monkeypatch.setattr(cli, "run", singular_once)
+        seed = 7
+        cfg = CliConfig(
+            experiment="weber",
+            algorithms=("mimha", "mimva"),
+            seed=seed,
+            output_dir=tmp_path,
+            max_iter=20,
+            repeat=2,
+        )
+        assert run_suite(cfg) == 0
+        assert len(starts) == 5
+        spec = build_experiment("weber")
+        (_, x0), (_, x1) = spec.make_initials(np.random.default_rng([seed, 1]), 2)
+        assert [x.tobytes() for x in starts[:4]] == [b.tobytes() for b in (x0, x1, x0, x1)]
+        draw = np.random.default_rng([seed, 2, 1, 1]).normal(0.0, 1e-8, spec.space.size)
+        assert starts[4].tobytes() == (x1 + draw).tobytes()
+
 
 class TestMain:
     @pytest.mark.parametrize("key", list(KEYS))
@@ -560,6 +592,22 @@ class TestMain:
         argv = ["--experiment", "weber", "--anchors-csv", str(anchors), "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("fpiter: config key 'anchors-csv': ")
+        assert not out.exists()
+
+    def test_anchor_set_whose_optimum_does_not_settle_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import fpiter.experiments
+
+        monkeypatch.setattr(fpiter.experiments, "weiszfeld_map", lambda s, a, x: x + 1.0)
+        anchors = tmp_path / "anchors.csv"
+        anchors.write_text("0,0,1\n1,0,1\n0,1,1\n1,1,1\n")
+        out = tmp_path / "out"
+        argv = ["--experiment", "weber", "--anchors-csv", str(anchors), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fpiter: config key 'anchors-csv': ")
+        assert "did not settle in 20,000 steps" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
@@ -675,3 +723,18 @@ class TestEntryPoint:
         result = run_python("-c", "import sys, fpiter.cli; print('yaml' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False"]
+
+    def test_fixed_case_suite_does_not_load_numpy_random(self, tmp_path):
+        # numpy.random costs about 6 MiB; sfp's four fixed starts draw nothing
+        result = run_python("-c", "import sys, numpy; print('numpy.random' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        if result.stdout.split() == ["True"]:
+            pytest.skip("a plain import numpy already loads numpy.random")
+        argv = ["--experiment", "sfp", "--grid", "64", "--max-iter", "5", "--out", str(tmp_path)]
+        code = (
+            "import sys; from fpiter.cli import main; "
+            "print(main({!r}), 'numpy.random' in sys.modules)"
+        )
+        result = run_python("-c", code.format(argv))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False"]

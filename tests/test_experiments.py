@@ -347,17 +347,41 @@ class TestWeberSpec:
         anchors = AnchorSet(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 10.0, 1.0]))
         assert fermat_weber_point(EuclideanSpace(1), anchors).tolist() == [1.0]
 
-    def test_reference_point_stops_at_the_step_cap(self):
+    def test_reference_point_is_the_anchor_that_passes_kuhns_test(self):
         # the anchor at the origin weighs sqrt(2), what the other two pull
-        # with, so it is the optimum and the iterates creep toward it like
-        # 1/n: after the 20,000 steps the step is still far above 1e-12
-        space = EuclideanSpace(2)
+        # with, so it is the optimum (Kuhn's test holds with equality) and
+        # the iterates would only creep toward it like 1/n
         anchors = AnchorSet(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([math.sqrt(2.0), 1.0, 1.0])
         )
-        point = fermat_weber_point(space, anchors)
-        assert (point > 0).all() and space.norm(point) < 1e-4
-        assert space.norm(weiszfeld_map(space, anchors, point) - point) > 1e-9
+        assert fermat_weber_point(EuclideanSpace(2), anchors).tolist() == [0.0, 0.0]
+
+    def test_coincident_anchors_add_their_weights_in_kuhns_test(self):
+        # alone, each copy of (0, 0) weighs 1 against a pull of sqrt(2);
+        # together they weigh 2 and hold the optimum there
+        anchors = AnchorSet(
+            np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(4)
+        )
+        assert fermat_weber_point(EuclideanSpace(2), anchors).tolist() == [0.0, 0.0]
+
+    def test_reference_point_raises_at_the_step_cap(self, monkeypatch):
+        # unit square corners: no anchor passes Kuhn's test, so the map runs,
+        # and this one moves every point by 1 forever
+        import fpiter.experiments
+
+        calls = []
+
+        def never_settles(space, anchors, x):
+            calls.append(1)
+            return x + 1.0
+
+        monkeypatch.setattr(fpiter.experiments, "weiszfeld_map", never_settles)
+        anchors = AnchorSet(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(4)
+        )
+        with pytest.raises(ValueError, match="did not settle in 20,000 steps"):
+            fermat_weber_point(EuclideanSpace(2), anchors)
+        assert len(calls) == 20000
 
     def test_custom_anchor_set_derives_target(self):
         # unit square corners: symmetric optimum at the center
