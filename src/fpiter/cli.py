@@ -42,6 +42,7 @@ __all__ = ["CliConfig", "ConfigError", "parse_config", "run_suite", "main"]
 log = logging.getLogger("fpiter")
 
 OUTPUT_DIR_ENV = "FPITER_OUT"
+_RETRIES = 3  # perturbed restarts after a singularity, per run
 
 DEFAULT_ALGORITHMS = {
     "sfp": ("mmha", "mimha", "mmva", "mimva"),
@@ -197,13 +198,19 @@ def _build_cli_config(raw: dict) -> CliConfig:
 def _load_mapping(text: str) -> dict:
     import yaml  # only --config reads YAML, so a plain start does not load it
     try:
+        # the node tree keeps a repeated key, which safe_load drops silently
+        node = yaml.compose(text, Loader=yaml.SafeLoader)
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if raw is None:
-        raw = {}
+        return {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat key-value mapping")
+    keys = [key.value for key, _ in node.value]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            _fail(key, "is given twice")
     return raw
 
 
@@ -250,7 +257,7 @@ def _build_spec(cfg: CliConfig) -> ExperimentSpec:
         _fail("anchors-csv", str(exc))
 
 
-def _run_with_retry(algorithm, operator, run_config, x0, perturb_seed, retries=3):
+def _run_with_retry(algorithm, operator, run_config, x0, perturb_seed):
     """Run once; on a singularity termination retry from a perturbed start.
 
     ``perturb_seed`` (a seed or a Generator) seeds the perturbations; the
@@ -260,7 +267,7 @@ def _run_with_retry(algorithm, operator, run_config, x0, perturb_seed, retries=3
     attempt = 0
     while True:
         trace = run(algorithm, operator, run_config, x0)
-        if trace.terminal_reason is not TerminalReason.SINGULARITY or attempt >= retries:
+        if trace.terminal_reason is not TerminalReason.SINGULARITY or attempt >= _RETRIES:
             return trace
         if attempt == 0:
             perturb_rng = np.random.default_rng(perturb_seed)
@@ -302,10 +309,7 @@ def run_suite(cfg: CliConfig) -> int:
     """
     spec = _build_spec(cfg)
     run_config = replace(spec.defaults, **_given(max_iterations=cfg.max_iter, tolerance=cfg.tol))
-
-    # fixed cases draw nothing, so numpy.random (about 6 MiB) stays unloaded
-    initials_rng = None if spec.initial_cases else np.random.default_rng([cfg.seed, 1])
-    initials = spec.make_initials(initials_rng, cfg.repeat)
+    initials = spec.make_initials([cfg.seed, 1], cfg.repeat)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     summary_path = cfg.output_dir / f"{cfg.experiment}_summary.csv"

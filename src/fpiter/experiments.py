@@ -50,6 +50,7 @@ from .operators import (
     _SFP_RADIUS,
     _check_sfp_args,
     _cfp_sweep,
+    _frozen,
     _integral_divisor,
     _sfp_sweep,
     _weiszfeld,
@@ -161,8 +162,9 @@ class ExperimentSpec:
     def make_initials(self, rng=None, count: int = 1):
         """Named starting points: the fixed cases, or ``count`` sampled ones.
 
-        ``count`` must be an integer of at least 1 (``ValueError`` otherwise),
-        also where the fixed cases ignore it.
+        Only sampling reads ``rng``, a Generator or a seed for one. ``count``
+        must be an integer of at least 1 (``ValueError`` otherwise), also
+        where the fixed cases ignore it.
         """
         count = _index(count, "count")
         if count < 1:
@@ -172,7 +174,8 @@ class ExperimentSpec:
         if self.sample_initial is None:
             raise ValueError(f"experiment {self.id!r} has no initial points")
         if rng is None:
-            raise ValueError("sampling initial points needs a Generator")
+            raise ValueError("sampling initial points needs a Generator or a seed")
+        rng = np.random.default_rng(rng)
         return [(f"rand{i}", self.sample_initial(rng)) for i in range(count)]
 
 
@@ -196,6 +199,8 @@ def build_sfp(
         ("pow2", space.from_function(lambda t: 2.0**t / 16.0)),
         ("sin2", space.from_function(lambda t: 3.0 * np.sin(2.0 * t))),
     )
+    for _, x0 in cases:
+        x0.setflags(write=False)
     defaults = RunConfig(error_metric=_sfp_residual(space, divisor), max_iterations=10000)
     return ExperimentSpec(
         id="sfp",
@@ -225,16 +230,21 @@ def build_cfp(
     num_balls = _index(num_balls, "num_balls")
     if num_balls < 2:
         raise ValueError(f"need at least two inner balls, got {num_balls}")
-    rng = np.random.default_rng(seed)
     centers = np.zeros((num_balls + 1, dim))
     centers[1, 0] = 1.0
     centers[2, 0] = -1.0
     if num_balls > 2:
         bound = 1.0 / np.sqrt(dim)
+        rng = np.random.default_rng(seed)
         centers[3:] = rng.uniform(-bound, bound, size=(num_balls - 2, dim))
     balls = BallSet(centers, np.ones(num_balls + 1))
+    # the sweep's constants, bound once: inner centers and radii, the outer ball
+    inner, inner_radii = balls.centers[1:], balls.radii[1:]
+    outer, outer_radius = balls.centers[0], balls.radii.item(0)
     # a result of dim doubles: the sweep returns a fresh one and ignores out
-    operator = Operator(space, lambda x, out: _cfp_sweep(space, balls, x))
+    operator = Operator(
+        space, lambda x, out: _cfp_sweep(space, inner, inner_radii, outer, outer_radius, x)
+    )
     defaults = RunConfig(error_metric=sup_norm, tolerance=1e-12, contraction_rho=0.1)
     baselines = MappingProxyType(
         {
@@ -250,7 +260,7 @@ def build_cfp(
         defaults=defaults,
         sample_initial=lambda gen: gen.uniform(0.0, 10.0, dim),
         algorithm_schedules=baselines,
-        details=MappingProxyType({"seed": seed, "centers": centers}),
+        details=MappingProxyType({"seed": seed, "centers": balls.centers}),
     )
 
 
@@ -311,7 +321,7 @@ def build_weber(anchors: Optional[AnchorSet] = None) -> ExperimentSpec:
     if cube:
         anchors = AnchorSet(anchors=_CUBE_CORNERS, weights=np.ones(8))
     space = EuclideanSpace(anchors.anchors.shape[1])
-    target = np.array([5.0, 5.0, 5.0]) if cube else fermat_weber_point(space, anchors)
+    target = _frozen([5.0, 5.0, 5.0] if cube else fermat_weber_point(space, anchors))
     operator = Operator(space, lambda x, out: _weiszfeld(space, anchors, x))
     lo = float(anchors.anchors.min())
     hi = float(anchors.anchors.max())

@@ -141,36 +141,19 @@ class BallSet:
     ``centers`` is an ``(m, dim)`` array with ``m >= 2`` and ``radii`` has
     shape ``(m,)``; centers must be finite and radii finite and strictly
     positive. Row 0 is the outer ball of :func:`cfp_operator`, the other
-    rows its inner balls. Both arrays are copied and made read-only, and
-    the constants the sweep reads are bound once: ``inner_centers`` and
-    ``inner_radii`` (read-only views of rows 1 on), ``inner_count``,
-    ``outer_center`` and ``outer_radius`` (a Python float).
+    rows its inner balls. Both arrays are copied and made read-only.
     """
 
     centers: np.ndarray
     radii: np.ndarray
-    inner_centers: np.ndarray = field(init=False, repr=False)
-    inner_radii: np.ndarray = field(init=False, repr=False)
-    inner_count: int = field(init=False, repr=False)
-    outer_center: np.ndarray = field(init=False, repr=False)
-    outer_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
         centers, radii = _row_set(
             self.centers, self.radii, "ball centers", "ball radii", 2,
             "need an outer ball plus at least one inner ball as an (m, dim) center array",
         )
-        bound = {
-            "centers": centers,
-            "radii": radii,
-            "inner_centers": centers[1:],
-            "inner_radii": radii[1:],
-            "inner_count": len(radii) - 1,
-            "outer_center": centers[0],
-            "outer_radius": radii.item(0),
-        }
-        for name, value in bound.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
 
 
 def _is_number(cell: str) -> bool:
@@ -557,19 +540,19 @@ def cfp_operator(
         raise ValueError(
             f"ball centers have {balls.centers.shape[1]} coordinates, space has {space.size}"
         )
-    return _cfp_sweep(space, balls, x)
+    centers, radii = balls.centers, balls.radii
+    return _cfp_sweep(space, centers[1:], radii[1:], centers[0], radii.item(0), x)
 
 
-def _cfp_sweep(space, balls, x):
-    # the sweep of cfp_operator (stated there) on a validated x and centers
-    # of the space's width
-    radii = balls.inner_radii
-    diffs = x - balls.inner_centers
+def _cfp_sweep(space, centers, radii, outer_center, outer_radius, x):
+    # the sweep of cfp_operator (stated there) over the inner balls' centers
+    # and radii, on a validated x and centers of the space's width
+    diffs = x - centers
     dists = np.sqrt(space._row_inners(diffs))
     reach = np.maximum(dists, radii)
     steps = (radii - reach) / reach
-    avg = x + steps.dot(diffs) / balls.inner_count
-    return _project_ball(space, balls.outer_center, balls.outer_radius, avg)
+    avg = x + steps.dot(diffs) / len(radii)
+    return _project_ball(space, outer_center, outer_radius, avg)
 
 
 def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray:

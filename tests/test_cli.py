@@ -136,6 +136,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sfp-projection"):
             parse_config("experiment: sfp\nsfp-projection: verbatim\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("experiment: weber\nexperiment: sfp\n", "experiment"),
+            ("experiment: sfp\ntol: 0.1\ntol: 0.5\n", "tol"),
+        ],
+        ids=["experiment", "tol"],
+    )
+    def test_repeated_key_rejected(self, text, key):
+        # YAML alone keeps the last value, so the second would run unannounced
+        with pytest.raises(ConfigError, match=f"'{key}': is given twice"):
+            parse_config(text)
+
     def test_invalid_yaml_rejected(self):
         with pytest.raises(ConfigError, match="not valid YAML"):
             parse_config("experiment: [weber\n")
@@ -672,6 +685,14 @@ class TestMain:
         assert main(["--config", str(config)]) == 2
         assert "eta" in capsys.readouterr().err
 
+    def test_repeated_key_in_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "suite.yaml"
+        config.write_text("experiment: weber\nexperiment: sfp\n")
+        out = tmp_path / "results"
+        assert main(["--config", str(config), "--out", str(out)]) == 2
+        assert "'experiment': is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.yaml")]) == 2
 
@@ -738,3 +759,20 @@ class TestEntryPoint:
         result = run_python("-c", code.format(argv))
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["0", "False"]
+
+    def test_two_ball_cfp_does_not_load_numpy_random(self):
+        # two inner balls sit at +-e_1, so build_cfp draws no centers
+        result = run_python("-c", "import sys, numpy; print('numpy.random' in sys.modules)")
+        assert result.returncode == 0, result.stderr
+        if result.stdout.split() == ["True"]:
+            pytest.skip("a plain import numpy already loads numpy.random")
+        code = (
+            "import sys, dataclasses, numpy as np; from fpiter import build_cfp, run; "
+            "spec = build_cfp(dim=4, num_balls=2); "
+            "config = dataclasses.replace(spec.defaults, max_iterations=5); "
+            "trace = run('mimva', spec.operator, config, np.ones(4)); "
+            "print(trace.iterations, 'numpy.random' in sys.modules)"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["5", "False"]

@@ -20,6 +20,8 @@ from fpiter.experiments import (
 from fpiter.operators import (
     PROJECTION_MODES,
     AnchorSet,
+    BallSet,
+    cfp_operator,
     project_integral_halfspace,
     project_l2_ball,
     sfp_operator,
@@ -81,6 +83,12 @@ class TestSfpSpec:
         assert [name for name, _ in sfp.initial_cases] == ["t2", "exp", "pow2", "sin2"]
         for _, x0 in sfp.initial_cases:
             assert x0.shape == (sfp.space.size,)
+
+    def test_initial_cases_are_read_only(self, sfp):
+        # every run of every suite starts from these arrays
+        for _, x0 in sfp.initial_cases:
+            with pytest.raises(ValueError, match="read-only"):
+                x0[0] = 0.0
 
     def test_fixed_cases_returned_regardless_of_count(self, sfp):
         initials = sfp.make_initials(np.random.default_rng(0), count=7)
@@ -201,6 +209,16 @@ class TestCfpSpec:
         bound = 1.0 / math.sqrt(30)
         assert np.abs(centers[3:]).max() < bound
 
+    def test_centers_are_the_ball_sets_read_only_rows(self, cfp):
+        centers = cfp.details["centers"]
+        with pytest.raises(ValueError, match="read-only"):
+            centers[3, 0] = 0.0
+        balls = BallSet(centers, np.ones(len(centers)))
+        rng = np.random.default_rng(9)
+        # points inside some inner balls, and CLI-like starts outside them all
+        for x in [*rng.uniform(-0.5, 0.5, (3, 30)), *rng.uniform(0.0, 10.0, (3, 30))]:
+            assert cfp_operator(cfp.space, balls, x).tobytes() == cfp.operator(x).tobytes()
+
     def test_centers_deterministic_per_seed(self):
         a = build_cfp(seed=5).details["centers"]
         b = build_cfp(seed=5).details["centers"]
@@ -228,6 +246,15 @@ class TestCfpSpec:
         for spec in (cfp, weber):
             with pytest.raises(ValueError, match="needs a Generator"):
                 spec.make_initials(None, 2)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_seed_draws_what_its_generator_draws(self, cfp, weber, seed):
+        for spec in (cfp, weber):
+            by_seed = spec.make_initials([seed, 1], 3)
+            by_generator = spec.make_initials(np.random.default_rng([seed, 1]), 3)
+            assert [name for name, _ in by_seed] == [name for name, _ in by_generator]
+            for (_, a), (_, b) in zip(by_seed, by_generator):
+                assert a.tobytes() == b.tobytes()
 
     def test_a_spec_without_starts_says_so(self, cfp):
         bare = dataclasses.replace(cfp, sample_initial=None)
@@ -332,6 +359,15 @@ class TestWeberSpec:
         assert anchors.shape == (8, 3)
         assert set(np.unique(anchors)) == {0.0, 10.0}
         assert np.array_equal(weber.details["anchors"].weights, np.ones(8))
+
+    def test_target_is_read_only(self, weber):
+        # the stopping metric reads the same array
+        square = AnchorSet(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(4)
+        )
+        for spec in (weber, build_weber(anchors=square)):
+            with pytest.raises(ValueError, match="read-only"):
+                spec.details["target"][0] = 0.0
 
     def test_metric_at_known_points(self, weber):
         assert weber.defaults.error_metric(np.array([5.0, 5.0, 5.0])) == 0.0

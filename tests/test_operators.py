@@ -957,20 +957,6 @@ class TestBallSet:
         with pytest.raises(ValueError):
             balls.radii[0] = 2.0
 
-    def test_sweep_constants_are_bound_once(self):
-        centers = np.arange(8.0).reshape(4, 2)
-        radii = np.array([5.0, 1.0, 2.0, 3.0])
-        balls = BallSet(centers, radii)
-        for view, whole, rows in (
-            (balls.inner_centers, balls.centers, slice(1, None)),
-            (balls.inner_radii, balls.radii, slice(1, None)),
-            (balls.outer_center, balls.centers, 0),
-        ):
-            assert view.base is whole and not view.flags.writeable
-            assert same_bits(view, whole[rows])
-        assert balls.inner_count == 3 and type(balls.inner_count) is int
-        assert balls.outer_radius == 5.0 and type(balls.outer_radius) is float
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_center_rejected(self, bad):
         centers = np.zeros((3, 2))

@@ -65,6 +65,11 @@ def test_deleted_names_stay_gone():
     with pytest.raises(TypeError):
         fpiter.Operator(fpiter.EuclideanSpace(2), lambda x, out: x, name="x")
     assert not hasattr(fpiter.PeriodicGridSpace(8), "num_points")
+    # a BallSet keeps its inputs; the cfp sweep's constants are bound by its caller
+    assert [f.name for f in dataclasses.fields(fpiter.BallSet)] == ["centers", "radii"]
+    balls = fpiter.BallSet([[0.0], [1.0], [-1.0]], [1.0, 1.0, 1.0])
+    for name in ("inner_centers", "inner_radii", "inner_count", "outer_center", "outer_radius"):
+        assert not hasattr(balls, name), name
     # a spec's space is its operator's, and details keep no copy of a size
     spec = fpiter.build_sfp(grid_points=8)
     assert spec.space is spec.operator.space
