@@ -17,6 +17,12 @@ id                 update from ``x = x_n`` (``w`` is the extrapolated point)
 7  mmva            mimva with inertia forced off
 == =============== ==========================================================
 
+Every engine but cq is one step, the private kernel ``_step``, with the
+scalars ``(delta_n, psi_n, nu_n)`` and a blend map ``f``: extrapolate to
+``w``, average to ``y``, blend to ``nu f(x) + (1-nu) y``. The Mann engines
+are ``nu_n = 0``, the ``mm*`` engines ``delta_n = 0`` and the Halpern
+engines ``f = u``. ``run``, the public steps and cq's ``y`` all call it.
+
 A single run is strictly sequential; the runner itself is reentrant, so
 independent runs can execute concurrently on their own inputs. A trace is
 frozen and stores its iterations as columns. Given identical configuration
@@ -54,16 +60,16 @@ __all__ = [
     "run",
 ]
 
-# name -> (inertial?, blend, cq?); the blend term is None, "anchor" (the
-# fixed point u) or "contraction" (f(x_n))
+# name -> (inertial?, blend); the blend term is None (nu_n = 0), "anchor"
+# (the fixed point u) or "contraction" (f(x_n)). cq alone has its own step
 _ENGINES = {
-    "mann": (False, None, False),
-    "inertial-mann": (True, None, False),
-    "cq": (False, None, True),
-    "mmha": (False, "anchor", False),
-    "mimha": (True, "anchor", False),
-    "mmva": (False, "contraction", False),
-    "mimva": (True, "contraction", False),
+    "mann": (False, None),
+    "inertial-mann": (True, None),
+    "cq": (False, None),
+    "mmha": (False, "anchor"),
+    "mimha": (True, "anchor"),
+    "mmva": (False, "contraction"),
+    "mimva": (True, "contraction"),
 }
 ALGORITHMS = tuple(_ENGINES)
 
@@ -159,21 +165,10 @@ class RunConfig:
 
 # The kernels below take validated arrays (the rule is stated in ``run``),
 # and the public steps call them too, so both produce the same bits. ``out``
-# (the result) and ``scratch`` (the other product) are ``run``'s workspace
-# vectors or None; ``out`` may be the ``diff`` or ``y`` argument and
-# ``scratch`` the ``w`` or ``v`` one: each is read before it is overwritten.
-
-
-def _extrapolate(x, x_prev, delta_n, diff=None, out=None):
-    """``x + delta (x - x_prev)``; ``diff`` is ``x - x_prev`` if already formed."""
-    if not delta_n >= 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta_n}")
-    if delta_n == 0.0:
-        # short-circuit keeps the no-inertia reductions bitwise identical
-        return x
-    if diff is None:
-        diff = np.subtract(x, x_prev, out)
-    return np.add(x, np.multiply(diff, delta_n, out), out)
+# (the result) and ``scratch`` (``w`` and the other product) are ``run``'s
+# workspace vectors or None; ``scratch`` may hold ``diff``, and ``_blend``'s
+# ``out`` may be its ``y`` argument and ``scratch`` its ``v`` one: each is
+# read before it is overwritten.
 
 
 def _blend(t, v, y, out=None, scratch=None, name="nu"):
@@ -186,23 +181,43 @@ def _blend(t, v, y, out=None, scratch=None, name="nu"):
     return np.add(np.multiply(v, t, scratch), y_part, out)
 
 
-def _averaged(space, T, w, psi_n, out=None, scratch=None):
-    """``psi w + (1 - psi) T w``."""
-    return _blend(psi_n, w, space.check(T(w, out)), out, scratch, "psi")
+def _step(space, T, x, x_prev, delta_n, psi_n, nu_n, f, diff=None, out=None, scratch=None):
+    """The step of every engine but cq: ``nu f(x) + (1 - nu) y``.
+
+    ``w = x + delta (x - x_prev)`` and ``y = psi w + (1 - psi) T w``, with
+    ``T(w)`` checked; ``diff`` is ``x - x_prev`` if already formed, and
+    ``f`` returns a validated point. The engines differ only in these
+    arguments: the Mann engines have ``nu_n = 0``, the ``mm*`` engines
+    ``delta_n = 0`` and the Halpern engines ``f = u``. A zero ``delta_n``
+    makes ``w`` the array ``x`` itself, which keeps the zero-inertia
+    reductions bitwise identical. A zero ``nu_n`` returns ``y`` without
+    calling ``f``, so neither ``f(x)`` nor its check runs, and a ``-0.0``
+    coordinate of ``y`` stays ``-0.0`` where the blend ``0 f(x) + y`` would
+    give ``0.0``.
+    """
+    w = x
+    if delta_n != 0.0:
+        if not delta_n > 0.0:
+            raise ValueError(f"delta must be nonnegative, got {delta_n}")
+        if diff is None:
+            diff = np.subtract(x, x_prev, scratch)
+        w = np.add(x, np.multiply(diff, delta_n, scratch), scratch)
+    y = _blend(psi_n, w, space.check(T(w, out)), out, scratch, "psi")
+    return y if nu_n == 0.0 else _blend(nu_n, f(x), y, out, scratch)
 
 
 def _cq(space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None):
     # psi = 1 is accepted: the 1/(n+1) schedule starts there (y = x, the first
     # cut is the whole space); the two cuts always meet while T has a fixed point.
     # y_buf holds y, then the first cut normal; q_buf the second; x0x0 is <x0, x0>
-    y = _averaged(space, T, x, psi_n, y_buf, scratch)
+    y = _step(space, T, x, None, 0.0, psi_n, 0.0, None, None, y_buf, scratch)
     cuts = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
     return _project_halfspace_pair(space, *cuts, x0, x0x0, out, scratch)
 
 
 def mann_step(space: InnerProductSpace, T, x, psi_n: float) -> np.ndarray:
     """Averaged operator step ``psi x + (1 - psi) T x``."""
-    return _averaged(space, T, space.check(x), psi_n)
+    return _step(space, T, space.check(x), None, 0.0, psi_n, 0.0, None)
 
 
 def mimha_step(
@@ -237,11 +252,12 @@ def mimva_step(
     """Inertial averaged step blended with a contraction of the current point.
 
     Same ``w, y`` as :func:`mimha_step`; result ``nu f(x) + (1-nu) y``.
-    ``f`` must be a rho-contraction with rho in [0, 1).
+    ``f`` must be a rho-contraction with rho in [0, 1). With ``nu = 0`` the
+    result is ``y`` itself: ``f`` is not called, and a ``-0.0`` coordinate
+    of ``y`` is not turned into ``0.0``.
     """
-    x = space.check(x)
-    y = _averaged(space, T, _extrapolate(x, space.check(x_prev), delta_n), psi_n)
-    return _blend(nu_n, space.check(f(x)), y)
+    x, x_prev = space.check(x), space.check(x_prev)
+    return _step(space, T, x, x_prev, delta_n, psi_n, nu_n, lambda p: space.check(f(p)))
 
 
 def run(
@@ -294,32 +310,32 @@ def run(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    inertial, blend, cq = _ENGINES[algorithm]
+    inertial, blend = _ENGINES[algorithm]
+    cq = algorithm == "cq"
     sched = config.schedules
     psi, nu = sched.psi, sched.nu
     adaptive = sched.delta_mode == "adaptive"  # only the cap reads the norm
     delta_rule = sched.delta_bar if adaptive else sched.delta
     space = T.space
-    x = space.check(x_init)
+    x = x0 = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)
-    x0 = x
     u = None if anchor is None else space.check(anchor)
 
     def vector():
         return _aligned_empty(space.size)
 
     work = vector()  # allocated first: a wide run then faults in fewer fresh pages
+    # the blend map; the Mann engines and cq never call theirs (nu_n = 0)
     if blend == "anchor":
         if u is None:
             u = np.multiply(config.anchor_scale, x, vector())
         v = lambda p: u  # noqa: E731
-    elif blend == "contraction":
-        if contraction is None:
-            # rho x is finite for a finite x and 0 <= rho < 1: no check
-            rho = config.contraction_rho
-            v = lambda p: np.multiply(rho, p, work)  # noqa: E731
-        else:
-            v = lambda p: space.check(contraction(p))  # noqa: E731
+    elif contraction is None:
+        # rho x is finite for a finite x and 0 <= rho < 1: no check
+        rho = config.contraction_rho
+        v = lambda p: np.multiply(rho, p, work)  # noqa: E731
+    else:
+        v = lambda p: space.check(contraction(p))  # noqa: E731
     slots = (vector(), vector())
     q_buf, scratch = (vector(), vector()) if cq else (None, None)
     x0x0 = space._inner(x0, x0) if cq else None
@@ -331,7 +347,7 @@ def run(
 
     errors, deltas, elapsed = [], [], []
     reason = TerminalReason.MAX_ITERATIONS
-    delta = 0.0
+    delta, diff = 0.0, None
     start = clock()
     for n in range(last + 1):
         err = float(metric(x))
@@ -353,10 +369,8 @@ def run(
             if cq:
                 x_next = _cq(space, T, x, x0, x0x0, psi_n, out, work, q_buf, scratch)
             else:
-                w = _extrapolate(x, x_prev, delta, diff, work) if inertial else x
-                x_next = _averaged(space, T, w, psi_n, out, work)
-                if blend:
-                    x_next = _blend(nu(n), v(x), x_next, out, work)
+                nu_n = nu(n) if blend else 0.0
+                x_next = _step(space, T, x, x_prev, delta, psi_n, nu_n, v, diff, out, work)
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break

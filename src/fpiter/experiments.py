@@ -277,29 +277,35 @@ def fermat_weber_point(space: InnerProductSpace, anchors: AnchorSet) -> np.ndarr
     """Weighted-median reference solution by plain fixed-point iteration.
 
     First returns an anchor ``a_k`` that passes Kuhn's optimality test,
-    ``||sum_{i != k} w_i (a_k - a_i)/||a_k - a_i|| || <= w_k``, where
-    anchors at distance 0 from ``a_k`` add their weight to ``w_k``; the
-    iteration only creeps toward such an optimum. Otherwise starts from
+    ``||R_k|| <= w_k`` with ``R_k = sum_{i != k} w_i (a_k - a_i)/||a_k - a_i||``,
+    where anchors at distance 0 from ``a_k`` add their weight to ``w_k``;
+    the iteration only creeps toward such an optimum. Otherwise starts from
     the weighted mean of the anchors and iterates the Weiszfeld map until
     the step is at most 1e-12; ``ValueError`` if that takes more than
-    20,000 steps. If the iteration runs into an anchor the optimum is
-    (numerically) that anchor and it is returned.
+    20,000 steps. No anchor is optimal then, so an iterate that runs into
+    one steps off it along ``-R_k``, by
+    ``(||R_k|| - w_k) / sum_{i != k} (w_i / ||a_k - a_i||)``, which lowers
+    the cost (Vardi and Zhang, 2000), and the iteration goes on.
     """
     points = anchors.anchors
+    off = []  # the step-off point of each anchor
     for point in points:
         diffs = point - points
         dists = np.sqrt(space._row_inners(diffs))
         apart = dists > 0
-        pull = (anchors.weights[apart] / dists[apart]).dot(diffs[apart])
-        if space.norm(pull) <= anchors.weights[~apart].sum():
+        ratios = anchors.weights[apart] / dists[apart]
+        pull = ratios.dot(diffs[apart])
+        excess = space.norm(pull) - anchors.weights[~apart].sum()
+        if excess <= 0.0:
             return point.copy()
+        off.append(point - pull * (excess / space.norm(pull) / ratios.sum()))
     weights = anchors.weights / anchors.weights.sum()
     x = weights @ points
     for _ in range(20000):
         try:
             x_next = weiszfeld_map(space, anchors, x)
         except SingularityError:
-            return x
+            x_next = off[np.argmin(space._row_inners(x - points))]
         step = space.norm(x_next - x)
         if step <= 1e-12:
             return x_next

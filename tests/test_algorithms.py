@@ -11,9 +11,8 @@ from fpiter.algorithms import (
     RunConfig,
     TerminalReason,
     TraceRecord,
-    _averaged,
     _cq,
-    _extrapolate,
+    _step,
     mann_step,
     mimha_step,
     mimva_step,
@@ -45,8 +44,8 @@ def arr(*values):
 
 
 def inertial_mann(space, T, x, x_prev, delta_n, psi_n):
-    """The inertial Mann update of ``run``, from the kernels it calls."""
-    return _averaged(space, T, _extrapolate(space.check(x), space.check(x_prev), delta_n), psi_n)
+    """The inertial Mann update of ``run``, from the kernel it calls (``nu_n = 0``)."""
+    return _step(space, T, space.check(x), space.check(x_prev), delta_n, psi_n, 0.0, None)
 
 
 class TestMannStep:
@@ -100,7 +99,7 @@ class TestInertialMannStep:
 
     def test_negative_inertia_rejected(self):
         with pytest.raises(ValueError, match="delta"):
-            _extrapolate(arr(1.0), arr(0.0), -0.1)
+            inertial_mann(R1, ZERO_MAP, arr(1.0), arr(0.0), -0.1, 0.5)
 
     @pytest.mark.parametrize("algorithm", ["mimha", "mimva"])
     def test_nan_inertia_rejected(self, algorithm):
@@ -341,6 +340,26 @@ class TestRun:
             b = run(modified, T, zeroed, x0)
             assert [r.error for r in a.records] == [r.error for r in b.records]
             assert [r.delta for r in a.records] == [r.delta for r in b.records]
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_weber, build_cfp, lambda: build_sfp(grid_points=256)],
+        ids=["weber", "cfp", "sfp"],
+    )
+    @pytest.mark.parametrize("mann, viscosity", [("mann", "mmva"), ("inertial-mann", "mimva")])
+    def test_mann_engines_are_the_viscosity_engines_at_nu_zero_bitwise(
+        self, build, mann, viscosity
+    ):
+        spec = build()
+        schedules = spec.schedules_for(mann)
+        config = replace(spec.defaults, schedules=schedules)
+        unblended = replace(config, schedules=replace(schedules, nu=lambda n: 0.0))
+        x0 = spec.make_initials(1)[0][1]
+        a = run(mann, spec.operator, config, x0)
+        b = run(viscosity, spec.operator, unblended, x0)
+        assert np.array(a.errors).tobytes() == np.array(b.errors).tobytes()
+        assert np.array(a.deltas).tobytes() == np.array(b.deltas).tobytes()
+        assert a.terminal_reason is b.terminal_reason
 
     def test_singularity_terminates_run(self):
         space = EuclideanSpace(2)
@@ -716,6 +735,9 @@ class TestCallBudget:
             (build_weber, "mimha", 17, 1),
             (build_weber, "mimva", 17, 1),
             (build_cfp, "mimva", 18, 0),
+            (build_cfp, "mmva", 14, 0),
+            (build_cfp, "inertial-mann", 13, 0),
+            (build_cfp, "cq", 29, 0),
         ],
     )
     def test_calls_per_iteration(self, build, algorithm, calls, reduces):

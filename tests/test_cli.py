@@ -21,7 +21,7 @@ from fpiter.cli import (
     run_suite,
 )
 from fpiter.experiments import EXPERIMENTS, build_experiment
-from fpiter.operators import Operator, SingularityError
+from fpiter.operators import AnchorSet, Operator, SingularityError
 
 
 def read_csv(path):
@@ -52,6 +52,15 @@ KEY_SAMPLES = {
     "dim": ("cfp", "8"),
     "balls": ("cfp", "6"),
 }
+
+# (config key, experiment, value text): the edge value of each range check
+# that the library accepts too; seed 0 is also the default
+EDGE_SAMPLES = [
+    ("seed", "weber", "0"),
+    ("eta", "weber", "3"),
+    ("delta-value", "weber", "0"),
+    ("grid", "sfp", "2"),
+]
 
 
 # the keys that apply to some experiments only, each set for an experiment
@@ -552,12 +561,17 @@ class TestSingularityRetry:
 
 
 class TestMain:
-    @pytest.mark.parametrize("key", list(KEYS))
-    def test_flag_and_yaml_key_give_equal_config(self, key, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "key, experiment, text",
+        [(key, *KEY_SAMPLES[key]) for key in KEYS] + EDGE_SAMPLES,
+        ids=list(KEYS) + [f"{key}={text}" for key, _, text in EDGE_SAMPLES],
+    )
+    def test_flag_and_yaml_key_give_equal_config(
+        self, key, experiment, text, tmp_path, monkeypatch
+    ):
         monkeypatch.delenv("FPITER_OUT", raising=False)
         seen = []
         monkeypatch.setattr("fpiter.cli.run_suite", lambda cfg: seen.append(cfg) or 0)
-        experiment, text = KEY_SAMPLES[key]
         values = {"experiment": experiment, key: text}
         argv = []
         for name, value in values.items():
@@ -568,7 +582,8 @@ class TestMain:
         assert main(["--config", str(config)]) == 0
         from_flags, from_yaml = seen
         assert from_flags == from_yaml
-        assert from_flags != parse_config(f"experiment: {experiment}\n")
+        if (key, text) != ("seed", "0"):
+            assert from_flags != parse_config(f"experiment: {experiment}\n")
 
     def test_repeated_algorithm_exits_2_before_any_run(self, tmp_path, capsys):
         # two mimva runs would write one trace file, the second over the first
@@ -622,6 +637,20 @@ class TestMain:
         assert err.startswith("fpiter: config key 'anchors-csv': ")
         assert "did not settle in 20,000 steps" in err
         assert not out.exists()
+
+    def test_anchors_on_a_line_run(self, tmp_path):
+        # two columns, one coordinate plus a weight: the narrowest file that
+        # loads. The heavy anchor at 10 passes Kuhn's test (1 + 1 <= 3)
+        anchors = tmp_path / "anchors.csv"
+        anchors.write_text("x,w\n0,1\n4,1\n10,3\n")
+        loaded = AnchorSet.from_csv(anchors)
+        assert np.array_equal(loaded.anchors, [[0.0], [4.0], [10.0]])
+        assert build_experiment("weber", anchors=loaded).details["target"].tolist() == [10.0]
+        argv = ["--experiment", "weber", "--anchors-csv", str(anchors), "--repeat", "2",
+                "--max-iter", "5", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        rows = read_csv(tmp_path / "out" / "weber_summary.csv")
+        assert len(rows) == 4
 
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_unreadable_anchors_csv_exits_2(self, tmp_path, capsys, name):

@@ -379,9 +379,23 @@ class TestWeberSpec:
 
     def test_reference_point_is_the_anchor_it_runs_into(self):
         # the weighted mean (0 + 10 + 2)/12 is the middle anchor, where the
-        # map is undefined
+        # map is undefined; Kuhn's test returns it before the map runs
         anchors = AnchorSet(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 10.0, 1.0]))
         assert fermat_weber_point(EuclideanSpace(1), anchors).tolist() == [1.0]
+
+    def test_reference_point_steps_off_an_anchor_that_fails_kuhns_test(self):
+        # no anchor passes Kuhn's test, and the weighted mean is exactly the
+        # light anchor (0, 0), where the map is undefined. The optimum is on
+        # the first axis at s - 1, where the cost's slope along it,
+        # -1 + 2 s / sqrt(s^2 + 1) - 0.1, is 0: s^2 = 0.3025 / 0.6975
+        anchors = AnchorSet(
+            np.array([[2.0, 0.0], [-1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]]),
+            np.array([1.0, 1.0, 1.0, 0.1]),
+        )
+        point = fermat_weber_point(EuclideanSpace(2), anchors)
+        optimum = [math.sqrt(0.3025 / 0.6975) - 1.0, 0.0]
+        assert np.allclose(point, optimum, rtol=0, atol=1e-9)
+        assert np.array_equal(build_weber(anchors).details["target"], point)
 
     def test_reference_point_is_the_anchor_that_passes_kuhns_test(self):
         # the anchor at the origin weighs sqrt(2), what the other two pull

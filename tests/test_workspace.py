@@ -484,7 +484,7 @@ def test_a_wide_sfp_run_peaks_at_its_workspace(algorithm, bound):
 def reference_iterates(algorithm, spec, config, x0):
     """The iterates of ``run`` rebuilt from the public steps, each a fresh array.
 
-    Inertia-free steps take ``x`` itself as ``w``, as ``_extrapolate`` does
+    Inertia-free steps take ``x`` itself as ``w``, as ``_step`` does
     for ``delta = 0``.
     """
     space, T, sched = spec.space, spec.operator, config.schedules
