@@ -46,7 +46,7 @@ from .operators import (
     _project_halfspace_pair,
 )
 from .schedules import Schedules
-from .space import InnerProductSpace, _aligned_empty, _index
+from .space import InnerProductSpace, _aligned_empty, _choice, _index
 
 __all__ = [
     "ALGORITHMS",
@@ -150,9 +150,7 @@ class RunConfig:
     contraction_rho: float = 0.9
 
     def __post_init__(self):
-        _index(self.max_iterations, "max_iterations")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        _index(self.max_iterations, "max_iterations", 1)
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not np.isfinite(self.anchor_scale):
@@ -278,6 +276,9 @@ def run(
     ``config.anchor_scale * x_init`` and ``x -> config.contraction_rho * x``.
     The inertia rule is resolved once, before the loop: the cap
     ``Schedules.delta_bar`` in adaptive mode, ``Schedules.delta`` otherwise.
+    A rule that can only give 0 (``zero`` mode, or ``constant`` with
+    ``delta_value = 0``) makes an inertial engine take its twin's plain
+    step: it forms no ``x_n - x_{n-1}`` and records ``delta_n = 0``.
     The anchor engines blend with the constant map ``p -> u`` (Halpern's
     iteration is the viscosity iteration with ``f = u``). A
     :class:`SingularityError` raised by the operator ends the run with that
@@ -308,14 +309,14 @@ def run(
     written or copied. A point handed to a callback is a workspace vector
     that later iterations overwrite: a callback must copy any point it keeps.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    inertial, blend = _ENGINES[algorithm]
+    inertial, blend = _ENGINES[_choice(algorithm, ALGORITHMS, "algorithm")]
     cq = algorithm == "cq"
     sched = config.schedules
     psi, nu = sched.psi, sched.nu
     adaptive = sched.delta_mode == "adaptive"  # only the cap reads the norm
     delta_rule = sched.delta_bar if adaptive else sched.delta
+    # a fixed rule that can only give 0 leaves delta_n = 0: the twin's plain step
+    inertial = inertial and (adaptive or sched.delta(0, 0.0) > 0.0)
     space = T.space
     x = x0 = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)

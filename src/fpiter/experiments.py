@@ -57,7 +57,7 @@ from .operators import (
     weiszfeld_map,
 )
 from .schedules import Schedules, inverse_linear
-from .space import EuclideanSpace, InnerProductSpace, PeriodicGridSpace, _index
+from .space import EuclideanSpace, InnerProductSpace, PeriodicGridSpace, _choice, _index
 
 __all__ = [
     "EXPERIMENTS",
@@ -166,9 +166,7 @@ class ExperimentSpec:
         must be an integer of at least 1 (``ValueError`` otherwise), also
         where the fixed cases ignore it.
         """
-        count = _index(count, "count")
-        if count < 1:
-            raise ValueError(f"count must be at least 1, got {count}")
+        count = _index(count, "count", 1)
         if self.initial_cases:
             return list(self.initial_cases)
         if self.sample_initial is None:
@@ -227,9 +225,7 @@ def build_cfp(
     1000-iteration budget.
     """
     space = EuclideanSpace(dim)
-    num_balls = _index(num_balls, "num_balls")
-    if num_balls < 2:
-        raise ValueError(f"need at least two inner balls, got {num_balls}")
+    num_balls = _index(num_balls, "num_balls", 2)
     centers = np.zeros((num_balls + 1, dim))
     centers[1, 0] = 1.0
     centers[2, 0] = -1.0
@@ -347,8 +343,4 @@ EXPERIMENTS = tuple(_BUILDERS)
 
 def build_experiment(experiment_id: str, **overrides) -> ExperimentSpec:
     """Dispatch to the builder for ``experiment_id`` with keyword overrides."""
-    if experiment_id not in _BUILDERS:
-        raise ValueError(
-            f"unknown experiment {experiment_id!r}, expected one of {EXPERIMENTS}"
-        )
-    return _BUILDERS[experiment_id](**overrides)
+    return _BUILDERS[_choice(experiment_id, EXPERIMENTS, "experiment")](**overrides)

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import InnerProductSpace, PeriodicGridSpace, _aligned_empty, _check_positive
+from .space import InnerProductSpace, PeriodicGridSpace, _aligned_empty, _check_positive, _choice
 
 __all__ = [
     "HalfSpace",
@@ -103,12 +103,12 @@ class HalfSpace:
 def _row_set(rows, values, rows_name, values_name, min_rows, shape_error):
     """Read-only float64 copies of ``(m, d)`` rows and their ``(m,)`` values.
 
-    Rows that are not two-dimensional or fewer than ``min_rows`` raise
-    ``shape_error``; the rows must be finite and the values pass
-    :func:`fpiter.space._check_positive`.
+    Rows that are not two-dimensional, fewer than ``min_rows`` or without
+    a coordinate raise ``shape_error``; the rows must be finite and the
+    values pass :func:`fpiter.space._check_positive`.
     """
     rows = _frozen(rows)
-    if rows.ndim != 2 or rows.shape[0] < min_rows:
+    if rows.ndim != 2 or rows.shape[0] < min_rows or rows.shape[1] < 1:
         raise ValueError(shape_error)
     if not np.isfinite(rows).all():
         raise ValueError(f"{rows_name} must be finite")
@@ -117,6 +117,12 @@ def _row_set(rows, values, rows_name, values_name, min_rows, shape_error):
         raise ValueError(f"{values_name} need shape {rows.shape[:1]}, got {values.shape}")
     _check_positive(values, values_name)
     return rows, values
+
+
+def _check_width(space, rows, name) -> None:
+    # the one test of a row set's width against the space it is used in
+    if rows.shape[1] != space.size:
+        raise ValueError(f"{name} have {rows.shape[1]} coordinates, space has {space.size}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +156,7 @@ class BallSet:
     def __post_init__(self):
         centers, radii = _row_set(
             self.centers, self.radii, "ball centers", "ball radii", 2,
-            "need an outer ball plus at least one inner ball as an (m, dim) center array",
+            "need an outer ball plus at least one inner ball as an (m, dim) array, dim >= 1",
         )
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
@@ -178,7 +184,7 @@ class AnchorSet:
     def __post_init__(self):
         anchors, weights = _row_set(
             self.anchors, self.weights, "anchors", "anchor weights", 1,
-            "anchors must be a nonempty (m, dim) array",
+            "anchors must be a nonempty (m, dim) array, dim >= 1",
         )
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "weights", weights)
@@ -334,8 +340,7 @@ def _check_grid(space) -> None:
 def _integral_divisor(space, mode) -> float:
     # the integral correction on a grid is (1 - a)/divisor; the one check of ``mode``
     _check_grid(space)
-    if mode not in PROJECTION_MODES:
-        raise ValueError(f"mode must be one of {PROJECTION_MODES}, got {mode!r}")
+    _choice(mode, PROJECTION_MODES, "mode")
     length = space.interval_end
     return length * length if mode == "damped" else length
 
@@ -536,10 +541,7 @@ def cfp_operator(
         balls = list(balls)
         balls = BallSet([b.center for b in balls], [b.radius for b in balls])
     x = space.check(x)
-    if balls.centers.shape[1] != space.size:
-        raise ValueError(
-            f"ball centers have {balls.centers.shape[1]} coordinates, space has {space.size}"
-        )
+    _check_width(space, balls.centers, "ball centers")
     centers, radii = balls.centers, balls.radii
     return _cfp_sweep(space, centers[1:], radii[1:], centers[0], radii.item(0), x)
 
@@ -567,10 +569,7 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
     coefficients proportional to ``w_i / d_i``.
     """
     x = space.check(x)
-    if anchors.anchors.shape[1] != space.size:
-        raise ValueError(
-            f"anchors have {anchors.anchors.shape[1]} coordinates, space has {space.size}"
-        )
+    _check_width(space, anchors.anchors, "anchors")
     return _weiszfeld(space, anchors, x)
 
 

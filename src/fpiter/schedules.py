@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
+from .space import _choice
+
 __all__ = [
     "Schedules",
     "InertiaDecayReport",
@@ -76,8 +78,7 @@ class Schedules:
     def __post_init__(self):
         if not self.eta >= 3.0:
             raise ValueError(f"eta must be >= 3, got {self.eta}")
-        if self.delta_mode not in DELTA_MODES:
-            raise ValueError(f"delta_mode must be one of {DELTA_MODES}, got {self.delta_mode!r}")
+        _choice(self.delta_mode, DELTA_MODES, "delta_mode")
         if not 0.0 <= self.delta_value < math.inf:
             raise ValueError(f"delta_value must be finite and nonnegative, got {self.delta_value}")
 

@@ -39,6 +39,12 @@ line. Other results, such as those of ``combine`` and the projections,
 are numpy's own allocations. Results do not depend on where a vector
 starts, and arrays a caller passes in are never copied to align them.
 
+Four validation rules are each stated once, as a private helper that
+every site calls: :func:`_index` (an integer with a floor), :func:`_choice`
+(a name from a fixed table) and :func:`_check_positive` (finite and strictly
+positive) here, and ``_check_width`` (a row set's width against its space)
+in :mod:`fpiter.operators`. The CLI restates some of them for outside input.
+
 Spaces are immutable after construction, hold no scratch storage, and every
 method is a pure function of its arguments, so instances can be shared
 freely across threads.
@@ -67,12 +73,22 @@ _NOT_REAL = {
 }
 
 
-def _index(value, name: str) -> int:
-    """``value`` as an int by ``operator.index``; ``ValueError`` if it is not an integer."""
+def _index(value, name: str, minimum: int) -> int:
+    """``value`` as an int by ``operator.index``, at least ``minimum``; else ``ValueError``."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _choice(value, choices, name: str):
+    """``value`` if it is one of the names ``choices``, else ``ValueError`` listing them."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {choices}")
+    return value
 
 
 def _real_array(x) -> np.ndarray:
@@ -88,7 +104,7 @@ def _real_array(x) -> np.ndarray:
 
 
 def _check_positive(values, name) -> None:
-    # the one rule for weights and radii: finite and strictly positive
+    # the one rule for weights, radii and the grid's end: finite and strictly positive
     if not (np.isfinite(values) & (values > 0)).all():
         raise ValueError(f"{name} must be finite and strictly positive")
 
@@ -103,17 +119,16 @@ def _aligned_empty(size: int) -> np.ndarray:
 class InnerProductSpace:
     """Weighted inner product ``<x, y> = sum_i w_i x_i y_i`` on ``size`` coordinates.
 
-    ``size`` must be an integer (``operator.index``; a float or a string
-    raises ``ValueError``, it is not truncated). The weights must be finite
-    and positive; they are copied into aligned, read-only storage and the
-    caller's array is left as it was. This :meth:`_inner` forms ``w * x``
-    as a temporary; the two subclasses make one pass and form none.
+    ``size`` must be an integer of at least 1 (``operator.index``; a float
+    or a string raises ``ValueError``, it is not truncated). The weights
+    must be finite and positive; they are copied into aligned, read-only
+    storage and the caller's array is left as it was. This :meth:`_inner`
+    forms ``w * x`` as a temporary; the two subclasses make one pass and
+    form none.
     """
 
     def __init__(self, size: int, weights: np.ndarray):
-        size = _index(size, "size")
-        if size < 1:
-            raise ValueError(f"space needs at least one coordinate, got {size}")
+        size = _index(size, "size", 1)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (size,):
             raise ValueError(f"weights need shape {(size,)}, got {weights.shape}")
@@ -181,7 +196,7 @@ class EuclideanSpace(InnerProductSpace):
     """R^dim with the standard dot product."""
 
     def __init__(self, dim: int):
-        dim = _index(dim, "dim")
+        dim = _index(dim, "dim", 1)
         super().__init__(dim, np.ones(dim))
 
     def _inner(self, x: np.ndarray, y: np.ndarray) -> float:
@@ -225,11 +240,8 @@ class PeriodicGridSpace(InnerProductSpace):
     """
 
     def __init__(self, num_points: int = 1024, interval_end: float = TWO_PI):
-        num_points = _index(num_points, "num_points")
-        if num_points < 2:
-            raise ValueError(f"grid needs at least two nodes, got {num_points}")
-        if not 0 < interval_end < math.inf:
-            raise ValueError(f"interval end must be finite and positive, got {interval_end}")
+        num_points = _index(num_points, "num_points", 2)
+        _check_positive(interval_end, "interval end")
         h = interval_end / (num_points - 1)
         weights = np.full(num_points, h)
         weights[0] = weights[-1] = h / 2.0

@@ -18,7 +18,6 @@ from fpiter.experiments import build_cfp, build_sfp, build_weber
 from fpiter.operators import (
     Ball,
     HalfSpace,
-    InfeasibleSetError,
     Operator,
     cfp_operator,
     project_ball,
@@ -31,6 +30,7 @@ from fpiter.operators import (
 )
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace, PeriodicGridSpace
+from reference_spaces import brute_force_pair_projection
 
 SFP_ALGORITHMS = ("mmha", "mimha", "mmva", "mimva")
 
@@ -180,28 +180,6 @@ def test_criterion_4_cfp_decrease():
         f"mimva={finals['mimva']:.2e} cq={finals['cq']:.2e} "
         f"imann={finals['inertial-mann']:.2e}, runtime {elapsed:.2f}s",
     )
-
-
-def brute_force_pair_projection(a1, b1, a2, b2, x, tol=1e-9):
-    """Independent oracle: enumerate active sets, solve by pseudo-inverse,
-    return the nearest feasible candidate."""
-
-    def feasible(u):
-        scale = 1.0 + np.linalg.norm(u)
-        return a1 @ u <= b1 + tol * scale and a2 @ u <= b2 + tol * scale
-
-    candidates = []
-    if feasible(x):
-        candidates.append(x)
-    for rows in ([0], [1], [0, 1]):
-        A = np.vstack([a1, a2])[rows]
-        b = np.array([b1, b2])[rows]
-        u = x - A.T @ np.linalg.pinv(A @ A.T) @ (A @ x - b)
-        if feasible(u):
-            candidates.append(u)
-    if not candidates:
-        raise InfeasibleSetError("oracle found no feasible candidate")
-    return min(candidates, key=lambda u: np.linalg.norm(u - x))
 
 
 def test_criterion_5_pair_projection_oracle():

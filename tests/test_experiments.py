@@ -117,7 +117,7 @@ class TestSfpSpec:
 def test_unknown_mode_rejected_by_name_before_any_run(entry):
     # the mode is resolved where it enters, before a point is read (the NaN
     # point would raise another error) and before a metric or spec exists
-    with pytest.raises(ValueError, match=r"mode must be one of .* got 'verbatim'"):
+    with pytest.raises(ValueError, match=r"unknown mode 'verbatim', expected one of"):
         entry("verbatim")
 
 

@@ -33,7 +33,7 @@ from fpiter.operators import (
     _weiszfeld,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
-from reference_spaces import DoubledDotSpace
+from reference_spaces import DoubledDotSpace, brute_force_pair_projection
 
 R2 = EuclideanSpace(2)
 GRID = PeriodicGridSpace(1024)
@@ -273,29 +273,6 @@ class TestCqHalfspaces:
         x = np.array([1e150, 0.0])
         *_, g11, g22 = _cq_halfspaces(R2, x, -x, np.array([0.0, 1.0]))
         assert math.isfinite(g11) and math.isfinite(g22)
-
-
-def brute_force_pair_projection(a1, b1, a2, b2, x, tol=1e-9):
-    """Oracle: enumerate active sets, solve each by pseudo-inverse, keep
-    the nearest feasible candidate."""
-
-    def feasible(u):
-        scale = 1.0 + np.linalg.norm(u)
-        return a1 @ u <= b1 + tol * scale and a2 @ u <= b2 + tol * scale
-
-    candidates = []
-    if feasible(x):
-        candidates.append(x)
-    for rows in ([0], [1], [0, 1]):
-        A = np.vstack([a1, a2])[rows]
-        b = np.array([b1, b2])[rows]
-        correction = A.T @ np.linalg.pinv(A @ A.T) @ (A @ x - b)
-        u = x - correction
-        if feasible(u):
-            candidates.append(u)
-    if not candidates:
-        raise InfeasibleSetError("oracle found no feasible candidate")
-    return min(candidates, key=lambda u: np.linalg.norm(u - x))
 
 
 class TestHalfspacePairProjection:
@@ -976,8 +953,9 @@ class TestBallSet:
             (np.zeros((3, 2)), np.ones((3, 1))),
             (np.zeros(3), np.ones(3)),
             (np.zeros((3, 2, 1)), np.ones(3)),
+            (np.zeros((3, 0)), np.ones(3)),
         ],
-        ids=["too-few-radii", "radii-2d", "centers-1d", "centers-3d"],
+        ids=["too-few-radii", "radii-2d", "centers-1d", "centers-3d", "zero-width"],
     )
     def test_mismatched_shapes_rejected(self, centers, radii):
         with pytest.raises(ValueError):
@@ -1126,6 +1104,9 @@ class TestAnchorSet:
             AnchorSet(np.zeros((2, 2)), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             AnchorSet(np.zeros((2, 2)), np.array([1.0]))
+        # zero-width rows are named here, not later as a space of no coordinates
+        with pytest.raises(ValueError, match="anchors must be .* dim >= 1"):
+            AnchorSet(np.zeros((3, 0)), np.ones(3))
 
     def test_arrays_are_read_only_copies(self):
         points = np.zeros((2, 2))

@@ -47,7 +47,9 @@ from fpiter.space import PeriodicGridSpace
 from reference_spaces import RectangleGrid
 
 RTOL = 1e-10
-ENGINES = ("mmha", "mimha", "mmva", "mimva")
+ENGINES = ("mann", "inertial-mann", "mmha", "mimha", "mmva", "mimva")
+INERTIAL = ("inertial-mann", "mimha", "mimva")
+MANN = ("mann", "inertial-mann")  # nu_n = 0: the step ends at y
 STARTS = {
     "t2": lambda t: t**2 / 10.0,
     "exp": lambda t: np.exp(t / 2.0) / 3.0,
@@ -86,7 +88,7 @@ def oracle(space, x0, algorithm, lam, mode, config):
         return z + ((1.0 - a) / divisor) * e_one if a > 1.0 else z
 
     sched = config.schedules
-    inertial = algorithm in ("mimha", "mimva")
+    inertial = algorithm in INERTIAL
     c = c_prev = np.array([1.0, 0.0, 0.0])
     anchor = config.anchor_scale * c
     errors, deltas = [], []
@@ -102,7 +104,7 @@ def oracle(space, x0, algorithm, lam, mode, config):
         w = c + delta * (c - c_prev)
         psi = sched.psi(n)
         y = psi * w + (1.0 - psi) * operator(w)
-        nu = sched.nu(n)
+        nu = 0.0 if algorithm in MANN else sched.nu(n)
         v = anchor if algorithm in ("mmha", "mimha") else config.contraction_rho * c
         c_prev, c = c, nu * v + (1.0 - nu) * y
     return errors, deltas, TerminalReason.MAX_ITERATIONS

@@ -254,33 +254,41 @@ def test_traces_do_not_depend_on_the_blas_thread_count_at_4096_nodes():
 
 
 def test_zero_inertia_forms_no_difference(monkeypatch):
-    # "zero" delta mode makes delta_n = 0, so the inertial engines take no
-    # norm of x_n - x_{n-1} and extrapolate to x_n itself: each takes exactly
-    # as many norms (the operator's ball projection takes one per step) as
-    # its non-inertial twin
+    # a rule that can only give delta_n = 0 ("zero" mode, or "constant" at
+    # 0) makes the inertial engines form no x_n - x_{n-1}, take no norm of
+    # it and extrapolate to x_n itself: each makes exactly as many
+    # np.subtract and norm calls (the operator's ball projection takes one
+    # of each per step) as its non-inertial twin
     spec = build_sfp(256)
-    config = replace(spec.defaults, schedules=replace(spec.defaults.schedules, delta_mode="zero"))
     space = spec.space
-    norm = space._norm
-    calls = []
+    norm, subtract = space._norm, np.subtract
+    calls = {"norm": 0, "subtract": 0}
 
     def counted_norm(x):
-        calls.append(None)
+        calls["norm"] += 1
         return norm(x)
 
+    def counted_subtract(*args, **kwargs):
+        calls["subtract"] += 1
+        return subtract(*args, **kwargs)
+
     monkeypatch.setattr(space, "_norm", counted_norm)
+    monkeypatch.setattr(np, "subtract", counted_subtract)
 
-    def norm_calls(algorithm):
-        calls.clear()
+    def counted_run(algorithm, config):
+        calls.update(norm=0, subtract=0)
         trace = run(algorithm, spec.operator, config, spec.initial_cases[0][1])
-        return trace, len(calls)
+        return trace, dict(calls)
 
-    for inertial, plain in (("inertial-mann", "mann"), ("mimha", "mmha"), ("mimva", "mmva")):
-        trace, inertial_calls = norm_calls(inertial)
-        assert set(trace.deltas) == {0.0}
-        twin, plain_calls = norm_calls(plain)
-        assert trace.errors == twin.errors
-        assert inertial_calls == plain_calls > 0
+    for rule in ({"delta_mode": "zero"}, {"delta_mode": "constant", "delta_value": 0.0}):
+        config = replace(spec.defaults, schedules=replace(spec.defaults.schedules, **rule))
+        for inertial, plain in (("inertial-mann", "mann"), ("mimha", "mmha"), ("mimva", "mmva")):
+            trace, inertial_calls = counted_run(inertial, config)
+            assert set(trace.deltas) == {0.0}
+            twin, plain_calls = counted_run(plain, config)
+            assert trace.errors == twin.errors
+            assert inertial_calls == plain_calls, (rule, inertial)
+            assert plain_calls["norm"] > 0 and plain_calls["subtract"] > 0
 
 
 def offset(a):
