@@ -167,19 +167,39 @@ class RunConfig:
 # workspace vectors or None; ``scratch`` may hold ``diff``, and ``_blend``'s
 # ``out`` may be its ``y`` argument and ``scratch`` its ``v`` one: each is
 # read before it is overwritten.
+#
+# ``reg`` is the coefficient register, a 0-d float64 array: each scalar of a
+# step's products is written into it (``reg[()] = t``) just before the one
+# product that reads it, so numpy multiplies array by array, and one register
+# serves every product in turn. On a 3-vector (numpy 2.4, a 2-vCPU x86 host)
+# ``np.multiply(x, t, out)`` with a Python float takes about 510-810 ns, the
+# register write plus the product 370-505 ns; an ``np.float64`` (510-620 ns),
+# a ``(1,)`` array (670-1,060 ns) or a fresh ``np.array(t)`` (630-735 ns)
+# gains nothing. The products are the same IEEE ones, so no bit moves.
+# ``run`` owns one register per run (a module one would make runs share it),
+# and ``reg=None`` makes a fresh one, so the public steps and ``run`` take
+# one path. Reuse order: the extrapolation reads ``delta_n`` before the psi
+# blend writes, and ``f(x)``, an argument of the nu blend, is formed before
+# that blend writes. The default contraction's ``rho`` is a 0-d array of its
+# own, made once per run.
 
 
-def _blend(t, v, y, out=None, scratch=None, name="nu"):
+def _blend(t, v, y, reg, out=None, scratch=None, name="nu"):
     """``t v + (1 - t) y``."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {t}")
     # y may sit in out, or be v itself (T(w) may be w, see Operator): scale it
     # before t v overwrites v's vector (scratch); the sum keeps its operand order
-    y_part = np.multiply(y, 1.0 - t, out)
-    return np.add(np.multiply(v, t, scratch), y_part, out)
+    reg[()] = 1.0 - t
+    y_part = np.multiply(y, reg, out)
+    reg[()] = t
+    return np.add(np.multiply(v, reg, scratch), y_part, out)
 
 
-def _step(space, T, x, x_prev, delta_n, psi_n, nu_n, f, diff=None, out=None, scratch=None):
+def _step(
+    space, T, x, x_prev, delta_n, psi_n, nu_n, f, diff=None, out=None, scratch=None,
+    reg=None,
+):
     """The step of every engine but cq: ``nu f(x) + (1 - nu) y``.
 
     ``w = x + delta (x - x_prev)`` and ``y = psi w + (1 - psi) T w``, with
@@ -191,24 +211,29 @@ def _step(space, T, x, x_prev, delta_n, psi_n, nu_n, f, diff=None, out=None, scr
     reductions bitwise identical. A zero ``nu_n`` returns ``y`` without
     calling ``f``, so neither ``f(x)`` nor its check runs, and a ``-0.0``
     coordinate of ``y`` stays ``-0.0`` where the blend ``0 f(x) + y`` would
-    give ``0.0``.
+    give ``0.0``. ``reg`` is the coefficient register (None: a fresh one).
     """
+    if reg is None:
+        reg = np.empty(())
     w = x
     if delta_n != 0.0:
         if not delta_n > 0.0:
             raise ValueError(f"delta must be nonnegative, got {delta_n}")
         if diff is None:
             diff = np.subtract(x, x_prev, scratch)
-        w = np.add(x, np.multiply(diff, delta_n, scratch), scratch)
-    y = _blend(psi_n, w, space.check(T(w, out)), out, scratch, "psi")
-    return y if nu_n == 0.0 else _blend(nu_n, f(x), y, out, scratch)
+        reg[()] = delta_n
+        w = np.add(x, np.multiply(diff, reg, scratch), scratch)
+    y = _blend(psi_n, w, space.check(T(w, out)), reg, out, scratch, "psi")
+    return y if nu_n == 0.0 else _blend(nu_n, f(x), y, reg, out, scratch)
 
 
-def _cq(space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None):
+def _cq(
+    space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None, reg=None
+):
     # psi = 1 is accepted: the 1/(n+1) schedule starts there (y = x, the first
     # cut is the whole space); the two cuts always meet while T has a fixed point.
     # y_buf holds y, then the first cut normal; q_buf the second; x0x0 is <x0, x0>
-    y = _step(space, T, x, None, 0.0, psi_n, 0.0, None, None, y_buf, scratch)
+    y = _step(space, T, x, None, 0.0, psi_n, 0.0, None, None, y_buf, scratch, reg)
     cuts = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
     return _project_halfspace_pair(space, *cuts, x0, x0x0, out, scratch)
 
@@ -297,7 +322,8 @@ def run(
     **Workspace.** The run allocates its vectors once, 64-byte aligned (see
     :mod:`fpiter.space`), and only what the engine reads: two iterate slots
     and a work vector always, the default anchor for the anchor engines, and
-    CQ's second cut normal and product scratch. ``x_{n+1}`` goes into slot
+    CQ's second cut normal and product scratch, and one 0-d coefficient
+    register (see the comment above ``_blend``). ``x_{n+1}`` goes into slot
     ``n % 2``, over ``x_{n-1}``, which no step reads once ``x_n - x_{n-1}``
     is formed in the work vector. That vector then holds ``w``, one product
     of each combination and the default contraction's ``rho x_n`` (for CQ:
@@ -333,13 +359,14 @@ def run(
         v = lambda p: u  # noqa: E731
     elif contraction is None:
         # rho x is finite for a finite x and 0 <= rho < 1: no check
-        rho = config.contraction_rho
+        rho = np.array(config.contraction_rho, np.float64)  # 0-d, see _blend
         v = lambda p: np.multiply(rho, p, work)  # noqa: E731
     else:
         v = lambda p: space.check(contraction(p))  # noqa: E731
     slots = (vector(), vector())
     q_buf, scratch = (vector(), vector()) if cq else (None, None)
     x0x0 = space._inner(x0, x0) if cq else None
+    reg = np.empty(())  # the coefficient register (see _blend)
 
     metric = config.error_metric
     tolerance = config.tolerance
@@ -368,10 +395,12 @@ def run(
         try:
             out = slots[n % 2]
             if cq:
-                x_next = _cq(space, T, x, x0, x0x0, psi_n, out, work, q_buf, scratch)
+                x_next = _cq(space, T, x, x0, x0x0, psi_n, out, work, q_buf, scratch, reg)
             else:
                 nu_n = nu(n) if blend else 0.0
-                x_next = _step(space, T, x, x_prev, delta, psi_n, nu_n, v, diff, out, work)
+                x_next = _step(
+                    space, T, x, x_prev, delta, psi_n, nu_n, v, diff, out, work, reg
+                )
         except SingularityError:
             reason = TerminalReason.SINGULARITY
             break

@@ -234,12 +234,15 @@ def build_cfp(
         rng = np.random.default_rng(seed)
         centers[3:] = rng.uniform(-bound, bound, size=(num_balls - 2, dim))
     balls = BallSet(centers, np.ones(num_balls + 1))
-    # the sweep's constants, bound once: inner centers and radii, the outer ball
+    # the sweep's constants, bound once: inner centers, radii and count, the
+    # outer ball
     inner, inner_radii = balls.centers[1:], balls.radii[1:]
+    count = np.array(len(inner_radii), np.float64)
     outer, outer_radius = balls.centers[0], balls.radii.item(0)
     # a result of dim doubles: the sweep returns a fresh one and ignores out
     operator = Operator(
-        space, lambda x, out: _cfp_sweep(space, inner, inner_radii, outer, outer_radius, x)
+        space,
+        lambda x, out: _cfp_sweep(space, inner, inner_radii, count, outer, outer_radius, x),
     )
     defaults = RunConfig(error_metric=sup_norm, tolerance=1e-12, contraction_rho=0.1)
     baselines = MappingProxyType(

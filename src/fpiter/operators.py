@@ -543,17 +543,20 @@ def cfp_operator(
     x = space.check(x)
     _check_width(space, balls.centers, "ball centers")
     centers, radii = balls.centers, balls.radii
-    return _cfp_sweep(space, centers[1:], radii[1:], centers[0], radii.item(0), x)
+    count = np.array(len(radii) - 1, np.float64)
+    return _cfp_sweep(space, centers[1:], radii[1:], count, centers[0], radii.item(0), x)
 
 
-def _cfp_sweep(space, centers, radii, outer_center, outer_radius, x):
+def _cfp_sweep(space, centers, radii, count, outer_center, outer_radius, x):
     # the sweep of cfp_operator (stated there) over the inner balls' centers
-    # and radii, on a validated x and centers of the space's width
+    # and radii, on a validated x and centers of the space's width; ``count``
+    # is len(radii) as a 0-d float64 array, so the divisor takes numpy's
+    # array path (see the comment above fpiter.algorithms._blend)
     diffs = x - centers
     dists = np.sqrt(space._row_inners(diffs))
     reach = np.maximum(dists, radii)
     steps = (radii - reach) / reach
-    avg = x + steps.dot(diffs) / len(radii)
+    avg = x + steps.dot(diffs) / count
     return _project_ball(space, outer_center, outer_radius, avg)
 
 

@@ -29,7 +29,10 @@ one-dimensional operands it, and ``@``, are slower than the method.
 extremum, whose value does not depend on the order it is taken in, reads
 one entry, ``a.item(a.argmin())`` or ``argmax``: on a narrow vector a
 ``ufunc.reduce`` call costs about three times as much, some 1 µs more,
-nearly all of it set-up.
+nearly all of it set-up. A scalar that multiplies or divides a narrow
+vector inside a run's loop is a reused 0-d float64 array, not a Python
+float, whose path through numpy costs more per call; the rule and its
+numbers are stated above ``_blend`` in :mod:`fpiter.algorithms`.
 
 These point-sized vectors come from :func:`_aligned_empty` and start on a
 64-byte boundary, one cache line: weights, cached samples, ``zeros``, the

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from dataclasses import replace
@@ -692,9 +693,8 @@ class TestInertiaNormCount:
         assert len(calls) == 100
 
 
-def profiled_run(spec, algorithm, iterations):
-    """Python frames opened in fpiter's files, and ``ufunc.reduce`` calls, in one run."""
-    package = os.path.dirname(fpiter.__file__) + os.sep
+def budget_run(spec, algorithm, iterations):
+    """The run the per-iteration counts take: to the cap, from the first seeded start."""
     config = replace(
         spec.defaults,
         max_iterations=iterations,
@@ -702,6 +702,14 @@ def profiled_run(spec, algorithm, iterations):
         schedules=spec.schedules_for(algorithm),
     )
     start = spec.make_initials(np.random.default_rng(1))[0][1]
+    trace = run(algorithm, spec.operator, config, start)
+    assert trace.iterations == iterations
+    return trace
+
+
+def profiled_run(spec, algorithm, iterations):
+    """Python frames opened in fpiter's files, and ``ufunc.reduce`` calls, in one run."""
+    package = os.path.dirname(fpiter.__file__) + os.sep
     counts = {"calls": 0, "reduces": 0}
 
     def profile(frame, event, arg):
@@ -712,10 +720,9 @@ def profiled_run(spec, algorithm, iterations):
 
     sys.setprofile(profile)
     try:
-        trace = run(algorithm, spec.operator, config, start)
+        budget_run(spec, algorithm, iterations)
     finally:
         sys.setprofile(None)
-    assert trace.iterations == iterations
     return counts
 
 
@@ -746,6 +753,121 @@ class TestCallBudget:
         long = profiled_run(spec, algorithm, 200)
         assert long["calls"] - short["calls"] <= calls * 100
         assert long["reduces"] - short["reduces"] == reduces * 100
+
+
+class OperandTypes:
+    """numpy for ``fpiter.algorithms``, but ``multiply``, ``add`` and ``subtract``
+    count their operands: Python and numpy scalars, and 0-d arrays."""
+
+    def __init__(self):
+        self.scalars = self.registers = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _count(self, ufunc, a, b, *rest):
+        for operand in (a, b):
+            if isinstance(operand, (int, float, np.generic)):
+                self.scalars += 1
+            elif isinstance(operand, np.ndarray) and operand.ndim == 0:
+                self.registers += 1
+        return ufunc(a, b, *rest)
+
+    def multiply(self, *args):
+        return self._count(np.multiply, *args)
+
+    def add(self, *args):
+        return self._count(np.add, *args)
+
+    def subtract(self, *args):
+        return self._count(np.subtract, *args)
+
+
+class TestNoScalarOperand:
+    """Every scalar·vector product of a step reads a 0-d array, the coefficient
+    register or the default contraction's ``rho`` (see the comment above
+    ``fpiter.algorithms._blend``), never a Python or numpy scalar, which takes
+    numpy's slower scalar path. Per iteration as in :class:`TestCallBudget`,
+    so ``run``'s one-time default anchor product drops out."""
+
+    @pytest.mark.parametrize(
+        "build, algorithm, registers",
+        [
+            (build_weber, "mimha", 5),
+            (build_weber, "mimva", 6),
+            (build_cfp, "mmva", 5),
+            (build_cfp, "mimva", 6),
+            (build_cfp, "inertial-mann", 3),
+            (build_cfp, "cq", 2),
+        ],
+    )
+    def test_step_products_read_registers(self, build, algorithm, registers, monkeypatch):
+        spec = build()
+        counts = []
+        for iterations in (100, 200):
+            proxy = OperandTypes()
+            monkeypatch.setattr(fpiter.algorithms, "np", proxy)
+            budget_run(spec, algorithm, iterations)
+            counts.append((proxy.scalars, proxy.registers))
+        (short_scalars, short_registers), (long_scalars, long_registers) = counts
+        assert long_scalars - short_scalars == 0
+        assert long_registers - short_registers == registers * 100
+
+
+class TestCoefficientRegisters:
+    """Reusing the register keeps every coefficient: each step of a run (one
+    register for all its products and steps) and each public step (a fresh
+    register) equals its product-by-product formula in Python floats, in
+    ``_blend``'s operand order."""
+
+    @pytest.mark.parametrize("dim", [3, 30])
+    def test_steps_equal_the_float_formula(self, dim):
+        space = EuclideanSpace(dim)
+        rng = np.random.default_rng(dim)
+        shift = rng.normal(size=dim)
+        T = Operator(space, lambda w, out: np.add(np.multiply(w, 0.5, out), shift, out))
+        steps = 200
+        # run reads xi at n = steps too: the last entry's delta
+        psis, nus, xis = rng.uniform(0.0, 1.0, size=(3, steps + 1)).tolist()
+        rho = float(rng.uniform(0.0, 1.0))
+        schedules = Schedules(psi=psis.__getitem__, nu=nus.__getitem__, xi=xis.__getitem__)
+        points = []
+        config = RunConfig(
+            error_metric=lambda x: points.append(x.tolist()) or 1.0,
+            max_iterations=steps,
+            tolerance=1e-300,
+            schedules=schedules,
+            contraction_rho=rho,
+        )
+        trace = run("mimva", T, config, rng.normal(size=dim), rng.normal(size=dim))
+        assert trace.iterations == steps
+        assert sum(d > 0.0 for d in trace.deltas) > steps // 2
+        x_prev = points[0]
+        for n, (x, x_next) in enumerate(zip(points, points[1:])):
+            delta, psi, nu = trace.deltas[n], psis[n], nus[n]
+            w = x if delta == 0.0 else [a + (a - b) * delta for a, b in zip(x, x_prev)]
+            tw = T(np.array(w), None).tolist()
+            y = [a * psi + b * (1.0 - psi) for a, b in zip(w, tw)]
+            want = [rho * a * nu + b * (1.0 - nu) for a, b in zip(x, y)]
+            public = mimva_step(space, T, x, x_prev, lambda p: rho * p, delta, psi, nu)
+            assert np.array(x_next).tobytes() == np.array(want).tobytes(), n
+            assert public.tobytes() == np.array(want).tobytes(), n
+            x_prev = x
+
+    def test_blend_range_is_closed(self):
+        x, x_prev, u = arr(2.0, -1.0), arr(1.0, 0.5), arr(3.0, 4.0)
+        assert np.array_equal(mann_step(R2, ZERO_MAP_2D, x, 1.0), x)
+        assert np.array_equal(mann_step(R2, ZERO_MAP_2D, x, 0.0), np.zeros(2))
+        assert np.array_equal(mimha_step(R2, ZERO_MAP_2D, x, x_prev, u, 0.5, 0.0, 1.0), u)
+        y = mimha_step(R2, ZERO_MAP_2D, x, x_prev, u, 0.5, 1.0, 0.0)
+        assert np.array_equal(y, arr(2.5, -1.75))
+        for bad in (math.nextafter(1.0, 2.0), -5e-324):
+            with pytest.raises(ValueError, match="psi must lie in"):
+                mann_step(R2, ZERO_MAP_2D, x, bad)
+            with pytest.raises(ValueError, match="psi must lie in"):
+                mimha_step(R2, ZERO_MAP_2D, x, x_prev, u, 0.5, bad, 0.5)
+            with pytest.raises(ValueError, match="nu must lie in"):
+                mimha_step(R2, ZERO_MAP_2D, x, x_prev, u, 0.5, 0.5, bad)
 
 
 class TestRunConfigValidation:
