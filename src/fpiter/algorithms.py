@@ -32,6 +32,7 @@ the wall-clock column varies between invocations.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,11 +43,12 @@ import numpy as np
 from .operators import (
     Operator,
     SingularityError,
+    _cq_block,
     _cq_halfspaces,
     _project_halfspace_pair,
 )
 from .schedules import Schedules
-from .space import InnerProductSpace, _aligned_empty, _choice, _index
+from .space import _FP_ERRORS, InnerProductSpace, _aligned_empty, _choice, _index
 
 __all__ = [
     "ALGORITHMS",
@@ -227,15 +229,18 @@ def _step(
     return y if nu_n == 0.0 else _blend(nu_n, f(x), y, reg, out, scratch)
 
 
-def _cq(
-    space, T, x, x0, x0x0, psi_n, out=None, y_buf=None, q_buf=None, scratch=None, reg=None
-):
-    # psi = 1 is accepted: the 1/(n+1) schedule starts there (y = x, the first
-    # cut is the whole space); the two cuts always meet while T has a fixed point.
-    # y_buf holds y, then the first cut normal; q_buf the second; x0x0 is <x0, x0>
-    y = _step(space, T, x, None, 0.0, psi_n, 0.0, None, None, y_buf, scratch, reg)
-    cuts = _cq_halfspaces(space, x, y, x0, y_buf, q_buf)
-    return _project_halfspace_pair(space, *cuts, x0, x0x0, out, scratch)
+def _cq(space, T, x0, x0x0, psi_n, cut, scratch=None, reg=None):
+    # one CQ step from x_n, the third row of ``cut`` (see _cq_block), into
+    # that row: y and then the first cut normal go into its first row, and
+    # x_{n+1} over x_n, which only the cut scalars read. psi = 1 is accepted:
+    # the 1/(n+1) schedule starts there (y = x, the first cut is the whole
+    # space); the two cuts always meet while T has a fixed point. x0x0 is <x0, x0>
+    _, _, c, _, x = cut
+    y = _step(space, T, x, None, 0.0, psi_n, 0.0, None, None, c, scratch, reg)
+    cuts = _cq_halfspaces(space, x, y, x0, cut)
+    if _project_halfspace_pair(space, *cuts, x0, x0x0, x, scratch, reg) is x0:
+        x[...] = x0  # x0 lies in both cuts
+    return x
 
 
 def mann_step(space: InnerProductSpace, T, x, psi_n: float) -> np.ndarray:
@@ -320,20 +325,23 @@ def run(
     operator output.
 
     **Workspace.** The run allocates its vectors once, 64-byte aligned (see
-    :mod:`fpiter.space`), and only what the engine reads: two iterate slots
-    and a work vector always, the default anchor for the anchor engines, and
-    CQ's second cut normal and product scratch, and one 0-d coefficient
-    register (see the comment above ``_blend``). ``x_{n+1}`` goes into slot
-    ``n % 2``, over ``x_{n-1}``, which no step reads once ``x_n - x_{n-1}``
-    is formed in the work vector. That vector then holds ``w``, one product
-    of each combination and the default contraction's ``rho x_n`` (for CQ:
-    ``y``, then the first cut normal). ``T`` is lent the vector that will
-    receive the step's result, by the contract of
+    :mod:`fpiter.space`), and only what the engine reads: a work vector
+    always, two iterate slots for every engine but CQ, the default anchor
+    for the anchor engines, and one 0-d coefficient register (see the
+    comment above ``_blend``). ``x_{n+1}`` goes into slot ``n % 2``, over
+    ``x_{n-1}``, which no step reads once ``x_n - x_{n-1}`` is formed in the
+    work vector. That vector then holds ``w``, one product of each
+    combination and the default contraction's ``rho x_n``. CQ keeps its
+    iterate in its cut block (see :func:`~fpiter.operators._cq_block`), the
+    rows ``[c, q, x_n, x_0]``, into which it copies ``x_0`` twice at the
+    start: ``y`` and then the first cut normal go into the first row, and
+    ``x_{n+1}`` into the third, over ``x_n``. ``T`` is lent the vector that
+    will receive ``y`` or the step's result, by the contract of
     :class:`~fpiter.operators.Operator`. So only an operator that returns
     another array and a caller's contraction allocate in the loop. The
     caller's ``x_init``, ``x_init_prev`` and ``anchor`` are only read, never
-    written or copied. A point handed to a callback is a workspace vector
-    that later iterations overwrite: a callback must copy any point it keeps.
+    written. A point handed to a callback is a workspace vector that later
+    iterations overwrite: a callback must copy any point it keeps.
     """
     inertial, blend = _ENGINES[_choice(algorithm, ALGORITHMS, "algorithm")]
     cq = algorithm == "cq"
@@ -363,9 +371,15 @@ def run(
         v = lambda p: np.multiply(rho, p, work)  # noqa: E731
     else:
         v = lambda p: space.check(contraction(p))  # noqa: E731
-    slots = (vector(), vector())
-    q_buf, scratch = (vector(), vector()) if cq else (None, None)
-    x0x0 = space._inner(x0, x0) if cq else None
+    if cq:
+        cut = _cq_block(space, x0, x0)
+        x = cut[4]
+        try:
+            x0x0 = space._inner(x0, x0)
+        except _FP_ERRORS:  # where warnings are errors: inf, as where numpy warns
+            x0x0 = math.inf
+    else:
+        slots = (vector(), vector())
     reg = np.empty(())  # the coefficient register (see _blend)
 
     metric = config.error_metric
@@ -393,13 +407,12 @@ def run(
             break
         psi_n = psi(n)
         try:
-            out = slots[n % 2]
             if cq:
-                x_next = _cq(space, T, x, x0, x0x0, psi_n, out, work, q_buf, scratch, reg)
+                x_next = _cq(space, T, x0, x0x0, psi_n, cut, work, reg)
             else:
                 nu_n = nu(n) if blend else 0.0
                 x_next = _step(
-                    space, T, x, x_prev, delta, psi_n, nu_n, v, diff, out, work, reg
+                    space, T, x, x_prev, delta, psi_n, nu_n, v, diff, slots[n % 2], work, reg
                 )
         except SingularityError:
             reason = TerminalReason.SINGULARITY

@@ -290,7 +290,7 @@ def fermat_weber_point(space: InnerProductSpace, anchors: AnchorSet) -> np.ndarr
     off = []  # the step-off point of each anchor
     for point in points:
         diffs = point - points
-        dists = np.sqrt(space._row_inners(diffs))
+        dists = np.sqrt(space._inners(diffs, diffs))
         apart = dists > 0
         ratios = anchors.weights[apart] / dists[apart]
         pull = ratios.dot(diffs[apart])
@@ -304,7 +304,8 @@ def fermat_weber_point(space: InnerProductSpace, anchors: AnchorSet) -> np.ndarr
         try:
             x_next = weiszfeld_map(space, anchors, x)
         except SingularityError:
-            x_next = off[np.argmin(space._row_inners(x - points))]
+            diffs = x - points
+            x_next = off[np.argmin(space._inners(diffs, diffs))]
         step = space.norm(x_next - x)
         if step <= 1e-12:
             return x_next

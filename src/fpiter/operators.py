@@ -35,7 +35,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import InnerProductSpace, PeriodicGridSpace, _aligned_empty, _check_positive, _choice
+from .space import (
+    _ALIGN_BYTES,
+    _FP_ERRORS,
+    InnerProductSpace,
+    PeriodicGridSpace,
+    _aligned_empty,
+    _check_positive,
+    _choice,
+)
 
 __all__ = [
     "HalfSpace",
@@ -67,6 +75,10 @@ _SFP_INTEGRAL_BOUND = 1.0
 _SFP_RADIUS = 4.0
 
 ANCHOR_SINGULARITY_TOL = 1e-12
+
+_EMPTY_HALFSPACE = "half-space with zero normal and negative offset is empty"
+
+_LINE_DOUBLES = _ALIGN_BYTES // 8  # float64 entries per cache line
 
 
 class InfeasibleSetError(ValueError):
@@ -254,28 +266,17 @@ class Operator:
 def _checked_halfspace(space, normal, offset, name: str) -> tuple[np.ndarray, float]:
     # the checked normal of {u : <normal, u> <= offset}, and <a, a>; a finite
     # normal whose squared norm overflows would make every multiplier 0 and
-    # is rejected
+    # is rejected, also where warnings are errors
     if not math.isfinite(offset):
         raise ValueError(f"half-space offset must be finite, got {offset}")
     normal = space.check(normal)
-    sq = space._inner(normal, normal)
+    try:
+        sq = space._inner(normal, normal)
+    except _FP_ERRORS:
+        sq = math.inf
     if not math.isfinite(sq):
         raise ValueError(f"{name} normal must have a finite squared norm, got {sq}")
     return normal, sq
-
-
-def _within(b, normal_norm, au, u_norm) -> bool:
-    # <a, u> <= b with a backward-error sized slack, so borderline points
-    # count as feasible; au is <a, u> and u_norm is ||u||
-    return au <= b + 1e-12 * (1.0 + abs(b) + normal_norm * u_norm)
-
-
-def _single_scalars(t, ax, sq, bx, g12, xx, x_norm):
-    # <b, p> and ||p|| of the single projection p = x - t a (p = x when t is
-    # None), from <a, x>, <a, a>, <b, x>, <a, b>, ||x||^2 and ||x||
-    if t is None:
-        return bx, x_norm
-    return bx - t * g12, math.sqrt(max(xx - 2.0 * t * ax + t * t * sq, 0.0))
 
 
 def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
@@ -292,24 +293,14 @@ def project_halfspace(space: InnerProductSpace, hs: HalfSpace, x) -> np.ndarray:
     return _project_halfspace(space, a, b, sq, x, space._inner(a, x))
 
 
-def _multiplier(b, sq, ax):
-    # t of the single projection x - t a onto {u : <a, u> <= b}, or None when
-    # x is feasible; sq is <a, a> and ax is <a, x>
+def _project_halfspace(space, a, b, sq, x, ax):
+    # onto {u : <a, u> <= b}: x - t a with t = (<a, x> - b)/<a, a>, or x
+    # itself when feasible; sq is <a, a> and ax is <a, x>
     if ax <= b:
-        return None
-    if sq == 0.0:
-        raise InfeasibleSetError(
-            "half-space with zero normal and negative offset is empty"
-        )
-    return (ax - b) / sq
-
-
-def _project_halfspace(space, a, b, sq, x, ax, out=None):
-    # onto {u : <a, u> <= b}; ``out`` (neither x nor a) receives the projected point
-    t = _multiplier(b, sq, ax)
-    if t is None:
         return x
-    return space.check(np.subtract(x, np.multiply(a, t, out), out))
+    if sq == 0.0:
+        raise InfeasibleSetError(_EMPTY_HALFSPACE)
+    return space.check(x - a * ((ax - b) / sq))
 
 
 def project_ball(space: InnerProductSpace, ball: Ball, x) -> np.ndarray:
@@ -403,30 +394,53 @@ def project_halfspace_pair(
     b1, b2 = h1.offset, h2.offset
     a1, g11 = _checked_halfspace(space, h1.normal, b1, "h1")
     a2, g22 = _checked_halfspace(space, h2.normal, b2, "h2")
-    return _project_halfspace_pair(space, a1, b1, a2, b2, g11, g22, x, space._inner(x, x))
+    inner = space._inner
+    return _project_halfspace_pair(
+        space, a1, b1, a2, b2, g11, g22, inner(a1, a2), inner(a1, x), inner(a2, x),
+        x, inner(x, x),
+    )
 
 
-def _project_halfspace_pair(space, a1, b1, a2, b2, g11, g22, x, xx, out=None, scratch=None):
-    # onto {u : <a1, u> <= b1} and {u : <a2, u> <= b2}; the caller forms
-    # g11 = <a1, a1>, g22 = <a2, a2> and xx = <x, x>; ``out`` receives the
-    # projected point and ``scratch`` the second product of the two-active
-    # case; neither may be x or a normal
-    g12 = space._inner(a1, a2)
-    ax1 = space._inner(a1, x)
-    ax2 = space._inner(a2, x)
+def _project_halfspace_pair(
+    space, a1, b1, a2, b2, g11, g22, g12, ax1, ax2, x, xx, out=None, scratch=None, reg=None
+):
+    # onto {u : <a1, u> <= b1} and {u : <a2, u> <= b2}, decided from the
+    # caller's Gram scalars g_ij = <a_i, a_j>, ax_i = <a_i, x> and xx = <x, x>
+    # (see the public form); ``out`` receives the projected point and
+    # ``scratch`` the second product of the two-active case, and neither may
+    # be x or a normal. ``reg`` is the multiplier register, a 0-d float64
+    # array that each multiplier is written into just before the product
+    # that reads it (None: a fresh one; see fpiter.algorithms._blend)
+    if reg is None:
+        reg = np.empty(())
     # the same bits as space._norm(a1), space._norm(a2) and space._norm(x)
     n1 = math.sqrt(max(g11, 0.0))
     n2 = math.sqrt(max(g22, 0.0))
     x_norm = math.sqrt(max(xx, 0.0))
-    if _within(b1, n1, ax1, x_norm) and _within(b2, n2, ax2, x_norm):
+    # <a, u> <= b is tested with a backward-error sized slack, so borderline
+    # points count as feasible: <a, u> <= b + 1e-12 (1 + |b| + ||a|| ||u||)
+    if ax1 <= b1 + 1e-12 * (1.0 + abs(b1) + n1 * x_norm) and (
+        ax2 <= b2 + 1e-12 * (1.0 + abs(b2) + n2 * x_norm)
+    ):
         return x
-    # a single projection that meets the other cut is optimal (see the public form)
-    t1 = _multiplier(b1, g11, ax1)
-    if _within(b2, n2, *_single_scalars(t1, ax1, g11, ax2, g12, xx, x_norm)):
-        return _project_halfspace(space, a1, b1, g11, x, ax1, out)
-    t2 = _multiplier(b2, g22, ax2)
-    if _within(b1, n1, *_single_scalars(t2, ax2, g22, ax1, g12, xx, x_norm)):
-        return _project_halfspace(space, a2, b2, g22, x, ax2, out)
+    # a single projection p = x - t a that meets the other cut is optimal
+    # (see the public form); p = x where x meets its own cut exactly
+    for a, b, sq, ax, b_other, n_other, ax_other in (
+        (a1, b1, g11, ax1, b2, n2, ax2),
+        (a2, b2, g22, ax2, b1, n1, ax1),
+    ):
+        if ax <= b:
+            if ax_other <= b_other + 1e-12 * (1.0 + abs(b_other) + n_other * x_norm):
+                return x
+            continue
+        if sq == 0.0:
+            raise InfeasibleSetError(_EMPTY_HALFSPACE)
+        t = (ax - b) / sq
+        # <a_other, p> and ||p||, from the scalars
+        p_norm = math.sqrt(max(xx - 2.0 * t * ax + t * t * sq, 0.0))
+        if ax_other - t * g12 <= b_other + 1e-12 * (1.0 + abs(b_other) + n_other * p_norm):
+            reg[()] = t
+            return space.check(np.subtract(x, np.multiply(a, reg, out), out))
 
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * g11 * g22:
@@ -441,11 +455,33 @@ def _project_halfspace_pair(space, a1, b1, a2, b2, g11, g22, x, xx, out=None, sc
     if mu1 < -tol or mu2 < -tol:
         raise InfeasibleSetError("half-space intersection is empty")
     # (x - mu1 a1) - mu2 a2, in that order
-    p = np.subtract(x, np.multiply(a1, max(mu1, 0.0), out), out)
-    return space.check(np.subtract(p, np.multiply(a2, max(mu2, 0.0), scratch), out))
+    reg[()] = max(mu1, 0.0)
+    p = np.subtract(x, np.multiply(a1, reg, out), out)
+    reg[()] = max(mu2, 0.0)
+    return space.check(np.subtract(p, np.multiply(a2, reg, scratch), out))
 
 
-def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
+def _cq_block(space, x_n, x_0):
+    """The workspace of CQ's cut scalars: ``(normals, block, c, q, x)``.
+
+    ``block`` is a ``(4, size)`` array whose rows are ``[c, q, x_n, x_0]``;
+    the last two are filled here. Each row starts on a 64-byte boundary, as
+    every point-sized vector does (see :mod:`fpiter.space`), so the rows are
+    padded to whole cache lines. ``normals`` is its first two rows as a
+    ``(2, 1, size)`` view, so ``space._inners(normals, block)`` forms every
+    ``<c, row>`` and ``<q, row>`` in one call, and ``c``, ``q`` and ``x`` are
+    views of its first three rows. The views are made once, as
+    :func:`fpiter.algorithms.run` makes the block once per run.
+    """
+    size = space.size
+    padded = -(-size // _LINE_DOUBLES) * _LINE_DOUBLES
+    block = _aligned_empty(4 * padded).reshape(4, padded)[:, :size]
+    block[2] = x_n
+    block[3] = x_0
+    return (block[:2, None], block, *block[:3])
+
+
+def _cq_halfspaces(space, x_n, y_n, x_0, cut=None):
     """Half-space forms of the two sets cut by a CQ-type projection step.
 
     With ``c = x - y``, ``{u : ||y - u|| <= ||x - u||}`` is the cut through
@@ -457,23 +493,32 @@ def _cq_halfspaces(space, x_n, y_n, x_0, c_out=None, q_out=None):
     ``{u : <x0 - x, u> <= <x0 - x, x>}``. Degenerate inputs (``y = x`` or
     ``x0 = x``) give zero normals with offset 0, i.e. the whole space.
 
-    Returns ``(c, c_offset, q, q_offset, <c, c>, <q, q>)``, plain values in
-    the argument order of :func:`_project_halfspace_pair`. The two squared
-    norms are formed first; they certify the normals (see
-    :mod:`fpiter.space`), and a non-finite one raises ``ValueError``.
+    Returns ``(c, c_offset, q, q_offset, <c, c>, <q, q>, <c, q>, <c, x0>,
+    <q, x0>)``, plain values in the argument order of
+    :func:`_project_halfspace_pair`. The seven scalars come from one
+    ``space._inners`` call over the rows ``[c, q, x_n, x_0]`` of ``cut``
+    (see :func:`_cq_block`; None: a fresh one), with the bits of
+    ``space._inner``. The two squared norms certify the normals (see
+    :mod:`fpiter.space`): a non-finite one raises ``ValueError``, and so
+    does a reduction that raises where warnings are errors.
 
-    ``c_out`` and ``q_out`` receive the two normals; ``c_out`` may be the
-    storage of ``y_n``, which is read before the normal overwrites it.
+    The normals are written into the first two rows of ``cut``, whose last
+    two must hold ``x_n`` and ``x_0``; ``y_n`` may be the first row, which
+    is read before the normal overwrites it.
     """
-    c_normal = np.subtract(x_n, y_n, c_out)
-    q_normal = np.subtract(x_0, x_n, q_out)
-    g11 = space._inner(c_normal, c_normal)
-    g22 = space._inner(q_normal, q_normal)
+    if cut is None:
+        cut = _cq_block(space, x_n, x_0)
+    normals, block, c, q, _ = cut
+    np.subtract(x_n, y_n, c)
+    np.subtract(x_0, x_n, q)
+    try:
+        grams = space._inners(normals, block).ravel().tolist()
+    except _FP_ERRORS:
+        grams = [math.inf] * 8
+    g11, g12, cx, ax1, _, g22, qx, ax2 = grams
     if not (math.isfinite(g11) and math.isfinite(g22)):
         raise ValueError("CQ cut normals must have finite squared norms")
-    c_offset = space._inner(c_normal, x_n) - 0.5 * g11
-    q_offset = space._inner(q_normal, x_n)
-    return c_normal, c_offset, q_normal, q_offset, g11, g22
+    return c, cx - 0.5 * g11, q, qx, g11, g22, g12, ax1, ax2
 
 
 def _check_sfp_args(space, lam, mode) -> float:
@@ -553,7 +598,7 @@ def _cfp_sweep(space, centers, radii, count, outer_center, outer_radius, x):
     # is len(radii) as a 0-d float64 array, so the divisor takes numpy's
     # array path (see the comment above fpiter.algorithms._blend)
     diffs = x - centers
-    dists = np.sqrt(space._row_inners(diffs))
+    dists = np.sqrt(space._inners(diffs, diffs))
     reach = np.maximum(dists, radii)
     steps = (radii - reach) / reach
     avg = x + steps.dot(diffs) / count
@@ -579,11 +624,15 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
 def _weiszfeld(space, anchors, x):
     # the map of weiszfeld_map on a validated x and anchors of the space's width
     points = anchors.anchors
-    d2 = space._row_inners(x - points)
+    diffs = x - points
+    d2 = space._inners(diffs, diffs)
     dists = np.sqrt(d2, d2)
     # the verdict of (dists <= tol).any(), read at argmin (see fpiter.space);
     # argmin returns a NaN distance first, which would hide a singular
-    # anchor, so a NaN falls back to the fmin reduction, which skips it
+    # anchor, so a NaN falls back to the fmin reduction, which skips it. A
+    # NaN coordinate of x makes every distance NaN, but a NaN can also sit
+    # next to finite ones: on a grid, a difference that overflows makes its
+    # row's inner product inf - inf
     nearest = dists.item(dists.argmin())
     if math.isnan(nearest):
         nearest = np.fmin.reduce(dists)

@@ -12,19 +12,24 @@ Only a non-finite squared norm falls back to the elementwise test, which
 decides; a finite point whose squared norm overflows (an entry above about
 1.3e154) passes at the cost of that pass plus numpy's overflow warning. A
 signaling NaN, which no arithmetic makes, costs an invalid-value warning.
+Where warnings are errors (``-W error::RuntimeWarning`` or
+``np.seterr(all="raise")``), the exception that such a ``dot`` raises
+counts as a non-finite squared norm, so the elementwise test still decides.
 
-Each space states its inner product once, as ``_inner``. The row form
-``_row_inners`` (``<r, r>`` for each row of an ``(m, size)`` stack) calls
-it on each row; only ``EuclideanSpace`` replaces that loop, by one
-``np.vecdot``, which sums a row in ``dot``'s order and keeps its bits.
-The ball sweep and the Weiszfeld map take their distances from it.
+Each space states its inner product once, as ``_inner``. The stacked form
+``_inners(a, b)`` (``<a_i, b_i>`` over the broadcast leading axes of two
+point stacks) calls it on each pair; only ``EuclideanSpace`` replaces that
+loop, by one ``np.vecdot``, which sums each pair in ``dot``'s order and
+keeps its bits. The ball sweep and the Weiszfeld map take their distances
+from it, and cq its seven cut scalars, in one call over a row block.
 
 Reductions of one-dimensional operands call the method ``x.dot(y)``: it
 is the C routine that ``np.dot`` wraps, with the same bits, but without
 the Python-level ``__array_function__`` dispatch that every ``np.dot``
 call passes through first, a quarter to a half of the call's time on
-narrow vectors. ``np.vecdot`` is kept for row stacks only; on
-one-dimensional operands it, and ``@``, are slower than the method.
+narrow vectors. ``np.vecdot`` is kept for stacks (the row stacks of the
+ball sweep and the Weiszfeld map, and cq's cut block); on one-dimensional
+operands it, and ``@``, are slower than the method.
 ``EuclideanSpace`` takes its norm from one ``x.dot(x)`` as well. An
 extremum, whose value does not depend on the order it is taken in, reads
 one entry, ``a.item(a.argmin())`` or ``argmax``: on a narrow vector a
@@ -68,6 +73,9 @@ TWO_PI = 2.0 * math.pi
 _ALIGN_BYTES = 64
 
 _FLOAT64 = np.dtype(np.float64)
+# what a reduction that overflows or meets a signaling NaN raises when
+# warnings are errors (-W error::RuntimeWarning, or np.seterr(all="raise"))
+_FP_ERRORS = (RuntimeWarning, FloatingPointError)
 # kinds a float64 conversion would not refuse: it drops an imaginary part (with
 # only a warning), parses a string, counts a time in units and reads None as NaN
 _NOT_REAL = {
@@ -156,7 +164,11 @@ class InnerProductSpace:
             raise ValueError(
                 f"expected {self.size} coordinates, got array of shape {arr.shape}"
             )
-        if not math.isfinite(arr.dot(arr)) and not np.isfinite(arr).all():
+        try:
+            certified = math.isfinite(arr.dot(arr))
+        except _FP_ERRORS:  # a warning raised as an error: the elementwise test decides
+            certified = False
+        if not certified and not np.isfinite(arr).all():
             raise ValueError("coordinates must be finite (no NaN or Inf)")
         return arr
 
@@ -183,10 +195,12 @@ class InnerProductSpace:
     def _norm(self, x: np.ndarray) -> float:
         return math.sqrt(max(self._inner(x, x), 0.0))
 
-    def _row_inners(self, rows: np.ndarray) -> np.ndarray:
-        # <r, r> for each row of an (m, size) array, by _inner itself, so a
-        # subclass that overrides _inner gets its row norms from it
-        return np.array([self._inner(r, r) for r in rows])
+    def _inners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # <a_i, b_i> over the broadcast leading axes of two point stacks, by
+        # _inner itself, so a subclass that overrides _inner gets them from it
+        a, b = np.broadcast_arrays(a, b)
+        lead = a.shape[:-1]
+        return np.array([self._inner(a[i], b[i]) for i in np.ndindex(lead)]).reshape(lead)
 
     def zeros(self) -> np.ndarray:
         """A fresh 64-byte-aligned zero point; it checks and raises nothing."""
@@ -212,9 +226,9 @@ class EuclideanSpace(InnerProductSpace):
         # is never negative (nor -0.0) and a NaN passes through both forms
         return math.sqrt(x.dot(x))
 
-    def _row_inners(self, rows: np.ndarray) -> np.ndarray:
-        # _inner of each row in one call: vecdot sums a row in dot's order
-        return np.vecdot(rows, rows)
+    def _inners(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # _inner of each pair in one call: vecdot sums a pair in dot's order
+        return np.vecdot(a, b)
 
     def __repr__(self):
         return f"EuclideanSpace(dim={self.size})"

@@ -1,4 +1,8 @@
-"""Reference spaces and oracles that several test modules compare the package against."""
+"""Reference spaces and oracles that several test modules compare the package
+against, and the floating-point error modes they run it under."""
+
+import contextlib
+import warnings
 
 import numpy as np
 
@@ -43,3 +47,19 @@ def brute_force_pair_projection(a1, b1, a2, b2, x, tol=1e-9):
     if not candidates:
         raise InfeasibleSetError("oracle found no feasible candidate")
     return min(candidates, key=lambda u: np.linalg.norm(u - x))
+
+
+@contextlib.contextmanager
+def _warnings_raise():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+
+
+# the two ways a caller makes numpy's floating-point warnings exceptions:
+# ``-W error::RuntimeWarning`` (tier-1's setting) raises the RuntimeWarning,
+# ``np.seterr(all="raise")`` a FloatingPointError
+ERROR_MODES = {
+    "warnings-as-errors": _warnings_raise,
+    "seterr-raise": lambda: np.errstate(all="raise"),
+}

@@ -26,11 +26,13 @@ from fpiter.operators import (
     HalfSpace,
     Operator,
     SingularityError,
+    _cq_block,
     project_ball,
     project_halfspace_pair,
 )
 from fpiter.schedules import Schedules
 from fpiter.space import EuclideanSpace
+from reference_spaces import ERROR_MODES
 
 R1 = EuclideanSpace(1)
 R2 = EuclideanSpace(2)
@@ -114,29 +116,34 @@ class TestInertialMannStep:
                 mimva_step(R2, ZERO_MAP_2D, x, x_prev, lambda p: 0.5 * p, nan, 0.5, 0.5)
 
 
+def cq_step(space, T, x, x0, psi_n):
+    """One step of the CQ kernel, with the validated arrays, ``<x0, x0>`` and
+    the cut block that ``run`` passes it."""
+    return _cq(space, T, x0, space._inner(x0, x0), psi_n, _cq_block(space, x, x0))
+
+
 class TestCqStep:
-    # _cq takes validated arrays and <x0, x0>, as run passes them
     def test_identity_operator_projects_onto_anchoring_cut(self):
         # y = x makes the first cut the whole space
         x = R2.check(arr(1.0, 1.0))
         x0 = R2.check(arr(3.0, 1.0))
-        out = _cq(R2, IDENTITY_2D, x, x0, R2._inner(x0, x0), 0.5)
+        out = cq_step(R2, IDENTITY_2D, x, x0, 0.5)
         # remaining cut: <x0 - x, u> <= <x0 - x, x>  =>  u_1 <= 1
         assert np.allclose(out, arr(1.0, 1.0), atol=1e-12)
 
     def test_start_equal_current_projects_onto_contraction_cut(self):
         x = R1.check(arr(4.0))
-        out = _cq(R1, ZERO_MAP, x, x, 16.0, 0.0)
+        out = cq_step(R1, ZERO_MAP, x, x, 0.0)
         # y = 0: cut is u <= 2; anchoring cut is degenerate
         assert out[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_one_dimensional_case_analysis(self):
-        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 16.0, 0.0)
+        out = cq_step(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 0.0)
         assert out[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_accepts_psi_equal_one(self):
         # the baseline schedule 1/(n+1) starts at exactly 1
-        out = _cq(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 16.0, 1.0)
+        out = cq_step(R1, ZERO_MAP, R1.check(arr(4.0)), R1.check(arr(4.0)), 1.0)
         assert out[0] == pytest.approx(4.0)
 
 
@@ -515,6 +522,15 @@ class TestRunValidatesWhereArraysEnter:
             with pytest.raises(ValueError, match="cut normals"):
                 run("cq", T, config, arr(1e200, 0.0))
 
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    def test_cq_cut_verdict_holds_where_warnings_are_errors(self, mode):
+        # there ||x_0||^2 and the cut normal's squared norm raise in place
+        # of returning inf; the run ends in the same ValueError
+        T = Operator(R2, lambda x, out: -x)
+        config = RunConfig(error_metric=sup_norm, max_iterations=3)
+        with ERROR_MODES[mode](), pytest.raises(ValueError, match="cut normals"):
+            run("cq", T, config, arr(1e200, 0.0))
+
 
 def reference_cq_errors(space, T, config, x_init):
     """The ``E_n`` of a CQ run, from public functions only.
@@ -610,17 +626,23 @@ class TestValidationCount:
             assert len(calls) == trace.iterations + 1
 
     def test_cq_inner_products_per_iteration(self, monkeypatch):
-        # <x_0, x_0> once per run; per iteration the two squared normal
-        # norms, the two cut offsets, <c, q> and <a_i, x_0>
+        # <x_0, x_0> once per run; per iteration one stacked call over the
+        # cut block forms the two squared normal norms, the two cut offsets,
+        # <c, q> and <a_i, x_0>
         space = EuclideanSpace(3)
         calls = []
-        inner = space._inner
-        monkeypatch.setattr(space, "_inner", lambda u, v: calls.append(1) or inner(u, v))
+
+        def counted(name):
+            method = getattr(space, name)
+            return lambda u, v: calls.append(name) or method(u, v)
+
+        for name in ("_inner", "_inners"):
+            monkeypatch.setattr(space, name, counted(name))
         T = Operator(space, lambda x, out: 0.5 * x)
         config = RunConfig(error_metric=sup_norm, max_iterations=50, tolerance=1e-300)
         trace = run("cq", T, config, arr(1.0, 2.0, 3.0))
         assert trace.iterations == 50
-        assert len(calls) == 1 + 7 * trace.iterations
+        assert calls == ["_inner"] + ["_inners"] * trace.iterations
 
     @pytest.mark.parametrize("algorithm", NON_CQ)
     def test_space_checks_per_sfp_iteration(self, algorithm, monkeypatch):
@@ -744,7 +766,7 @@ class TestCallBudget:
             (build_cfp, "mimva", 18, 0),
             (build_cfp, "mmva", 14, 0),
             (build_cfp, "inertial-mann", 13, 0),
-            (build_cfp, "cq", 29, 0),
+            (build_cfp, "cq", 16, 0),
         ],
     )
     def test_calls_per_iteration(self, build, algorithm, calls, reduces):

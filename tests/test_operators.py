@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fpiter.experiments import build_weber
 from fpiter.operators import (
     ANCHOR_SINGULARITY_TOL,
     PROJECTION_MODES,
@@ -33,7 +34,7 @@ from fpiter.operators import (
     _weiszfeld,
 )
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
-from reference_spaces import DoubledDotSpace, brute_force_pair_projection
+from reference_spaces import ERROR_MODES, DoubledDotSpace, brute_force_pair_projection
 
 R2 = EuclideanSpace(2)
 GRID = PeriodicGridSpace(1024)
@@ -57,12 +58,19 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def pair_scalars(space, a1, a2, x):
+    """The Gram scalars that the pair kernel's callers form, in its argument order:
+    ``<a1, a1>, <a2, a2>, <a1, a2>, <a1, x>, <a2, x>``."""
+    inner = space._inner
+    return inner(a1, a1), inner(a2, a2), inner(a1, a2), inner(a1, x), inner(a2, x)
+
+
 def pair_kernel(space, h1, h2, x):
-    """The pair kernel on the three squared norms that its callers form."""
+    """The pair kernel on the Gram scalars that its callers form."""
     a1, a2 = h1.normal, h2.normal
-    g11, g22 = space._inner(a1, a1), space._inner(a2, a2)
     return _project_halfspace_pair(
-        space, a1, h1.offset, a2, h2.offset, g11, g22, x, space._inner(x, x)
+        space, a1, h1.offset, a2, h2.offset, *pair_scalars(space, a1, a2, x),
+        x, space._inner(x, x),
     )
 
 CUBE_ANCHORS = AnchorSet(
@@ -211,7 +219,7 @@ class TestCqHalfspaces:
     # _cq_halfspaces takes validated arrays, as the CQ step of run passes them
     def test_equal_iterates_give_whole_space(self):
         x = np.array([1.0, 2.0])
-        c, c_offset, q, q_offset, g11, _ = _cq_halfspaces(R2, x, x, np.array([5.0, 5.0]))
+        c, c_offset, q, q_offset, g11, *_ = _cq_halfspaces(R2, x, x, np.array([5.0, 5.0]))
         assert np.array_equal(c, np.zeros(2))
         assert c_offset == 0.0
         assert g11 == 0.0
@@ -219,7 +227,7 @@ class TestCqHalfspaces:
     def test_start_at_current_gives_whole_space_cut(self):
         x = np.array([1.0, 2.0])
         y = np.array([0.5, 0.5])
-        c, c_offset, q, q_offset, _, g22 = _cq_halfspaces(R2, x, y, x)
+        c, c_offset, q, q_offset, _, g22, *_ = _cq_halfspaces(R2, x, y, x)
         assert np.array_equal(q, np.zeros(2))
         assert q_offset == 0.0
         assert g22 == 0.0
@@ -228,8 +236,8 @@ class TestCqHalfspaces:
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 0.0])
         x0 = np.array([2.0, 0.0])
-        c, c_offset, q, q_offset, g11, g22 = _cq_halfspaces(R2, x, y, x0)
-        assert (g11, g22) == (1.0, 1.0)
+        c, c_offset, q, q_offset, g11, g22, g12, cx0, qx0 = _cq_halfspaces(R2, x, y, x0)
+        assert (g11, g22, g12, cx0, qx0) == (1.0, 1.0, 1.0, 2.0, 2.0)
         # ||y - u|| <= ||x - u||  <=>  u_1 <= 1/2
         assert np.allclose(c, [1.0, 0.0])
         assert c_offset == pytest.approx(0.5)
@@ -245,10 +253,9 @@ class TestCqHalfspaces:
             y = rng.normal(size=4)
             x0 = rng.normal(size=4)
             u = rng.normal(size=4) * 2
-            c, c_offset, q, q_offset, g11, g22 = _cq_halfspaces(space, x, y, x0)
-            # the squared norms of the normals, with the space's bits
-            assert g11 == space.inner(c, c)
-            assert g22 == space.inner(q, q)
+            c, c_offset, q, q_offset, g11, g22, g12, cx0, qx0 = _cq_halfspaces(space, x, y, x0)
+            # the Gram scalars of the pair projection, with the space's bits
+            assert (g11, g22, g12, cx0, qx0) == pair_scalars(space, c, q, x0)
             in_c = space.norm(y - u) <= space.norm(x - u)
             in_c_half = space.inner(c, u) <= c_offset + 1e-9
             assert in_c == in_c_half or abs(space.norm(y - u) - space.norm(x - u)) < 1e-7
@@ -268,10 +275,19 @@ class TestCqHalfspaces:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="cut normals"):
             _cq_halfspaces(R2, x, -x, np.array(x0))
 
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    @pytest.mark.parametrize("x0", [[0.0, 1.0], [-1e200, 0.0]], ids=["c", "both"])
+    def test_overflow_rejected_by_name_where_warnings_are_errors(self, x0, mode):
+        # the reduction raises there in place of returning inf; the cut is
+        # rejected as where numpy only warns
+        x = np.array([1e200, 0.0])
+        with ERROR_MODES[mode](), pytest.raises(ValueError, match="cut normals"):
+            _cq_halfspaces(R2, x, -x, np.array(x0))
+
     def test_finite_normal_squared_norms_pass(self):
         # ||x - y||^2 = 4e300 is large but finite
         x = np.array([1e150, 0.0])
-        *_, g11, g22 = _cq_halfspaces(R2, x, -x, np.array([0.0, 1.0]))
+        g11, g22 = _cq_halfspaces(R2, x, -x, np.array([0.0, 1.0]))[4:6]
         assert math.isfinite(g11) and math.isfinite(g22)
 
 
@@ -361,48 +377,57 @@ class TestCqKernelsMatchWrappers:
         # every case of the active-set analysis was exercised
         assert branches == {"x", "p1", "p2", "both"}
 
-    def test_pair_kernel_takes_the_squared_norms_from_its_caller(self, monkeypatch):
+    def test_pair_kernel_takes_every_gram_scalar_from_its_caller(self, monkeypatch):
         space = EuclideanSpace(30)
         plain = EuclideanSpace(30)  # uncounted, to tell the branches apart
         rng = np.random.default_rng(24)
-        inner = space._inner
-        grams = []
         calls = []
-
-        def counted(u, v):
-            calls.append(1)
-            if u is v:
-                grams.append(u)
-            return inner(u, v)
-
-        monkeypatch.setattr(space, "_inner", counted)
+        for name in ("_inner", "_inners", "_norm"):
+            method = getattr(space, name)
+            monkeypatch.setattr(
+                space, name, lambda *args, method=method: calls.append(1) or method(*args)
+            )
         check = space.check
         checks = []
         monkeypatch.setattr(space, "check", lambda u: checks.append(1) or check(u))
-        both_active = 0
+        branches = set()
         for _ in range(200):
             a1, a2, z = rng.normal(size=30), rng.normal(size=30), rng.normal(size=30)
             h1 = HalfSpace(a1, float(a1 @ z) + rng.uniform(-1.0, 3.0))
             h2 = HalfSpace(a2, float(a2 @ z) + rng.uniform(-1.0, 3.0))
             x = z + rng.normal(size=30) * 2.0
-            g11, g22, xx = plain._inner(a1, a1), plain._inner(a2, a2), plain._inner(x, x)
-            grams.clear()
+            scalars = pair_scalars(plain, a1, a2, x)
             calls.clear()
             checks.clear()
-            out = _project_halfspace_pair(space, a1, h1.offset, a2, h2.offset, g11, g22, x, xx)
-            # <a_i, a_i> and ||x||^2 come from the caller and are not formed again
-            assert grams == []
-            if not (
-                out is x
-                or same_bits(out, project_halfspace(plain, h1, x))
-                or same_bits(out, project_halfspace(plain, h2, x))
-            ):
-                both_active += 1
-                # <a_1, a_2> and <a_i, x> once each; the single projections
-                # are tested from these, never formed
-                assert len(calls) == 3
-                assert len(checks) == 1
-        assert both_active > 0
+            out = _project_halfspace_pair(
+                space, a1, h1.offset, a2, h2.offset, *scalars, x, plain._inner(x, x)
+            )
+            # the case is decided, and a single projection tested, from the
+            # caller's scalars alone; only the returned point is formed and checked
+            assert calls == []
+            assert len(checks) == (out is not x)
+            branches.add(
+                "x" if out is x
+                else "p1" if same_bits(out, project_halfspace(plain, h1, x))
+                else "p2" if same_bits(out, project_halfspace(plain, h2, x))
+                else "both"
+            )
+        assert branches == {"x", "p1", "p2", "both"}
+
+    def test_pair_kernel_multiplies_by_its_register(self):
+        # each multiplier reaches numpy as the 0-d register, written just
+        # before its product, so the register ends holding the last one
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            a1, a2, x = rng.normal(size=(3, 30))
+            scalars = pair_scalars(R30, a1, a2, x)
+            # x violates both cuts by 1, so the kernel forms a point
+            cuts = (a1, scalars[3] - 1.0, a2, scalars[4] - 1.0, *scalars)
+            xx = R30._inner(x, x)
+            reg = np.full((), np.nan)
+            out = _project_halfspace_pair(R30, *cuts, x, xx, reg=reg)
+            assert same_bits(out, _project_halfspace_pair(R30, *cuts, x, xx))
+            assert out is not x and not math.isnan(reg[()])
 
     def test_cq_sets_of_a_cfp_step(self):
         space = R30
@@ -414,7 +439,7 @@ class TestCqKernelsMatchWrappers:
             psi = 1.0 / (n + 2)
             y = psi * x + (1.0 - psi) * cfp_operator(space, balls, x)
             cuts = _cq_halfspaces(space, x, y, x0)
-            c, c_offset, q, q_offset, _, _ = cuts
+            c, c_offset, q, q_offset = cuts[:4]
             out = project_halfspace_pair(space, HalfSpace(c, c_offset), HalfSpace(q, q_offset), x0)
             assert same_bits(out, _project_halfspace_pair(space, *cuts, x0, space._inner(x0, x0)))
             x = out
@@ -618,7 +643,8 @@ class TestCqWrappersValidate:
         out = project_halfspace(R2, HalfSpace([1.0, 0.0], 0.0), [2.0, 1.0])
         assert np.array_equal(out, [0.0, 1.0])
 
-    def test_normal_with_overflowing_squared_norm_rejected(self):
+    @staticmethod
+    def assert_overflowing_normal_rejected(mode):
         # a = (1e200, 0) is finite, but <a, a> overflows: every multiplier
         # would be 0, and x = (1, 1) would come back outside {u_1 <= 0}
         big = HalfSpace(np.array([1e200, 0.0]), 0.0)
@@ -629,10 +655,18 @@ class TestCqWrappersValidate:
             (lambda: project_halfspace_pair(R2, big, below, x), "h1"),
             (lambda: project_halfspace_pair(R2, below, big, x), "h2"),
         ):
-            with np.errstate(over="ignore"), pytest.raises(
+            with mode(), pytest.raises(
                 ValueError, match=f"^{name} normal must have a finite squared norm"
             ):
                 project()
+
+    def test_normal_with_overflowing_squared_norm_rejected(self):
+        self.assert_overflowing_normal_rejected(lambda: np.errstate(over="ignore"))
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    def test_overflowing_normal_rejected_where_warnings_are_errors(self, mode):
+        # the squared norm raises there in place of returning inf
+        self.assert_overflowing_normal_rejected(ERROR_MODES[mode])
 
     def test_large_normal_with_finite_squared_norm_projects(self):
         # <a, a> = 1e300 is large but finite
@@ -1000,9 +1034,23 @@ class TestWeiszfeldMap:
         x = np.array([1e308, 0.0, 0.0, 0.0])
         anchors = AnchorSet(np.array([-x, x]), np.ones(2))
         with np.errstate(all="ignore"):
-            assert np.isnan(space._row_inners(x - anchors.anchors)).tolist() == [True, False]
+            diffs = x - anchors.anchors
+            assert np.isnan(space._inners(diffs, diffs)).tolist() == [True, False]
             with pytest.raises(SingularityError):
                 weiszfeld_map(space, anchors, x)
+
+    def test_nan_point_maps_to_nan_without_a_warning(self):
+        # a NaN coordinate makes every anchor distance NaN; the map returns
+        # NaN, which run's check of T(w) rejects, and neither warns nor
+        # raises (tier-1 makes a RuntimeWarning an error)
+        spec = build_weber()
+        for coordinate in range(3):
+            x = np.full(3, 5.0)
+            x[coordinate] = math.nan
+            assert np.isnan(spec.operator(x)).all()
+        # the verdict itself is unchanged: a point within 1e-12 of an anchor
+        with pytest.raises(SingularityError):
+            spec.operator(np.array([10.0, 10.0, 10.0 - 0.5 * ANCHOR_SINGULARITY_TOL]))
 
     def test_singularity_verdict_is_any_distance_within_the_tolerance(self):
         tol = ANCHOR_SINGULARITY_TOL
@@ -1010,7 +1058,8 @@ class TestWeiszfeldMap:
         verdicts = []
         for d in (math.nextafter(tol, 0.0), tol, math.nextafter(tol, math.inf)):
             x = np.array([d, 0.0, 0.0])  # d from the anchor at the origin, exactly
-            dists = np.sqrt(space._row_inners(x - CUBE_ANCHORS.anchors))
+            diffs = x - CUBE_ANCHORS.anchors
+            dists = np.sqrt(space._inners(diffs, diffs))
             verdict = bool((dists <= tol).any())
             verdicts.append(verdict)
             if verdict:
@@ -1070,7 +1119,8 @@ class TestWeiszfeldMap:
         anchors = AnchorSet(rng.normal(size=(7, space.size)) * 5.0, rng.uniform(0.5, 3.0, 7))
         for _ in range(5000):
             x = rng.normal(size=space.size) * 10.0
-            coef = anchors.weights / np.sqrt(space._row_inners(x - anchors.anchors))
+            diffs = x - anchors.anchors
+            coef = anchors.weights / np.sqrt(space._inners(diffs, diffs))
             expected = (coef @ anchors.anchors) / coef.sum()
             assert same_bits(_weiszfeld(space, anchors, x), expected)
 

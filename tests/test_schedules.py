@@ -45,6 +45,15 @@ class TestDeltaBar:
         assert sched.delta_bar(0, 5.0) == 0.0
         assert sched.delta_bar(1, 5.0) == 0.0  # (n-1)/(n+eta-1) = 0
 
+    @pytest.mark.parametrize("xi_n", [0.1, -1.0])
+    def test_zero_cap_returns_before_reading_the_budget(self, xi_n):
+        # at n = 1 the cap (n-1)/(n+eta-1) is exactly 0: the first step with
+        # a previous iterate takes no inertia, and xi(1) is never read
+        calls = []
+        sched = Schedules(xi=lambda n: calls.append(n) or xi_n)
+        assert sched.delta_bar(1, 0.5) == 0.0
+        assert calls == []
+
     def test_ratio_branch(self):
         sched = Schedules(eta=4.0)
         # xi(9) = 0.1, cap = 8/12; ratio 0.1/0.3 wins

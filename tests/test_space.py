@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fpiter.experiments import build_cfp, build_sfp
 from fpiter.space import TWO_PI, EuclideanSpace, InnerProductSpace, PeriodicGridSpace
-from reference_spaces import DoubledDotSpace, RectangleGrid
+from reference_spaces import ERROR_MODES, DoubledDotSpace, RectangleGrid
 
 
 def midpoint_quadrature(f, n=2_000_000, length=TWO_PI):
@@ -148,9 +148,32 @@ def test_row_inners_match_inner_bit_for_bit(make, num_points):
     # start at every offset, the per-point copies on fresh storage
     space = make(num_points)
     rows = np.random.default_rng(43).normal(size=(9, num_points))
-    got = space._row_inners(rows)
+    got = space._inners(rows, rows)
     want = [space._inner(row.copy(), row.copy()) for row in rows]
     assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        EuclideanSpace(3),
+        EuclideanSpace(30),
+        PeriodicGridSpace(1024),
+        InnerProductSpace(30, np.random.default_rng(44).uniform(0.2, 3.0, 30)),
+    ],
+    ids=["euclidean-3", "euclidean-30", "grid-1024", "weighted-30"],
+)
+def test_broadcast_pairs_match_inner_bit_for_bit(space):
+    # cq forms its cut scalars as _inners(block[:2, None], block) over the
+    # rows [c, q, x_n, x_0] and promises the bits of _inner(row_i, row_j),
+    # the left operand first (the grid's end terms are not symmetric)
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        block = rng.normal(size=(4, space.size)) * rng.uniform(0.1, 10.0, size=(4, 1))
+        got = space._inners(block[:2, None], block)
+        want = [[space._inner(u.copy(), v.copy()) for v in block] for u in block[:2]]
+        assert got.shape == (2, 4)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestCombine:
@@ -389,6 +412,31 @@ class TestFiniteCertificate:
         assert {(w.category, str(w.message)) for w in caught} <= {
             (RuntimeWarning, m) for m in allowed
         }
+
+    @pytest.mark.parametrize("mode", ERROR_MODES)
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1e200, 1e200], [1.4e154, 1.4e154, 0.0], [1.7976931348623157e308, 1.0],
+            [1e200, math.inf], [math.inf, 1e200], [1.0, SIGNALING_NAN], [1e200, math.nan],
+        ],
+        ids=[
+            "squares-overflow", "sum-overflows", "largest-double", "big-then-inf",
+            "inf-then-big", "signaling-nan", "big-then-nan",
+        ],
+    )
+    @pytest.mark.parametrize("make", [EuclideanSpace, PeriodicGridSpace])
+    def test_verdict_holds_where_warnings_are_errors(self, make, entries, mode):
+        # the squared norm's overflow or invalid value raises there; the
+        # elementwise test still decides, as where numpy only warns
+        x = np.array(entries)
+        space = make(x.size)
+        with ERROR_MODES[mode]():
+            if np.isfinite(x).all():
+                assert space.check(x) is x
+            else:
+                with pytest.raises(ValueError, match=r"^coordinates must be finite"):
+                    space.check(x)
 
     @pytest.mark.parametrize("make", [EuclideanSpace, PeriodicGridSpace])
     def test_finite_check_allocates_no_mask(self, make):

@@ -367,11 +367,16 @@ def counted_vectors(monkeypatch, *modules):
 
 @pytest.mark.parametrize(
     "algorithm, vectors",
-    # two iterate slots and a work vector (x_n - x_{n-1}, w, a product, the
-    # default contraction's result; cq's y), plus the default anchor, or
-    # cq's second normal and product scratch; the sweep writes T(w) into the
-    # vector it is lent and allocates nothing
-    [("mann", 3), ("inertial-mann", 3), ("cq", 5), ("mmha", 4), ("mimha", 4), ("mmva", 3), ("mimva", 3)],
+    # a work vector (x_n - x_{n-1}, w, a product, the default contraction's
+    # result; cq's product scratch) and two iterate slots, plus the default
+    # anchor; cq has no slots but its cut block, one allocation of four rows
+    # (c, then also y; q; x_n; x_0); the sweep writes T(w) into the vector it
+    # is lent and allocates nothing
+    [
+        ("mann", [1, 1, 1]), ("inertial-mann", [1, 1, 1]), ("cq", [1, 4]),
+        ("mmha", [1, 1, 1, 1]), ("mimha", [1, 1, 1, 1]), ("mmva", [1, 1, 1]),
+        ("mimva", [1, 1, 1]),
+    ],
 )
 def test_run_allocates_only_what_the_engine_reads(algorithm, vectors, monkeypatch):
     spec = build_sfp(256)
@@ -379,19 +384,20 @@ def test_run_allocates_only_what_the_engine_reads(algorithm, vectors, monkeypatc
     config = replace(spec.defaults, max_iterations=3, schedules=spec.schedules_for(algorithm))
     trace = run(algorithm, spec.operator, config, spec.initial_cases[0][1])
     assert trace.iterations == 3
-    assert [v.size for v in made] == [spec.space.size] * vectors
+    assert [v.size for v in made] == [spec.space.size * rows for rows in vectors]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_lends_the_operator_a_workspace_vector_that_is_not_w(algorithm, monkeypatch):
     spec = build_sfp(1024)
-    made = counted_vectors(monkeypatch, fpiter.algorithms)
+    made = counted_vectors(monkeypatch, fpiter.algorithms, fpiter.operators)
     lent = []
 
     def recording(w, out):
         assert out is not None and not np.shares_memory(out, w)
         assert offset(out) == 0 and out.shape == w.shape
-        assert any(out is v for v in made)
+        # a vector the run made, or for cq a row of its cut block
+        assert any(out is v or np.shares_memory(out, v) for v in made)
         lent.append(out)
         return spec.operator(w, out)
 
