@@ -24,7 +24,8 @@ are ``nu_n = 0``, the ``mm*`` engines ``delta_n = 0`` and the Halpern
 engines ``f = u``. ``run``, the public steps and cq's ``y`` all call it.
 
 A single run is strictly sequential; the runner itself is reentrant, so
-independent runs can execute concurrently on their own inputs. A trace is
+independent runs can execute concurrently on their own inputs, and may
+share a ``Schedules``, whose memos take concurrent misses. A trace is
 frozen and stores its iterations as columns. Given identical configuration
 and inputs the numeric content of a trace is bit-for-bit reproducible; only
 the wall-clock column varies between invocations.
@@ -304,11 +305,15 @@ def run(
     defaults to ``x_init`` (no momentum on the first step either way: the
     inertia cap is zero at n = 0); ``anchor`` and ``contraction`` default to
     ``config.anchor_scale * x_init`` and ``x -> config.contraction_rho * x``.
-    The inertia rule is resolved once, before the loop: the cap
-    ``Schedules.delta_bar`` in adaptive mode, ``Schedules.delta`` otherwise.
-    A rule that can only give 0 (``zero`` mode, or ``constant`` with
-    ``delta_value = 0``) makes an inertial engine take its twin's plain
-    step: it forms no ``x_n - x_{n-1}`` and records ``delta_n = 0``.
+    The schedules come from the memos of ``config.schedules`` (see
+    :class:`~fpiter.schedules.Schedules`): a run evaluates ``psi(n)``,
+    ``nu(n)`` and ``xi(n)`` only where no earlier run with the same instance
+    did. A fixed inertia rule is read once, before the loop; the adaptive
+    one is ``Schedules.delta_bar`` evaluated inline, on the same memos and
+    with the same bits. A rule that can only give 0 (``zero`` mode, or
+    ``constant`` with ``delta_value = 0``) makes an inertial engine take its
+    twin's plain step: it forms no ``x_n - x_{n-1}`` and records
+    ``delta_n = 0``.
     The anchor engines blend with the constant map ``p -> u`` (Halpern's
     iteration is the viscosity iteration with ``f = u``). A
     :class:`SingularityError` raised by the operator ends the run with that
@@ -346,11 +351,13 @@ def run(
     inertial, blend = _ENGINES[_choice(algorithm, ALGORITHMS, "algorithm")]
     cq = algorithm == "cq"
     sched = config.schedules
-    psi, nu = sched.psi, sched.nu
+    psi, nu, xi = sched.psi, sched.nu, sched.xi
+    psis, nus, xis, caps = sched._memos
     adaptive = sched.delta_mode == "adaptive"  # only the cap reads the norm
-    delta_rule = sched.delta_bar if adaptive else sched.delta
-    # a fixed rule that can only give 0 leaves delta_n = 0: the twin's plain step
-    inertial = inertial and (adaptive or sched.delta(0, 0.0) > 0.0)
+    # a fixed rule is read once; one that can only give 0 leaves delta_n = 0:
+    # the twin's plain step
+    delta = sched.delta(0, 0.0) if inertial and not adaptive else 0.0
+    inertial = inertial and (adaptive or delta > 0.0)
     space = T.space
     x = x0 = space.check(x_init)
     x_prev = x if x_init_prev is None else space.check(x_init_prev)
@@ -389,14 +396,36 @@ def run(
 
     errors, deltas, elapsed = [], [], []
     reason = TerminalReason.MAX_ITERATIONS
-    delta, diff = 0.0, None
+    diff = None
     start = clock()
+    # the schedules are dict lookups in the memos, made here, with no call per
+    # step; a miss evaluates the schedule here too and stores it (see
+    # Schedules). get, not a subscript in a try: a KeyError raised per miss
+    # costs a cold run more than the schedule call itself
     for n in range(last + 1):
         err = float(metric(x))
         if inertial:
             # one difference serves the inertia cap and the extrapolation
             diff = np.subtract(x, x_prev, work)
-            delta = delta_rule(n, space._norm(diff) if adaptive else 0.0)
+            if adaptive:
+                # Schedules.delta_bar(n, ||diff||), statement for statement
+                norm = space._norm(diff)
+                if not norm >= 0.0:
+                    raise ValueError(f"diff_norm must be nonnegative, got {norm}")
+                delta = caps.get(n)
+                if delta is None:
+                    delta = caps.setdefault(n, sched._cap(n))
+                if delta > 0.0 and norm > 0.0:
+                    xi_n = xis.get(n)
+                    if xi_n is None:
+                        xi_n = xis.setdefault(n, xi(n))
+                    if not xi_n >= 0.0:
+                        raise ValueError(f"xi({n}) must be nonnegative, got {xi_n}")
+                    ratio = xi_n / norm
+                    if not delta < ratio:  # min(ratio, cap), a NaN ratio included
+                        delta = ratio
+                    while delta > 0.0 and delta * norm > xi_n:
+                        delta = math.nextafter(delta, 0.0)
         errors.append(err)
         deltas.append(delta)
         elapsed.append(clock() - start)
@@ -405,12 +434,16 @@ def run(
             break
         if n == last:
             break
-        psi_n = psi(n)
+        psi_n = psis.get(n)
+        if psi_n is None:
+            psi_n = psis.setdefault(n, psi(n))
         try:
             if cq:
                 x_next = _cq(space, T, x0, x0x0, psi_n, cut, work, reg)
             else:
-                nu_n = nu(n) if blend else 0.0
+                nu_n = nus.get(n) if blend else 0.0
+                if nu_n is None:
+                    nu_n = nus.setdefault(n, nu(n))
                 x_next = _step(
                     space, T, x, x_prev, delta, psi_n, nu_n, v, diff, slots[n % 2], work, reg
                 )

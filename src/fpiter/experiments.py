@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -190,7 +191,7 @@ def build_sfp(
     space = PeriodicGridSpace(grid_points)
     divisor = _check_sfp_args(space, lam, mode)
     # the sweep writes T(x) into the workspace vector run lends it
-    operator = Operator(space, lambda x, out: _sfp_sweep(space, x, lam, divisor, out))
+    operator = Operator(space, partial(_sfp_sweep, space, lam, divisor))
     cases = (
         ("t2", space.from_function(lambda t: t**2 / 10.0)),
         ("exp", space.from_function(lambda t: np.exp(t / 2.0) / 3.0)),
@@ -241,8 +242,7 @@ def build_cfp(
     outer, outer_radius = balls.centers[0], balls.radii.item(0)
     # a result of dim doubles: the sweep returns a fresh one and ignores out
     operator = Operator(
-        space,
-        lambda x, out: _cfp_sweep(space, inner, inner_radii, count, outer, outer_radius, x),
+        space, partial(_cfp_sweep, space, inner, inner_radii, count, outer, outer_radius)
     )
     defaults = RunConfig(error_metric=sup_norm, tolerance=1e-12, contraction_rho=0.1)
     baselines = MappingProxyType(
@@ -328,7 +328,8 @@ def build_weber(anchors: Optional[AnchorSet] = None) -> ExperimentSpec:
         anchors = AnchorSet(anchors=_CUBE_CORNERS, weights=np.ones(8))
     space = EuclideanSpace(anchors.anchors.shape[1])
     target = _frozen([5.0, 5.0, 5.0] if cube else fermat_weber_point(space, anchors))
-    operator = Operator(space, lambda x, out: _weiszfeld(space, anchors, x))
+    # the map writes T(x) into the workspace vector run lends it
+    operator = Operator(space, partial(_weiszfeld, space, anchors))
     lo = float(anchors.anchors.min())
     hi = float(anchors.anchors.max())
     defaults = RunConfig(error_metric=lambda x: space._norm(x - target), tolerance=1e-4)

@@ -388,16 +388,21 @@ def project_halfspace_pair(
     ``<a2, p1> = <a2, x> - t <a1, a2>`` and
     ``||p1||^2 = ||x||^2 - 2 t <a1, x> + t^2 ||a1||^2``, and likewise for
     ``p2``. Only the returned point is formed as a vector and checked. A
-    normal whose squared norm is not finite raises ``ValueError``.
+    normal whose squared norm is not finite raises ``ValueError``. A finite
+    ``x`` whose ``||x||^2`` overflows is projected at a scale where it does
+    not, by a power of two, and scaled back.
     """
     x = space.check(x)
     b1, b2 = h1.offset, h2.offset
     a1, g11 = _checked_halfspace(space, h1.normal, b1, "h1")
     a2, g22 = _checked_halfspace(space, h2.normal, b2, "h2")
     inner = space._inner
+    try:
+        xx = inner(x, x)
+    except _FP_ERRORS:  # where warnings are errors: inf, as where numpy warns
+        xx = math.inf
     return _project_halfspace_pair(
-        space, a1, b1, a2, b2, g11, g22, inner(a1, a2), inner(a1, x), inner(a2, x),
-        x, inner(x, x),
+        space, a1, b1, a2, b2, g11, g22, inner(a1, a2), inner(a1, x), inner(a2, x), x, xx
     )
 
 
@@ -413,6 +418,21 @@ def _project_halfspace_pair(
     # that reads it (None: a fresh one; see fpiter.algorithms._blend)
     if reg is None:
         reg = np.empty(())
+    if not xx < math.inf:
+        # ||x||^2 overflowed, and the slacks below, sized by ||x||, would be
+        # inf and accept every x: project x / s, for the power of two s that
+        # brings the largest entry into [1, 2), onto the cuts with offsets
+        # b / s, and scale the result back. Dividing by s is exact (but for
+        # an offset that underflows), so the case is decided as at scale 1
+        mags = np.abs(x)
+        s = math.ldexp(1.0, math.frexp(mags.item(mags.argmax()))[1] - 1)
+        xs = x / s
+        inner = space._inner
+        p = _project_halfspace_pair(
+            space, a1, b1 / s, a2, b2 / s, g11, g22, g12, inner(a1, xs), inner(a2, xs),
+            xs, inner(xs, xs), out, scratch, reg,
+        )
+        return x if p is xs else space.check(np.multiply(p, s, out))
     # the same bits as space._norm(a1), space._norm(a2) and space._norm(x)
     n1 = math.sqrt(max(g11, 0.0))
     n2 = math.sqrt(max(g22, 0.0))
@@ -546,10 +566,10 @@ def sfp_operator(
     grid-sized temporary is made.
     """
     divisor = _check_sfp_args(space, lam, mode)
-    return _sfp_sweep(space, space.check(x), lam, divisor)
+    return _sfp_sweep(space, lam, divisor, space.check(x))
 
 
-def _sfp_sweep(space, x, lam, divisor, out=None):
+def _sfp_sweep(space, lam, divisor, x, out=None):
     # sfp_operator's kernel; z (out or a fresh aligned vector) holds x - sin, then the step
     z = np.subtract(x, space.sin_nodes, _aligned_empty(space.size) if out is None else out)
     dist = space._norm(z)
@@ -592,11 +612,12 @@ def cfp_operator(
     return _cfp_sweep(space, centers[1:], radii[1:], count, centers[0], radii.item(0), x)
 
 
-def _cfp_sweep(space, centers, radii, count, outer_center, outer_radius, x):
+def _cfp_sweep(space, centers, radii, count, outer_center, outer_radius, x, out=None):
     # the sweep of cfp_operator (stated there) over the inner balls' centers
     # and radii, on a validated x and centers of the space's width; ``count``
     # is len(radii) as a 0-d float64 array, so the divisor takes numpy's
-    # array path (see the comment above fpiter.algorithms._blend)
+    # array path (see the comment above fpiter.algorithms._blend). The result
+    # is a fresh array; ``out`` is ignored, as the Operator contract allows
     diffs = x - centers
     dists = np.sqrt(space._inners(diffs, diffs))
     reach = np.maximum(dists, radii)
@@ -621,8 +642,9 @@ def weiszfeld_map(space: InnerProductSpace, anchors: AnchorSet, x) -> np.ndarray
     return _weiszfeld(space, anchors, x)
 
 
-def _weiszfeld(space, anchors, x):
-    # the map of weiszfeld_map on a validated x and anchors of the space's width
+def _weiszfeld(space, anchors, x, out=None):
+    # the map of weiszfeld_map on a validated x and anchors of the space's
+    # width, into ``out`` (None: a fresh vector)
     points = anchors.anchors
     diffs = x - points
     d2 = space._inners(diffs, diffs)
@@ -641,4 +663,4 @@ def _weiszfeld(space, anchors, x):
     coef = anchors.weights / dists
     # the dgemv and the reduction of coef @ points and coef.sum(), without
     # the gufunc and method dispatch (the reduction rule of fpiter.space)
-    return coef.dot(points) / np.add.reduce(coef)
+    return np.divide(coef.dot(points), np.add.reduce(coef), out)

@@ -20,7 +20,11 @@ value
 (the ratio term is skipped when the iterates coincide), which enforces
 ``delta_n * ||x_n - x_{n-1}|| <= xi_n`` exactly and hence drives
 ``delta_n / nu_n * ||x_n - x_{n-1}||`` to zero, the condition the strong
-convergence guarantees rest on. Everything here is pure and stateless.
+convergence guarantees rest on.
+
+The functions here are pure. A :class:`Schedules` memoizes what it has
+evaluated (see there), so every run that shares an instance after the
+first reads its sequences without a call.
 """
 
 from __future__ import annotations
@@ -66,6 +70,21 @@ class Schedules:
     ``"adaptive"`` takes the cap ``delta_bar`` (maximal admissible inertia),
     ``"constant"`` always returns ``delta_value``, ``"zero"`` disables
     inertia and reproduces the non-inertial baselines bit for bit.
+
+    A schedule (``psi``, ``nu``, ``xi``) must be a pure function of ``n``:
+    each instance evaluates it at most once per index, at the first read, and
+    keeps the value in a private memo, ``n -> value``, along with the clamped
+    cap ``max((n-1)/(n+eta-1), 0)``. Every later read, by any run that shares
+    the instance or by :meth:`delta_bar`, takes the value without a call.
+    :func:`fpiter.algorithms.run` reads the memos inline and misses at the
+    step where it first needs a value, so a run calls ``xi`` only where
+    :meth:`delta_bar` would (never at n = 0 or 1, nor where the iterates
+    coincide) and ``nu`` only in the engines that blend. Concurrent runs may
+    share an instance: a value is stored by ``dict.setdefault``, which keeps
+    the first one stored. Only runs on two threads that miss one index at the
+    same moment may both evaluate it, and then they read the same value. The
+    memos are not fields: ``dataclasses.replace`` gives a new instance with
+    empty ones.
     """
 
     psi: Callable[[int], float] = default_psi
@@ -81,30 +100,41 @@ class Schedules:
         _choice(self.delta_mode, DELTA_MODES, "delta_mode")
         if not 0.0 <= self.delta_value < math.inf:
             raise ValueError(f"delta_value must be finite and nonnegative, got {self.delta_value}")
+        # the memos of psi, nu, xi and the cap, in that order (see above)
+        object.__setattr__(self, "_memos", ({}, {}, {}, {}))
+
+    def _cap(self, n: int) -> float:
+        # the inertia cap (n-1)/(n+eta-1), clamped at 0 (n = 0 and 1)
+        cap = (n - 1.0) / (n + self.eta - 1.0)
+        return cap if cap > 0.0 else 0.0
+
+    def _memo(self, memo: dict, f: Callable[[int], float], n: int) -> float:
+        value = memo.get(n)
+        return memo.setdefault(n, f(n)) if value is None else value
 
     def delta_bar(self, n: int, diff_norm: float) -> float:
         """Largest admissible inertia coefficient at step ``n``.
 
         ``diff_norm`` is ``||x_n - x_{n-1}||``. The result lies in [0, 1)
         and satisfies ``delta_bar * diff_norm <= xi(n)`` exactly; a negative
-        cap (n = 0) clamps to 0, so the first step never extrapolates.
+        cap (n = 0) clamps to 0, so the first step never extrapolates. The
+        cap and ``xi(n)`` come from the memos; :func:`fpiter.algorithms.run`
+        evaluates this rule inline, with the same bits.
         """
         if not diff_norm >= 0.0:
             raise ValueError(f"diff_norm must be nonnegative, got {diff_norm}")
-        cap = (n - 1.0) / (n + self.eta - 1.0)
-        if cap <= 0.0:
-            return 0.0
-        if diff_norm > 0.0:
-            xi_n = self.xi(n)
+        _, _, xis, caps = self._memos
+        d = self._memo(caps, self._cap, n)
+        if d > 0.0 and diff_norm > 0.0:
+            xi_n = self._memo(xis, self.xi, n)
             if not xi_n >= 0.0:
                 raise ValueError(f"xi({n}) must be nonnegative, got {xi_n}")
-            d = min(xi_n / diff_norm, cap)
+            d = min(xi_n / diff_norm, d)
             # rounding in the division can overshoot the budget by an ulp;
             # the bound must hold exactly
             while d > 0.0 and d * diff_norm > xi_n:
                 d = math.nextafter(d, 0.0)
-            return d
-        return cap
+        return d
 
     def delta(self, n: int, diff_norm: float) -> float:
         """Inertia coefficient for step ``n`` under the configured mode."""

@@ -157,9 +157,12 @@ class InnerProductSpace:
         mismatch or non-finite entries, which the certificate of the module
         docstring decides.
         """
-        if getattr(x, "dtype", None) is not _FLOAT64:
-            x = _real_array(x)
-        arr = np.asarray(x, dtype=np.float64)
+        if type(x) is np.ndarray and x.dtype is _FLOAT64:
+            arr = x  # the common case, an operator's output: no conversion call
+        else:
+            if getattr(x, "dtype", None) is not _FLOAT64:
+                x = _real_array(x)
+            arr = np.asarray(x, dtype=np.float64)
         if arr.shape != (self.size,):
             raise ValueError(
                 f"expected {self.size} coordinates, got array of shape {arr.shape}"

@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -479,6 +480,9 @@ class TestRunValidatesWhereArraysEnter:
         config = replace(self.CONFIG, schedules=Schedules(xi=lambda n: float("nan")))
         with pytest.raises(ValueError, match=r"xi\(2\) must be nonnegative, got nan"):
             run("mimha", ZERO_MAP_2D, config, arr(1.0, 2.0), x_init_prev=arr(0.0, 0.0))
+        # a warm run reads the memoized NaN and raises the same error
+        with pytest.raises(ValueError, match=r"xi\(2\) must be nonnegative, got nan"):
+            run("mimha", ZERO_MAP_2D, config, arr(1.0, 2.0), x_init_prev=arr(0.0, 0.0))
 
     def test_non_finite_start_raises(self):
         with pytest.raises(ValueError, match="finite"):
@@ -715,13 +719,143 @@ class TestInertiaNormCount:
         assert len(calls) == 100
 
 
-def budget_run(spec, algorithm, iterations):
-    """The run the per-iteration counts take: to the cap, from the first seeded start."""
+class CountingSchedules:
+    """``Schedules`` whose ``psi``, ``nu`` and ``xi`` are the defaults but log each call."""
+
+    def __init__(self):
+        self.calls = {"psi": [], "nu": [], "xi": []}
+        defaults = Schedules()
+
+        def counted(name):
+            f, log = getattr(defaults, name), self.calls[name]
+            return lambda n: log.append(n) or f(n)
+
+        self.schedules = Schedules(psi=counted("psi"), nu=counted("nu"), xi=counted("xi"))
+
+
+def weber_config(schedules, iterations=300):
+    spec = build_weber()
+    config = replace(
+        spec.defaults, max_iterations=iterations, tolerance=1e-300, schedules=schedules
+    )
+    return spec, config
+
+
+class TestScheduleMemo:
+    """A run reads ``psi_n``, ``nu_n``, ``xi_n`` and the inertia cap from the
+    memos of its ``Schedules``: each schedule is called once per index across
+    the runs that share the instance, at the steps where a run first needs
+    it, and a warm run keeps every bit of a cold one."""
+
+    STARTS = [arr(1.0, 2.0, 9.0), arr(7.0, 0.5, 3.0)]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_each_index_is_evaluated_once_across_runs(self, algorithm):
+        counting = CountingSchedules()
+        spec, config = weber_config(counting.schedules)
+        first = [run(algorithm, spec.operator, config, x0) for x0 in self.STARTS]
+        logged = {name: list(calls) for name, calls in counting.calls.items()}
+        for name, calls in logged.items():
+            assert len(calls) == len(set(calls)), name
+        # the Mann engines meet the target exactly, the second start one step
+        # later than the first: its last step misses the memo
+        assert logged["psi"] == list(range(max(t.iterations for t in first)))
+        again = [run(algorithm, spec.operator, config, x0) for x0 in self.STARTS]
+        assert counting.calls == logged  # the warm runs call nothing
+        for cold, warm in zip(first, again):
+            assert np.array(warm.errors).tobytes() == np.array(cold.errors).tobytes()
+            assert np.array(warm.deltas).tobytes() == np.array(cold.deltas).tobytes()
+            assert warm.terminal_reason is cold.terminal_reason
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_call_pattern_is_that_of_the_step_rules(self, algorithm):
+        # psi at every step taken; xi only where the cap is positive and the
+        # iterates differ, so never at n = 0 or 1; nu only in the engines that
+        # blend. inertial-mann meets the target exactly, after which its
+        # iterates coincide
+        counting = CountingSchedules()
+        points = []
+        spec, config = weber_config(counting.schedules, 100)
+        config = replace(config, error_metric=lambda x: points.append(x.copy()) or 1.0)
+        trace = run(algorithm, spec.operator, config, self.STARTS[0])
+        calls = counting.calls
+        steps = list(range(trace.iterations))
+        assert calls["psi"] == steps
+        moved = [n for n in range(2, len(points)) if not np.array_equal(points[n], points[n - 1])]
+        inertial = algorithm in ("inertial-mann", "mimha", "mimva")
+        assert calls["xi"] == (moved if inertial else [])
+        blends = algorithm not in ("mann", "inertial-mann", "cq")
+        assert calls["nu"] == (steps if blends else [])
+
+    def test_no_budget_is_read_where_the_iterates_coincide(self):
+        # T = identity from x_{-1} = x_0: every difference is 0, so the cap is
+        # taken whole and xi is never called
+        counting = CountingSchedules()
+        config = RunConfig(
+            error_metric=lambda x: 1.0, max_iterations=20, schedules=counting.schedules
+        )
+        trace = run("inertial-mann", IDENTITY_2D, config, arr(1.0, 2.0))
+        assert counting.calls["xi"] == []
+        assert list(trace.deltas) == [Schedules().delta_bar(n, 0.0) for n in range(21)]
+
+    @pytest.mark.parametrize("algorithm", ["mimha", "mimva", "inertial-mann"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_deltas_equal_delta_bar(self, algorithm, warm):
+        sched = Schedules()
+        points = []
+        spec, config = weber_config(sched)
+        config = replace(config, error_metric=lambda x: points.append(x.copy()) or 1.0)
+        if warm:
+            run(algorithm, spec.operator, config, self.STARTS[1])
+            points.clear()
+        x_prev = self.STARTS[0] + 0.25
+        trace = run(algorithm, spec.operator, config, self.STARTS[0], x_prev)
+        space = spec.space
+        reference = Schedules()  # a fresh instance: its memo plays no part
+        for n, (x, delta) in enumerate(zip(points, trace.deltas)):
+            norm = space._norm(np.subtract(x, x_prev))
+            assert delta == sched.delta_bar(n, norm) == reference.delta_bar(n, norm), n
+            assert math.copysign(1.0, delta) == 1.0
+            x_prev = x
+        assert sum(d > 0.0 for d in trace.deltas) > 250
+
+    def test_threads_sharing_one_schedules_give_the_serial_traces(self):
+        jobs = [(a, x0) for a in ALGORITHMS for x0 in self.STARTS]
+        spec, config = weber_config(Schedules())
+        serial = [run(a, spec.operator, config, x0) for a, x0 in jobs]
+        counting = CountingSchedules()
+        config = replace(config, schedules=counting.schedules)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool = ThreadPoolExecutor(max_workers=4)
+        try:
+            futures = [pool.submit(run, a, spec.operator, config, x0) for a, x0 in jobs]
+            threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+            sys.setswitchinterval(interval)
+        for (algorithm, _), one, other in zip(jobs, serial, threaded):
+            assert other.errors == one.errors, algorithm
+            assert other.deltas == one.deltas, algorithm
+            assert other.terminal_reason is one.terminal_reason, algorithm
+        # each index stored once; runs that missed it at the same moment may
+        # both have evaluated it
+        psis, nus, xis, _ = counting.schedules._memos
+        for name, memo in (("psi", psis), ("nu", nus), ("xi", xis)):
+            assert set(counting.calls[name]) == set(memo), name
+
+
+def budget_run(spec, algorithm, iterations, schedules=None):
+    """The run the per-iteration counts take: to the cap, from the first seeded start.
+
+    ``schedules`` defaults to the spec's instance for ``algorithm``, whose
+    memos (see ``Schedules``) earlier runs on the spec may have filled.
+    """
     config = replace(
         spec.defaults,
         max_iterations=iterations,
         tolerance=1e-300,
-        schedules=spec.schedules_for(algorithm),
+        schedules=spec.schedules_for(algorithm) if schedules is None else schedules,
     )
     start = spec.make_initials(np.random.default_rng(1))[0][1]
     trace = run(algorithm, spec.operator, config, start)
@@ -729,7 +863,7 @@ def budget_run(spec, algorithm, iterations):
     return trace
 
 
-def profiled_run(spec, algorithm, iterations):
+def profiled_run(spec, algorithm, iterations, schedules=None):
     """Python frames opened in fpiter's files, and ``ufunc.reduce`` calls, in one run."""
     package = os.path.dirname(fpiter.__file__) + os.sep
     counts = {"calls": 0, "reduces": 0}
@@ -742,7 +876,7 @@ def profiled_run(spec, algorithm, iterations):
 
     sys.setprofile(profile)
     try:
-        budget_run(spec, algorithm, iterations)
+        budget_run(spec, algorithm, iterations, schedules)
     finally:
         sys.setprofile(None)
     return counts
@@ -756,24 +890,32 @@ class TestCallBudget:
     set-up each, see :mod:`fpiter.space`) stands in for the time. Per
     iteration is the difference between a 200- and a 100-iteration run, so
     the run's set-up and its first steps (no inertia yet) drop out.
+
+    A run is cold when each of its runs has a fresh ``Schedules``, which
+    evaluates every schedule it reads, and warm when an earlier run with the
+    same instance has filled its memos, as in the later runs of a suite.
     """
 
     @pytest.mark.parametrize(
-        "build, algorithm, calls, reduces",
+        "build, algorithm, cold, warm, reduces",
         [
-            (build_weber, "mimha", 17, 1),
-            (build_weber, "mimva", 17, 1),
-            (build_cfp, "mimva", 18, 0),
-            (build_cfp, "mmva", 14, 0),
-            (build_cfp, "inertial-mann", 13, 0),
-            (build_cfp, "cq", 16, 0),
+            (build_weber, "mimha", 17, 11, 1),
+            (build_weber, "mimva", 17, 11, 1),
+            (build_cfp, "mimva", 18, 12, 0),
+            (build_cfp, "mmva", 14, 11, 0),
+            (build_cfp, "inertial-mann", 13, 9, 0),
+            (build_cfp, "cq", 16, 14, 0),
         ],
     )
-    def test_calls_per_iteration(self, build, algorithm, calls, reduces):
+    def test_calls_per_iteration(self, build, algorithm, cold, warm, reduces):
         spec = build()
-        short = profiled_run(spec, algorithm, 100)
-        long = profiled_run(spec, algorithm, 200)
-        assert long["calls"] - short["calls"] <= calls * 100
+        sched = spec.schedules_for(algorithm)
+        short, long = (profiled_run(spec, algorithm, k, replace(sched)) for k in (100, 200))
+        assert long["calls"] - short["calls"] <= cold * 100
+        assert long["reduces"] - short["reduces"] == reduces * 100
+        budget_run(spec, algorithm, 200, sched)
+        short, long = (profiled_run(spec, algorithm, k, sched) for k in (100, 200))
+        assert long["calls"] - short["calls"] <= warm * 100
         assert long["reduces"] - short["reduces"] == reduces * 100
 
 

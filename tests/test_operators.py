@@ -325,6 +325,52 @@ class TestHalfspacePairProjection:
         with pytest.raises(InfeasibleSetError):
             project_halfspace_pair(R2, h1, h2, [0.0, 0.0])
 
+    def test_overflowing_square_norm_is_not_taken_as_feasible(self):
+        # ||x||^2 overflows: the feasibility slack, sized by ||x||, was inf and
+        # returned x, outside both half-spaces
+        h1 = HalfSpace(np.array([1.0, 0.0]), 0.0)
+        h2 = HalfSpace(np.array([0.0, 1.0]), 0.0)
+        wide = HalfSpace(np.array([0.0, 1.0]), 2e200)
+        x = np.array([1e200, 1e200])
+        assert same_bits(project_halfspace_pair(R2, h1, h2, x), [0.0, 0.0])
+        assert same_bits(project_halfspace(R2, h1, x), [0.0, 1e200])
+        assert same_bits(project_halfspace_pair(R2, h1, wide, x), [0.0, 1e200])
+        inside = np.array([-1e200, 1e200])
+        assert project_halfspace_pair(R2, h1, wide, inside) is inside
+
+    @pytest.mark.parametrize(
+        "space", [R30, WEIGHTED30, GRID30], ids=["euclidean", "weighted", "grid"]
+    )
+    def test_overflowing_square_norm_is_projected_at_scale(self, space):
+        # x has largest entry 1: at 2^600 x (and 2^600 b) ||x||^2 overflows,
+        # and the pair is projected at the scale of x, then scaled back, so
+        # every bit is that of the small problem's result times 2^600
+        rng = np.random.default_rng(26)
+        scale = 2.0**600
+        branches = set()
+        for _ in range(300):
+            a1, a2, z = (rng.normal(size=30) for _ in range(3))
+            b1 = float(space.inner(a1, z * 0.3)) + rng.uniform(-1.0, 3.0)
+            b2 = float(space.inner(a2, z * 0.3)) + rng.uniform(-1.0, 3.0)
+            x = rng.normal(size=30)
+            x /= np.abs(x).max()
+            small = project_halfspace_pair(space, HalfSpace(a1, b1), HalfSpace(a2, b2), x)
+            big_x = x * scale
+            big = project_halfspace_pair(
+                space, HalfSpace(a1, b1 * scale), HalfSpace(a2, b2 * scale), big_x
+            )
+            if small is x:
+                assert big is big_x
+            else:
+                assert same_bits(big, small * scale)
+            branches.add(
+                "x" if small is x
+                else "p1" if same_bits(small, project_halfspace(space, HalfSpace(a1, b1), x))
+                else "p2" if same_bits(small, project_halfspace(space, HalfSpace(a2, b2), x))
+                else "both"
+            )
+        assert branches == {"x", "p1", "p2", "both"}
+
     def test_matches_oracle_smoke(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -699,6 +745,11 @@ class TestSfpOperator:
             sfp_operator(GRID, GRID.zeros(), lam=3.0)
         with pytest.raises(ValueError, match="lam"):
             sfp_operator(GRID, GRID.zeros(), lam=0.0)
+        # the range is open at 2 and holds just below it
+        with pytest.raises(ValueError, match="lam"):
+            sfp_operator(GRID, GRID.zeros(), lam=2.0)
+        below = math.nextafter(2.0, 0.0)
+        assert same_bits(sfp_operator(GRID, GRID.zeros(), lam=below), GRID.zeros())
 
 
 class TestSfpKernelsMatchWrappers:
@@ -760,7 +811,7 @@ class TestSfpKernelsMatchWrappers:
             expected = project_integral_halfspace(GRID, x - lam * (x - p_q), mode)
             out = sfp_operator(GRID, x, lam=lam, mode=mode)
             into = np.full(GRID.size, np.nan)
-            assert _sfp_sweep(GRID, x, lam, _integral_divisor(GRID, mode), into) is into
+            assert _sfp_sweep(GRID, lam, _integral_divisor(GRID, mode), x, into) is into
             assert same_bits(into, out)
             if p_q is x:
                 assert same_bits(out, expected)
@@ -1123,6 +1174,10 @@ class TestWeiszfeldMap:
             coef = anchors.weights / np.sqrt(space._inners(diffs, diffs))
             expected = (coef @ anchors.anchors) / coef.sum()
             assert same_bits(_weiszfeld(space, anchors, x), expected)
+            # given an out vector (NaN, which it must not read), it writes them there
+            into = np.full(space.size, np.nan)
+            assert _weiszfeld(space, anchors, x, into) is into
+            assert same_bits(into, expected)
 
     def test_not_globally_nonexpansive(self):
         # the map expands radially near anchors; frozen counterexample

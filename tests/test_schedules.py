@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,48 @@ class TestDeltaBar:
             sched.delta_bar(5, 1.0)
         with pytest.raises(ValueError, match=r"xi\(5\) must be nonnegative"):
             sched.delta(5, 1.0)
+
+
+class TestMemo:
+    """A ``Schedules`` evaluates ``xi`` at most once per index and keeps the
+    value, and the cap, in memos that ``delta_bar`` and ``run`` read."""
+
+    @staticmethod
+    def counted_xi(calls, value=None):
+        return lambda n: calls.append(n) or (default_xi(n) if value is None else value)
+
+    def test_delta_bar_reads_xi_once_per_index(self):
+        calls = []
+        sched = Schedules(xi=self.counted_xi(calls))
+        first = [sched.delta_bar(n, 0.5) for n in range(10)]
+        again = [sched.delta_bar(n, d) for n in range(10) for d in (0.5, 3.0, 0.0)]
+        assert calls == list(range(2, 10))
+        assert again[::3] == first
+        assert again == [Schedules().delta_bar(n, d) for n in range(10) for d in (0.5, 3.0, 0.0)]
+
+    def test_a_rejected_budget_stays_rejected_without_a_call(self):
+        calls = []
+        sched = Schedules(xi=self.counted_xi(calls, float("nan")))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"xi\(4\) must be nonnegative, got nan"):
+                sched.delta_bar(4, 1.0)
+        assert calls == [4]
+
+    def test_a_copy_by_replace_starts_empty(self):
+        calls = []
+        sched = Schedules(xi=self.counted_xi(calls))
+        sched.delta_bar(5, 1.0)
+        fresh = replace(sched)
+        assert fresh == sched and hash(fresh) == hash(sched)  # the memos are not fields
+        fresh.delta_bar(5, 1.0)
+        assert calls == [5, 5]
+
+    def test_a_pickled_copy_keeps_the_values(self):
+        sched = Schedules()
+        values = [sched.delta_bar(n, 0.25) for n in range(30)]
+        copy = pickle.loads(pickle.dumps(sched))
+        assert copy == sched
+        assert [copy.delta_bar(n, 0.25) for n in range(30)] == values
 
 
 class TestDeltaModes:
